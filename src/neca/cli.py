@@ -19,8 +19,11 @@ import sys
 import time
 import urllib.error
 import urllib.request
+import uuid
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,8 @@ from .model import NecaConfig
 from .training import TrainConfig, train
 
 BUNDLED = ("bc", "ce", "de", "ly", "ma", "mu", "pt", "sb", "sh", "wi", "zo")
+_CHUNK_ROWS = 128       # embedding CSV rows formatted or parsed at a time
+_TOKEN_CACHE = 1 << 16  # parsed tokens kept across chunks by read_embedding
 
 
 class StageError(Exception):
@@ -191,22 +196,102 @@ def resolve_dataset(args) -> tuple[CAD, DatasetManifest, str]:
     return cad, manifest, str(path)
 
 
+@contextmanager
+def _replacing(path):
+    """Text handle on a temp file beside ``path`` that replaces ``path`` on success.
+
+    On any failure the temp file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _format_rows(block: np.ndarray, first_id: int) -> str:
+    """CSV lines of ``block``, formatting each distinct float64 bit pattern once.
+
+    The key is the bit pattern, not the value: 0.0 == -0.0 but the two print
+    differently, and nan != nan.
+    """
+    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    rows = tokens[inverse].reshape(block.shape).tolist()
+    return "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, first_id))
+
+
 def write_embedding(path, matrix: np.ndarray) -> None:
-    """CSV with an object_id column; repr floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """CSV with an object_id column; repr floats round-trip exactly.
+
+    Rows go out in chunks of ``_CHUNK_ROWS``, and the file replaces ``path``
+    only once it is complete.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    with _replacing(path) as fh:
         fh.write("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1])) + "\n")
-        for i, row in enumerate(matrix):
-            fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        for lo in range(0, matrix.shape[0], _CHUNK_ROWS):
+            fh.write(_format_rows(matrix[lo:lo + _CHUNK_ROWS], lo))
+
+
+def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
+    """Float64 array of ``tokens``, calling ``float`` only on tokens not in ``cache``.
+
+    A token that is not a number raises ``ValueError(token)``.
+    """
+    try:
+        return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
+    except KeyError:
+        pass
+    if len(cache) > _TOKEN_CACHE:
+        cache.clear()
+    for token in set(tokens).difference(cache):
+        try:
+            cache[token] = float(token)
+        except ValueError:
+            raise ValueError(token) from None
+    return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
 
 
 def read_embedding(path) -> np.ndarray:
+    """The matrix ``write_embedding`` wrote, bit for bit (NaN payloads aside).
+
+    ``float`` runs once per distinct token.  A row whose width differs from
+    the header's, or a token that is not a number, raises a ``StageError``
+    naming the path and the 1-based line.
+    """
+    cache: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "object_id":
             raise StageError("eval", f"{path} is not an embedding file")
-        rows = [[float(x) for x in line.strip().split(",")[1:]]
-                for line in fh if line.strip()]
-    return np.array(rows)
+        width = len(header) - 1
+        blocks = [np.empty((0, width))]
+        lineno = 1
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            numbered = [(k, line.strip()) for k, line in enumerate(lines, lineno + 1)
+                        if not line.isspace()]
+            lineno += len(lines)
+            for k, line in numbered:
+                if line.count(",") != width:
+                    raise StageError("eval", f"{path}, line {k}: {line.count(',')} values, "
+                                             f"header has {width}")
+            tokens = ",".join(line for _, line in numbered).split(",")
+            del tokens[::width + 1]   # the object_id column
+            try:
+                block = _parse_tokens(tokens, cache)
+            except ValueError as exc:
+                token = exc.args[0]
+                k = numbered[tokens.index(token) // width][0]
+                raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") \
+                    from None
+            blocks.append(block.reshape(len(numbered), width))
+    return np.concatenate(blocks)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -256,7 +341,8 @@ def cmd_embed(args) -> int:
 
     def write_outputs():
         write_embedding(out, table.objects)
-        meta_path.write_text(json.dumps(metadata, indent=2) + "\n", encoding="utf-8")
+        with _replacing(meta_path) as fh:
+            fh.write(json.dumps(metadata, indent=2) + "\n")
 
     _stage("output", write_outputs)
     print(f"wrote {out} ({table.objects.shape[0]} x {table.objects.shape[1]}) "

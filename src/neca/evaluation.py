@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SILHOUETTE_BLOCK = 256   # distance-matrix rows held at a time
+
 
 class EvaluationError(Exception):
     """Undefined index or inconsistent inputs."""
@@ -32,11 +34,10 @@ class LabeledEmbedding:
             raise EvaluationError("vectors must be a 2-d matrix")
         if len(self.labels) != self.vectors.shape[0]:
             raise EvaluationError("one label required per row")
-        self.classes = tuple(dict.fromkeys(self.labels))
-        self.members = [
-            np.array([i for i, lab in enumerate(self.labels) if lab == c], dtype=np.int64)
-            for c in self.classes
-        ]
+        code = {c: k for k, c in enumerate(dict.fromkeys(self.labels))}
+        self.classes = tuple(code)
+        self.label_idx = np.array([code[lab] for lab in self.labels], dtype=np.int64)
+        self.members = [np.flatnonzero(self.label_idx == k) for k in range(len(code))]
 
     @property
     def n(self) -> int:
@@ -70,37 +71,51 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
     return between / within
 
 
-def _pairwise_distances(x: np.ndarray, block: int = 512) -> np.ndarray:
-    """Euclidean distance matrix via the quadratic expansion, row blocks."""
-    sq = np.sum(x * x, axis=1)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (x[lo:hi] @ x.T)
-        out[lo:hi] = np.sqrt(np.maximum(d2, 0.0))
-    np.fill_diagonal(out, 0.0)
-    return out
+def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
+    """(n, T) sums of Euclidean distances from each object to each class.
+
+    Streams row blocks of the upper triangle of the distance matrix
+    (quadratic expansion) and multiplies each block, and its transpose, by
+    the n-by-T class indicator matrix, so memory is O(block * n + n * T)
+    rather than O(n^2) and each distance is computed once.
+    """
+    x = emb.vectors
+    blocks = [(lo, min(lo + _SILHOUETTE_BLOCK, emb.n))
+              for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
+    sq = np.concatenate([np.sum(x[lo:hi] * x[lo:hi], axis=1) for lo, hi in blocks])
+    indicator = np.zeros((emb.n, emb.t))
+    indicator[np.arange(emb.n), emb.label_idx] = 1.0
+    sums = np.zeros((emb.n, emb.t))
+    for lo, hi in blocks:
+        gram = x[lo:hi] @ x[lo:].T
+        gram *= 2.0
+        d2 = sq[lo:hi, None] + sq[None, lo:]
+        d2 -= gram
+        np.maximum(d2, 0.0, out=d2)
+        dist = np.sqrt(d2, out=d2)
+        dist[np.arange(hi - lo), np.arange(hi - lo)] = 0.0
+        sums[lo:hi] += dist @ indicator[lo:]
+        sums[hi:] += dist[:, hi - lo:].T @ indicator[lo:hi]
+    return sums
 
 
 def silhouette_samples(emb: LabeledEmbedding) -> np.ndarray:
     """Per-object s(x) = (b - a) / max(a, b), with the singleton rule s = 0."""
     if emb.t < 2:
         raise EvaluationError("silhouette undefined for a single class")
-    dist = _pairwise_distances(emb.vectors)
-    class_sums = np.stack([dist[:, idx].sum(axis=1) for idx in emb.members], axis=1)
-    sizes = np.array([len(idx) for idx in emb.members], dtype=np.float64)
-    label_idx = np.array([emb.classes.index(lab) for lab in emb.labels])
+    sums = _class_distance_sums(emb)
+    sizes = np.bincount(emb.label_idx, minlength=emb.t).astype(np.float64)
+    rows = np.arange(emb.n)
+    own_size = sizes[emb.label_idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, emb.label_idx] / (own_size - 1.0)
+    mean_to = sums / sizes
+    mean_to[rows, emb.label_idx] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    zero = (own_size <= 1) | (denom == 0.0)   # singleton class, or a = b = 0
     s = np.zeros(emb.n)
-    for i in range(emb.n):
-        ci = label_idx[i]
-        if sizes[ci] <= 1:
-            continue  # singleton class: s stays 0
-        a = class_sums[i, ci] / (sizes[ci] - 1.0)
-        other = [class_sums[i, c] / sizes[c] for c in range(emb.t) if c != ci]
-        b = min(other)
-        denom = max(a, b)
-        s[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    s[~zero] = (b[~zero] - a[~zero]) / denom[~zero]
     return s
 
 
@@ -111,8 +126,7 @@ def silhouette(emb: LabeledEmbedding, average: str = "macro") -> float:
         return float(s.mean())
     if average != "macro":
         raise EvaluationError(f"unknown average {average!r}")
-    label_idx = np.array([emb.classes.index(lab) for lab in emb.labels])
-    per_class = [float(s[label_idx == c].mean()) for c in range(emb.t)]
+    per_class = [float(s[idx].mean()) for idx in emb.members]
     return float(np.mean(per_class))
 
 

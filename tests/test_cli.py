@@ -111,7 +111,7 @@ class TestEmbed:
         first = cli.read_embedding(out)
         again = tmp_path / "again.csv"
         cli.write_embedding(again, first)
-        assert np.array_equal(cli.read_embedding(again), first)
+        assert cli.read_embedding(again).tobytes() == first.tobytes()
 
 
 class TestEncode:

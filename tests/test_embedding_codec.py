@@ -1,0 +1,193 @@
+"""Contract of the embedding CSV codec: exact bytes, exact read-back, loud failures."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from neca import cli
+from neca.cli import StageError, read_embedding, write_embedding
+
+
+def oracle_write_embedding(path, matrix):
+    """The per-cell writer: repr(float(x)) for every cell, one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1])) + "\n")
+        for i, row in enumerate(matrix):
+            fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+
+
+def assert_same_bytes(tmp_path, matrix):
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_embedding(fast, matrix)
+    oracle_write_embedding(slow, matrix)
+    assert fast.read_bytes() == slow.read_bytes()
+    return fast
+
+
+SUBNORMALS = [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, -4.9e-322]
+SPECIAL = {
+    "signed zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    "infinities": np.array([[np.inf, -np.inf, 1.0]]),
+    "nan": np.array([[np.nan, 1.0], [2.0, np.nan]]),
+    "subnormals": np.array([SUBNORMALS]),
+    "largest finite": np.array([[1.7976931348623157e308, -1.7976931348623157e308]]),
+    "smallest normal": np.array([[2.2250738585072014e-308, 1.0000000000000002]]),
+    "one distinct value": np.full((300, 7), 0.1),
+}
+
+
+class TestBytes:
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_special_values(self, tmp_path, name):
+        path = assert_same_bytes(tmp_path, SPECIAL[name])
+        back = read_embedding(path)
+        expected = SPECIAL[name]
+        assert back.shape == expected.shape
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(back), nan)
+        assert back[~nan].tobytes() == expected[~nan].tobytes()
+
+    def test_integer_dtype(self, tmp_path):
+        matrix = np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * 10**17
+        path = assert_same_bytes(tmp_path, matrix)
+        assert read_embedding(path).tobytes() == matrix.astype(np.float64).tobytes()
+
+    def test_transposed_view(self, tmp_path):
+        base = np.random.default_rng(1).standard_normal((5, 600))
+        view = base.T
+        assert not view.flags.c_contiguous
+        path = assert_same_bytes(tmp_path, view)
+        assert read_embedding(path).tobytes() == np.ascontiguousarray(view).tobytes()
+
+    def test_all_distinct(self, tmp_path):
+        # every cell a different value: nothing is shared between cells
+        matrix = np.random.default_rng(2).standard_normal((700, 40)) * 1e3
+        assert len(np.unique(matrix)) == matrix.size
+        path = assert_same_bytes(tmp_path, matrix)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+
+    def test_repeated_rows_across_chunks(self, tmp_path):
+        # few distinct values, many rows: the shape of an assembled embedding
+        table = np.random.default_rng(3).standard_normal((9, 4))
+        ids = np.random.default_rng(4).integers(0, 9, size=(1000, 3))
+        matrix = table[ids].reshape(1000, 12)
+        path = assert_same_bytes(tmp_path, matrix)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+                      .filter(lambda s: s[1] > 0),
+                      elements=st.floats(allow_nan=False, width=64)))
+    @settings(max_examples=150, deadline=None)
+    def test_property_bytes_and_read_back(self, tmp_path_factory, matrix):
+        tmp_path = tmp_path_factory.mktemp("codec")
+        path = assert_same_bytes(tmp_path, matrix)
+        back = read_embedding(path)
+        assert back.shape == matrix.shape
+        assert back.tobytes() == matrix.tobytes()
+
+
+class TestReadFailures:
+    def write(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_ragged_row(self, tmp_path):
+        path = self.write(tmp_path, "object_id,dim_0,dim_1\n0,1.0,2.0\n1,3.0\n2,4.0,5.0\n")
+        with pytest.raises(StageError, match=r"line 3") as exc:
+            read_embedding(path)
+        assert exc.value.stage == "eval" and str(path) in str(exc.value)
+
+    def test_width_differs_from_header(self, tmp_path):
+        # every row agrees with every other row, but not with the header
+        path = self.write(tmp_path, "object_id,dim_0,dim_1\n0,1.0,2.0,3.0\n1,4.0,5.0,6.0\n")
+        with pytest.raises(StageError, match=r"line 2: 3 values, header has 2") as exc:
+            read_embedding(path)
+        assert exc.value.stage == "eval" and str(path) in str(exc.value)
+
+    def test_non_numeric_token(self, tmp_path):
+        path = self.write(tmp_path, "object_id,dim_0,dim_1\n0,1.0,2.0\n1,3.0,2.0\n"
+                                    "\n3,abc,1.0\n")
+        with pytest.raises(StageError, match=r"line 5: 'abc' is not a number") as exc:
+            read_embedding(path)
+        assert exc.value.stage == "eval" and str(path) in str(exc.value)
+
+    def test_empty_token(self, tmp_path):
+        path = self.write(tmp_path, "object_id,dim_0,dim_1\n0,1.0,\n")
+        with pytest.raises(StageError, match=r"line 2: '' is not a number"):
+            read_embedding(path)
+
+    def test_bad_line_number_past_first_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+        rows = [f"{i},{i}.5" for i in range(6)]
+        rows[4] = "4,x"
+        path = self.write(tmp_path, "object_id,dim_0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(StageError, match=r"line 6: 'x'"):
+            read_embedding(path)
+
+    def test_header_only(self, tmp_path):
+        path = self.write(tmp_path, "object_id,dim_0,dim_1,dim_2\n")
+        back = read_embedding(path)
+        assert back.shape == (0, 3) and back.dtype == np.float64
+
+    def test_not_an_embedding(self, tmp_path):
+        path = self.write(tmp_path, "id,a\n0,1.0\n")
+        with pytest.raises(StageError, match="not an embedding file"):
+            read_embedding(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch):
+        target = tmp_path / "emb.csv"
+        target.write_text("previous contents\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+        real_format, calls = cli._format_rows, []
+
+        def failing_format(block, first_id):
+            calls.append(first_id)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_format(block, first_id)
+
+        monkeypatch.setattr(cli, "_format_rows", failing_format)
+        with pytest.raises(OSError, match="disk full"):
+            write_embedding(target, np.ones((10, 3)))
+        assert calls == [0, 2, 4]          # it failed partway through
+        assert target.read_text(encoding="utf-8") == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_format_rows", lambda block, first_id: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            write_embedding(tmp_path / "emb.csv", np.ones((3, 3)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_target(self, tmp_path):
+        target = tmp_path / "emb.csv"
+        target.write_text("previous contents\n", encoding="utf-8")
+        write_embedding(target, np.eye(2))
+        assert read_embedding(target).tobytes() == np.eye(2).tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
+
+    def test_failed_meta_write_keeps_old_meta(self, toy_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "emb.csv"
+        meta = tmp_path / "emb.meta.json"
+        meta.write_text('{"previous": true}\n', encoding="utf-8")
+
+        def failing_dumps(*args, **kwargs):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(cli.json, "dumps", failing_dumps)
+        assert cli.main(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                         "--epochs", "1"]) == 1
+        monkeypatch.undo()
+        assert "[output]" in capsys.readouterr().err
+        assert json.loads(meta.read_text(encoding="utf-8")) == {"previous": True}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "emb.csv", "emb.meta.json", "toy_talent.csv"]
+        assert math.isfinite(read_embedding(out).sum())

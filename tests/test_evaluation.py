@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ def brute_silhouette(x, labels, average="macro"):
         for c in classes
     ]
     return sum(per_class) / len(classes)
+
+
+def dense_silhouette_samples(x, labels):
+    """The full n-by-n distance matrix formula, one object at a time."""
+    sq = np.sum(x * x, axis=1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+    np.fill_diagonal(dist, 0.0)
+    classes = list(dict.fromkeys(labels))
+    label_idx = np.array([classes.index(lab) for lab in labels])
+    sizes = np.bincount(label_idx).astype(np.float64)
+    class_sums = np.stack([dist[:, label_idx == c].sum(axis=1)
+                           for c in range(len(classes))], axis=1)
+    s = np.zeros(len(labels))
+    for i, ci in enumerate(label_idx):
+        if sizes[ci] <= 1:
+            continue
+        a = class_sums[i, ci] / (sizes[ci] - 1.0)
+        b = min(class_sums[i, c] / sizes[c] for c in range(len(classes)) if c != ci)
+        s[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
+    return s
 
 
 def random_instance(rng, n_max=60):
@@ -154,6 +175,35 @@ class TestSilhouette:
                 brute_silhouette(vectors.tolist(), labels), abs=1e-9)
             assert silhouette(emb, average="micro") == pytest.approx(
                 brute_silhouette(vectors.tolist(), labels, "micro"), abs=1e-9)
+
+    def test_matches_dense_formula(self):
+        rng = np.random.default_rng(12)
+        labels = [f"c{k}" for k in rng.integers(0, 4, size=517)]
+        labels[:3] = ["solo", "c0", "c1"]   # a singleton class among them
+        offset = {"solo": 4.0, "c0": 0.0, "c1": 1.0, "c2": 2.0, "c3": 3.0}
+        vectors = rng.standard_normal((517, 9)) + np.array(
+            [offset[lab] for lab in labels])[:, None]
+        vectors[10] = vectors[11]            # coincident points
+        fast = silhouette_samples(LabeledEmbedding(vectors, labels))
+        np.testing.assert_allclose(fast, dense_silhouette_samples(vectors, labels),
+                                   rtol=0, atol=1e-12)
+        assert fast[0] == 0.0
+
+    def test_memory_bounded_by_blocks(self):
+        # the n-by-n distance matrix alone would be 1.1 GB here
+        rng = np.random.default_rng(13)
+        labels = ["A"] * 6000 + ["B"] * 6000
+        vectors = rng.standard_normal((12_000, 16))
+        vectors[6000:] += 1.0
+        emb = LabeledEmbedding(vectors, labels)
+        tracemalloc.start()
+        try:
+            value = silhouette(emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        assert 0.0 < value < 1.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
