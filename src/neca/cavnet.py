@@ -19,7 +19,6 @@ log-weights without the underflow.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,60 +31,41 @@ class GraphError(Exception):
     """Contract violation while building or querying a network."""
 
 
-@dataclass(frozen=True)
-class CavNode:
-    attr: int
-    value: int
-    token: str
-
-
 @dataclass
 class CavNodeSet:
-    """Indexed universe of CAV nodes with occurrence counts."""
+    """Node-id layout of the CAV universe: attribute-major, then domain order.
 
-    nodes: tuple[CavNode, ...]
-    index_of: dict[tuple[int, str], int]
+    Node ``offsets[j] + l`` is value ``domains[j][l]``; ``offsets[-1]`` is |V|.
+    """
+
+    domains: tuple[tuple[str, ...], ...]
+    attribute_names: tuple[str, ...]
+    offsets: np.ndarray         # (m + 1,) first node id of each attribute, then |V|
+    ids: np.ndarray             # (n, m) node id of every cell of the CAD
     counts: np.ndarray          # occurrences g(node) in the CAD
     attr_of: np.ndarray         # node id -> attribute index
-    attribute_names: tuple[str, ...]
 
     @property
     def total(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_attributes(self) -> int:
-        return len(self.attribute_names)
+        return int(self.offsets[-1])
 
     def id_for(self, attr: int, token: str) -> int:
-        return self.index_of[(attr, token)]
+        return int(self.offsets[attr]) + self.domains[attr].index(token)
 
     def qualified(self, node_id: int) -> str:
-        node = self.nodes[node_id]
-        return f"{self.attribute_names[node.attr]}={node.token}"
+        j = int(self.attr_of[node_id])
+        return f"{self.attribute_names[j]}={self.domains[j][node_id - self.offsets[j]]}"
 
 
 def build_node_set(cad: CAD) -> CavNodeSet:
     """One node per (attribute, domain token), attribute-major, domain order."""
-    nodes = []
-    index_of = {}
-    for j, domain in enumerate(cad.domains):
-        for l, token in enumerate(domain):
-            index_of[(j, token)] = len(nodes)
-            nodes.append(CavNode(j, l, token))
-    counts = np.zeros(len(nodes), dtype=np.int64)
-    for rec in cad.records:
-        for j, token in enumerate(rec):
-            counts[index_of[(j, token)]] += 1
-    attr_of = np.array([nd.attr for nd in nodes], dtype=np.int64)
-    return CavNodeSet(tuple(nodes), index_of, counts, attr_of, cad.attribute_names)
-
-
-def co_occurrence(cad: CAD, u: CavNode, v: CavNode) -> int:
-    """Number of records taking u's token and v's token; symmetric in (u, v)."""
-    if u.attr == v.attr:
-        raise GraphError("co-occurrence requires nodes of different attributes")
-    return sum(1 for rec in cad.records if rec[u.attr] == u.token and rec[v.attr] == v.token)
+    sizes = [len(d) for d in cad.domains]
+    offsets = np.zeros(cad.m + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(sizes)
+    ids = cad.codes + offsets[:-1]
+    counts = np.bincount(ids.ravel(), minlength=offsets[-1])
+    attr_of = np.repeat(np.arange(cad.m, dtype=np.int64), sizes)
+    return CavNodeSet(cad.domains, cad.attribute_names, offsets, ids, counts, attr_of)
 
 
 def stable_softmax(raw: np.ndarray) -> np.ndarray:
@@ -118,15 +98,13 @@ class EdgeSet:
         return _KIND_NAMES[None if self.kind is None else int(self.kind[i])]
 
 
-def _finalize_edges(pairs: dict, kinds: dict | None = None) -> EdgeSet:
-    order = sorted(pairs)
-    u = np.array([p[0] for p in order], dtype=np.int64)
-    v = np.array([p[1] for p in order], dtype=np.int64)
-    raw = np.array([pairs[p] for p in order], dtype=np.float64)
-    kind = None
-    if kinds is not None:
-        kind = np.array([kinds[p] for p in order], dtype=np.int8)
-    return EdgeSet(u, v, raw, stable_softmax(raw), kind)
+def _edge_set(key: np.ndarray, num_nodes: int, raw: np.ndarray,
+              kind: np.ndarray | None = None) -> EdgeSet:
+    """Edges from distinct keys u * |V| + v (u < v), sorted by (u, v)."""
+    order = np.argsort(key)
+    key, raw = key[order], raw[order].astype(np.float64)
+    return EdgeSet(key // num_nodes, key % num_nodes, raw, stable_softmax(raw),
+                   None if kind is None else kind[order])
 
 
 def build_inter_network(cad: CAD, nodes: CavNodeSet) -> EdgeSet:
@@ -137,64 +115,53 @@ def build_inter_network(cad: CAD, nodes: CavNodeSet) -> EdgeSet:
     """
     if cad.m < 2:
         raise GraphError("inter network requires >= 2 attributes")
-    counts: Counter = Counter()
-    for rec in cad.records:
-        ids = [nodes.index_of[(j, tok)] for j, tok in enumerate(rec)]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                x, y = ids[a], ids[b]
-                counts[(x, y) if x < y else (y, x)] += 1
-    return _finalize_edges(dict(counts))
-
-
-def intra_affinity(nodes: CavNodeSet, n: int, u: int, v: int, beta: float) -> float:
-    """Raw within-network affinity: n/(g(u)+g(v)) same attribute, beta otherwise."""
-    if u == v:
-        raise GraphError("affinity requires two distinct nodes")
-    if nodes.attr_of[u] == nodes.attr_of[v]:
-        return n / float(nodes.counts[u] + nodes.counts[v])
-    return beta
+    ids, num = nodes.ids, nodes.total
+    # ids are attribute-major, so column a's id is below column b's for a < b
+    pairs = [np.unique(ids[:, a] * num + ids[:, b], return_counts=True)
+             for a in range(cad.m) for b in range(a + 1, cad.m)]
+    return _edge_set(np.concatenate([k for k, _ in pairs]), num,
+                     np.concatenate([c for _, c in pairs]))
 
 
 def build_intra_network(cad: CAD, nodes: CavNodeSet, beta: float = 0.01,
                         seed: int = 0) -> EdgeSet:
     """Within-attribute cliques plus one random connectivity edge per node.
 
-    For each node a foreign attribute is chosen uniformly, then a value node
-    within it; duplicate draws collapse to a single edge.  Affinities are
-    softmax-normalized over the whole intra edge set.
+    Clique edges get the affinity n / (g(u) + g(v)).  For each node a
+    foreign attribute is chosen uniformly, then a value node within it;
+    duplicate draws collapse to a single edge of affinity ``beta``.
+    Affinities are softmax-normalized over the whole intra edge set.
     """
     if cad.m < 2:
         raise GraphError("intra network requires >= 2 attributes")
-    pairs: dict = {}
-    kinds: dict = {}
-    offsets = np.concatenate([[0], np.cumsum([len(d) for d in cad.domains])])
-    for j, domain in enumerate(cad.domains):
-        base = offsets[j]
-        for a in range(len(domain)):
-            for b in range(a + 1, len(domain)):
-                key = (base + a, base + b)
-                pairs[key] = intra_affinity(nodes, cad.n, *key, beta)
-                kinds[key] = WITHIN
+    offsets, num = nodes.offsets, nodes.total
+    cliques = [np.triu_indices(len(d), 1) for d in cad.domains]
+    u = np.concatenate([a + offsets[j] for j, (a, _) in enumerate(cliques)])
+    v = np.concatenate([b + offsets[j] for j, (_, b) in enumerate(cliques)])
+    within = u * num + v
+    affinity = cad.n / (nodes.counts[u] + nodes.counts[v]).astype(np.float64)
     rng = np.random.default_rng(seed)
+    drawn = set()
     for node_id in range(nodes.total):
         j = int(nodes.attr_of[node_id])
         foreign = [jj for jj in range(cad.m) if jj != j]
         jj = foreign[rng.integers(len(foreign))]
         other = int(offsets[jj] + rng.integers(len(cad.domains[jj])))
-        key = (node_id, other) if node_id < other else (other, node_id)
-        if key not in pairs:
-            pairs[key] = beta
-            kinds[key] = CONNECTIVITY
-    return _finalize_edges(pairs, kinds)
+        drawn.add(node_id * num + other if node_id < other else other * num + node_id)
+    # connectivity edges cross attributes, so they never repeat a clique edge
+    connect = np.fromiter(drawn, np.int64, len(drawn))
+    return _edge_set(
+        np.concatenate([within, connect]), num,
+        np.concatenate([affinity, np.full(len(connect), beta)]),
+        np.concatenate([np.full(len(within), WITHIN, np.int8),
+                        np.full(len(connect), CONNECTIVITY, np.int8)]))
 
 
-def _adjacency(edges: EdgeSet, num_nodes: int) -> list[np.ndarray]:
-    neigh = [[] for _ in range(num_nodes)]
-    for a, b in zip(edges.u, edges.v):
-        neigh[a].append(b)
-        neigh[b].append(a)
-    return [np.array(sorted(ns), dtype=np.int64) for ns in neigh]
+def _adjacency(tgt: np.ndarray, src: np.ndarray, num_nodes: int) -> list[np.ndarray]:
+    """Sorted neighbor ids of every node, from the directed pairs (tgt, src)."""
+    order = np.lexsort((src, tgt))
+    bounds = np.cumsum(np.bincount(tgt, minlength=num_nodes))[:-1]
+    return np.split(src[order], bounds)
 
 
 @dataclass
@@ -209,8 +176,8 @@ class HetNet:
     intra_adj: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.inter_adj = _adjacency(self.inter, self.node_set.total)
-        self.intra_adj = _adjacency(self.intra, self.node_set.total)
+        self.inter_adj = _adjacency(*self.directed_pairs("inter")[:2], self.node_set.total)
+        self.intra_adj = _adjacency(*self.directed_pairs("intra")[:2], self.node_set.total)
 
     def edges(self, which: str) -> EdgeSet:
         if which == "inter":

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import os
-import shutil
 import statistics
 import sys
 import time
@@ -31,7 +30,7 @@ import numpy as np
 from .cavnet import build_hetnet, export_edge_list
 from .dataset import CAD, DatasetError, DatasetManifest, impute_modes, load_csv
 from .encoders import encode_frequency, encode_onehot
-from .evaluation import LabeledEmbedding, calinski_harabasz, silhouette
+from .evaluation import INDICES, LabeledEmbedding, evaluate_all
 from .model import NecaConfig
 from .training import TrainConfig, train
 
@@ -89,7 +88,7 @@ class RunConfig:
             learning_rate=self.lr, adam_beta1=self.adam_beta1,
             adam_beta2=self.adam_beta2, adam_epsilon=self.adam_eps,
             max_epochs=self.epochs, rel_tol=self.tol, kernel_sigma=self.sigma,
-            clamp_eps=self.clamp_eps, seed=self.seed,
+            clamp_eps=self.clamp_eps,
         )
 
     @classmethod
@@ -145,39 +144,46 @@ def sha256_of(path: Path) -> str:
 
 def fetch_dataset(manifest: DatasetManifest, cache: Path | None = None,
                   mirror: Path | None = None, quiet: bool = False) -> Path:
-    """Return a verified local copy, downloading or copying only on cache miss."""
+    """Return a verified local copy, downloading or copying only on cache miss.
+
+    A new copy is written beside the cache file and verified before it
+    replaces it, so a failed or mismatched fetch leaves nothing cached.
+    """
     cache = cache or cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     target = cache / f"{manifest.name.lower()}.data"
 
-    def verify(path: Path) -> Path:
+    def verify(path: Path, origin) -> Path:
         digest = sha256_of(path)
         if manifest.checksum and digest != manifest.checksum:
             raise FetchError(
-                f"checksum mismatch for {path}: expected {manifest.checksum}, got {digest}")
+                f"checksum mismatch for {origin}: expected {manifest.checksum}, got {digest}")
         if not manifest.checksum and not quiet:
             print(f"note: {manifest.name} checksum unpinned; sha256 {digest}", file=sys.stderr)
         return path
 
     if target.exists():
-        return verify(target)
+        return verify(target, target)
     if mirror is None and os.environ.get("NECA_MIRROR"):
         mirror = Path(os.environ["NECA_MIRROR"])
-    if mirror is not None:
-        source = mirror / f"{manifest.name.lower()}.data"
-        if source.exists():
-            shutil.copyfile(source, target)
-            return verify(target)
-    if not manifest.source_url:
+    origin = mirror / f"{manifest.name.lower()}.data" if mirror is not None else None
+    if origin is not None and origin.exists():
+        data = origin.read_bytes()
+    elif not manifest.source_url:
         raise FetchError(f"no source_url for dataset {manifest.name!r} and no mirror copy")
-    try:
-        with urllib.request.urlopen(manifest.source_url, timeout=60) as resp:
-            data = resp.read()
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        raise FetchError(f"download failed for {manifest.source_url}: {exc}",
-                         retriable=True) from exc
-    target.write_bytes(data)
-    return verify(target)
+    else:
+        try:
+            with urllib.request.urlopen(manifest.source_url, timeout=60) as resp:
+                data = resp.read()
+        except (urllib.error.URLError, OSError, TimeoutError) as exc:
+            raise FetchError(f"download failed for {manifest.source_url}: {exc}",
+                             retriable=True) from exc
+        origin = manifest.source_url
+    with _replacing(target, binary=True) as fh:
+        fh.write(data)
+        fh.flush()
+        verify(Path(fh.name), origin)
+    return target
 
 
 def resolve_dataset(args) -> tuple[CAD, DatasetManifest, str]:
@@ -197,14 +203,15 @@ def resolve_dataset(args) -> tuple[CAD, DatasetManifest, str]:
 
 
 @contextmanager
-def _replacing(path):
-    """Text handle on a temp file beside ``path`` that replaces ``path`` on success.
+def _replacing(path, binary: bool = False):
+    """Handle on a temp file beside ``path`` that replaces ``path`` on success.
 
-    On any failure the temp file is removed and ``path`` is left as it was.
+    The handle is text unless ``binary``.  On any failure the temp file is
+    removed and ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh
@@ -366,16 +373,10 @@ def cmd_eval(args) -> int:
     vectors = _stage("eval", read_embedding, args.embedding)
     if vectors.shape[0] != cad.n:
         raise StageError("eval", f"embedding has {vectors.shape[0]} rows, dataset has {cad.n}")
-    emb = LabeledEmbedding(vectors, cad.labels)
-    indices = [s.strip() for s in args.indices.split(",")]
-    results = {}
-    for index in indices:
-        if index == "ch":
-            results["ch"] = calinski_harabasz(emb)
-        elif index == "s":
-            results["s"] = silhouette(emb)
-        else:
-            raise StageError("eval", f"unknown index {index!r} (choose from ch, s)")
+    indices = tuple(s.strip() for s in args.indices.split(","))
+    rows = _stage("eval", evaluate_all, {"embedding": LabeledEmbedding(vectors, cad.labels)},
+                  indices)
+    results = {row.index: row.value for row in rows}
     for index, value in results.items():
         print(f"{index} = {value!r}")
     if args.out:
@@ -405,22 +406,20 @@ def cmd_compare(args) -> int:
             raise StageError("compare", f"unknown method {method!r}")
         for seed, vectors in embeddings:
             emb = LabeledEmbedding(vectors, cad.labels)
-            records.append({
-                "method": method, "seed": seed,
-                "ch": calinski_harabasz(emb), "s": silhouette(emb),
-            })
+            records.append({"method": method, "seed": seed,
+                            **{index: fn(emb) for index, fn in INDICES.items()}})
 
     summary = []
     for method in methods:
         runs = [r for r in records if r["method"] == method]
-        for index in ("ch", "s"):
+        for index in INDICES:
             values = [r[index] for r in runs]
             summary.append({
                 "method": method, "dataset": manifest.name, "index": index,
                 "best": max(values), "median": statistics.median(values),
                 "runs": len(values),
             })
-    for index in ("ch", "s"):
+    for index in INDICES:
         rows = [s for s in summary if s["index"] == index]
         ranked = sorted(rows, key=lambda r: -r["best"])
         for row in rows:

@@ -2,35 +2,41 @@
 
 A CAD is a table of n records over m categorical attributes, optionally
 paired with a class-label column that is held out for evaluation and never
-fed to training.  Domains are the observed distinct tokens per attribute,
-kept in first-appearance order so downstream node indexing is deterministic.
+fed to training.  It is stored as an n-by-m integer code matrix: cell (i, j)
+indexes the domain of attribute j, the observed distinct tokens kept in
+first-appearance order so downstream node indexing is deterministic.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 
 class DatasetError(Exception):
     """Malformed input data or manifest/contract violation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CAD:
-    """Categorical attribute dataset: records, attribute domains, optional labels."""
+    """Categorical attribute dataset: code matrix, attribute domains, optional labels.
 
-    records: tuple[tuple[str, ...], ...]
+    ``codes[i, j]`` indexes the token of record i in ``domains[j]``.  An
+    int64 matrix is taken over, not copied, and made read-only.
+    """
+
+    codes: np.ndarray
     attribute_names: tuple[str, ...]
     domains: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...] | None = None
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.codes.shape[0]
 
     @property
     def m(self) -> int:
@@ -39,38 +45,58 @@ class CAD:
     def __post_init__(self):
         if len(self.domains) != self.m:
             raise DatasetError("one domain required per attribute")
-        domain_sets = [set(d) for d in self.domains]
-        for i, rec in enumerate(self.records):
-            if len(rec) != self.m:
-                raise DatasetError(f"record {i} has {len(rec)} entries, expected {self.m}")
-            for j, tok in enumerate(rec):
-                if tok not in domain_sets[j]:
-                    raise DatasetError(f"record {i}: token {tok!r} not in domain of {self.attribute_names[j]!r}")
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or codes.shape[1] != self.m or codes.dtype.kind not in "iu":
+            raise DatasetError(f"codes must be an (n, {self.m}) integer matrix, got {codes.dtype}{codes.shape}")
+        codes = codes.astype(np.int64, copy=False)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        outside = np.argwhere((codes < 0) | (codes >= [len(d) for d in self.domains]))
+        if len(outside):
+            i, j = outside[0]
+            raise DatasetError(f"record {i}: code {codes[i, j]} outside the domain of "
+                               f"{self.attribute_names[j]!r}")
         if self.labels is not None and len(self.labels) != self.n:
             raise DatasetError(f"{len(self.labels)} labels for {self.n} records")
 
-    def column(self, j: int) -> list[str]:
-        return [rec[j] for rec in self.records]
+    @property
+    def records(self) -> tuple[tuple[str, ...], ...]:
+        """The code matrix decoded to one tuple of tokens per record."""
+        columns = [np.array(d, dtype=object)[self.codes[:, j]]
+                   for j, d in enumerate(self.domains)]
+        return tuple(zip(*columns)) if columns else ((),) * self.n
 
 
-def _observed_domains(records: Sequence[Sequence[str]], m: int) -> tuple[tuple[str, ...], ...]:
-    domains = [dict() for _ in range(m)]  # dict preserves first-appearance order
-    for rec in records:
-        for j, tok in enumerate(rec):
-            domains[j].setdefault(tok, None)
-    return tuple(tuple(d) for d in domains)
+def _columns(rows: Sequence[Sequence[str]], width: int, describe) -> list[tuple[str, ...]]:
+    """The columns of ``rows``; row i of another length k raises ``describe(i, k)``."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong = np.flatnonzero(lengths != width)
+    if len(wrong):
+        raise DatasetError(describe(int(wrong[0]), int(lengths[wrong[0]])))
+    return list(zip(*rows)) or [()] * width
+
+
+def _encode_columns(columns: Sequence[Sequence[str]], n: int):
+    """(codes, domains) of n-token columns, each domain in first-appearance order."""
+    codes = np.empty((n, len(columns)), dtype=np.int64)
+    domains = []
+    for j, tokens in enumerate(columns):
+        domain = tuple(dict.fromkeys(tokens))
+        index = dict(zip(domain, range(len(domain))))
+        codes[:, j] = np.fromiter(map(index.__getitem__, tokens), np.int64, n)
+        domains.append(domain)
+    return codes, tuple(domains)
 
 
 def make_cad(records, attribute_names, labels=None) -> CAD:
     """Build a CAD with domains computed from the data in first-appearance order."""
-    records = tuple(tuple(r) for r in records)
+    records = list(records)
     attribute_names = tuple(attribute_names)
-    return CAD(
-        records=records,
-        attribute_names=attribute_names,
-        domains=_observed_domains(records, len(attribute_names)),
-        labels=tuple(labels) if labels is not None else None,
-    )
+    m = len(attribute_names)
+    columns = _columns(records, m, lambda i, k: f"record {i} has {k} entries, expected {m}")
+    codes, domains = _encode_columns(columns, len(records))
+    return CAD(codes, attribute_names, domains,
+               labels=tuple(labels) if labels is not None else None)
 
 
 @dataclass
@@ -154,7 +180,7 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     domains are computed in first-appearance order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=manifest.delimiter) if row]
+        rows = list(filter(None, csv.reader(fh, delimiter=manifest.delimiter)))
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
     if manifest.has_header:
@@ -165,9 +191,8 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
         header = [f"col_{j}" for j in range(len(rows[0]))]
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {i + 1} has {len(row)} fields, expected {len(header)}")
+    columns = _columns(rows, len(header), lambda i, k: (
+        f"{path}: row {i + 1} has {k} fields, expected {len(header)}"))
 
     roles = manifest.column_roles(header)
     if manifest.label_column is not None and manifest.label_column not in header:
@@ -175,20 +200,31 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
 
     feature_idx = [j for j, c in enumerate(header) if roles[c] == "feature"]
     label_idx = next((j for j, c in enumerate(header) if roles[c] == "label"), None)
-    records = [tuple(row[j].strip() for j in feature_idx) for row in rows]
-    labels = [row[label_idx].strip() for row in rows] if label_idx is not None else None
-    return make_cad(records, [header[j] for j in feature_idx], labels)
+    codes, domains = _encode_columns(
+        [tuple(map(str.strip, columns[j])) for j in feature_idx], len(rows))
+    labels = tuple(map(str.strip, columns[label_idx])) if label_idx is not None else None
+    return CAD(codes, tuple(header[j] for j in feature_idx), domains, labels)
 
 
 def save_csv(cad: CAD, path, label_name: str = "label") -> None:
     """Write a CAD back to CSV (features plus the label column if present)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(cad.attribute_names) + ([label_name] if cad.labels is not None else [])
-        writer.writerow(header)
-        for i, rec in enumerate(cad.records):
-            row = list(rec) + ([cad.labels[i]] if cad.labels is not None else [])
-            writer.writerow(row)
+        if cad.labels is None:
+            writer.writerow(cad.attribute_names)
+            writer.writerows(cad.records)
+        else:
+            writer.writerow(cad.attribute_names + (label_name,))
+            writer.writerows(rec + (label,) for rec, label in zip(cad.records, cad.labels))
+
+
+def _first_appearance(column: np.ndarray, domain: tuple[str, ...]):
+    """``column`` and ``domain`` renumbered in first-appearance order, unused values dropped."""
+    present, first = np.unique(column, return_index=True)
+    order = present[np.argsort(first)]
+    renumber = np.zeros(len(domain), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return renumber[column], tuple(domain[k] for k in order)
 
 
 def impute_modes(cad: CAD, missing_token: str = "?") -> CAD:
@@ -197,21 +233,22 @@ def impute_modes(cad: CAD, missing_token: str = "?") -> CAD:
     Ties break toward the token that appears first in the column; an
     attribute whose values are all missing has no mode and is an error.
     """
-    columns = []
+    codes = np.empty_like(cad.codes)
+    domains = []
     for j in range(cad.m):
-        col = cad.column(j)
-        present = [t for t in col if t != missing_token]
-        if not col.count(missing_token):
-            columns.append(col)
-            continue
-        if not present:
-            raise DatasetError(f"attribute {cad.attribute_names[j]!r}: all values missing, no mode")
-        counts = Counter(present)
-        best = max(counts.values())
-        mode = next(t for t in present if counts[t] == best)  # first appearance wins ties
-        columns.append([mode if t == missing_token else t for t in col])
-    records = list(zip(*columns)) if columns else [() for _ in range(cad.n)]
-    return make_cad(records, cad.attribute_names, cad.labels)
+        column, domain = _first_appearance(cad.codes[:, j], cad.domains[j])
+        if missing_token in domain:
+            missing = domain.index(missing_token)
+            counts = np.bincount(column, minlength=len(domain))
+            counts[missing] = 0
+            if not counts.any():
+                raise DatasetError(f"attribute {cad.attribute_names[j]!r}: all values missing, no mode")
+            # codes follow first appearance, so argmax's first maximum wins ties
+            column[column == missing] = np.argmax(counts)
+            column, domain = _first_appearance(column, domain)
+        codes[:, j] = column
+        domains.append(domain)
+    return CAD(codes, cad.attribute_names, tuple(domains), cad.labels)
 
 
 def discretize_numeric(column: Sequence[float], bins: int) -> list[str]:
@@ -224,13 +261,11 @@ def discretize_numeric(column: Sequence[float], bins: int) -> list[str]:
         raise DatasetError("bins must be >= 1")
     if not len(column):
         raise DatasetError("empty column")
-    lo = min(column)
-    hi = max(column)
+    values = np.asarray(column, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DatasetError("column holds a non-finite value")
+    lo, hi = values.min(), values.max()
     if hi == lo:
-        return ["bin_0"] * len(column)
-    width = (hi - lo) / bins
-    out = []
-    for x in column:
-        k = int((x - lo) / width)
-        out.append(f"bin_{min(k, bins - 1)}")
-    return out
+        return ["bin_0"] * len(values)
+    k = np.minimum(((values - lo) / ((hi - lo) / bins)).astype(np.int64), bins - 1)
+    return list(map("bin_{}".format, k.tolist()))

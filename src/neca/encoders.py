@@ -27,9 +27,7 @@ def encode_onehot(cad: CAD) -> EncodedDataset:
     """One block of binary indicators per attribute; total width |V|."""
     nodes = build_node_set(cad)
     vectors = np.zeros((cad.n, nodes.total))
-    for i, rec in enumerate(cad.records):
-        for j, token in enumerate(rec):
-            vectors[i, nodes.index_of[(j, token)]] = 1.0
+    vectors[np.arange(cad.n)[:, None], nodes.ids] = 1.0
     labels = tuple(nodes.qualified(i) for i in range(nodes.total))
     return EncodedDataset("onehot", vectors, labels)
 
@@ -40,10 +38,7 @@ def encode_frequency(cad: CAD) -> EncodedDataset:
     Rare values encode larger; a value taken by every record encodes 0.
     """
     nodes = build_node_set(cad)
-    vectors = np.empty((cad.n, cad.m))
-    for i, rec in enumerate(cad.records):
-        for j, token in enumerate(rec):
-            vectors[i, j] = np.log(cad.n / nodes.counts[nodes.index_of[(j, token)]])
+    vectors = np.log(cad.n / nodes.counts[nodes.ids])
     return EncodedDataset("frequency", vectors, tuple(cad.attribute_names))
 
 

@@ -130,6 +130,9 @@ def silhouette(emb: LabeledEmbedding, average: str = "macro") -> float:
     return float(np.mean(per_class))
 
 
+INDICES = {"ch": calinski_harabasz, "s": silhouette}
+
+
 @dataclass
 class ComparisonRow:
     index: str          # "ch" or "s"
@@ -148,10 +151,12 @@ def evaluate_all(embeddings: dict[str, LabeledEmbedding],
     label_sets = {embeddings[m].labels for m in methods}
     if len(label_sets) != 1:
         raise EvaluationError("all embeddings must share the same labels")
+    unknown = [index for index in indices if index not in INDICES]
+    if unknown:
+        raise EvaluationError(f"unknown index {unknown[0]!r} (choose from {', '.join(INDICES)})")
     rows: list[ComparisonRow] = []
     for index in indices:
-        fn = calinski_harabasz if index == "ch" else silhouette
-        values = {m: fn(embeddings[m]) for m in methods}
+        values = {m: INDICES[index](embeddings[m]) for m in methods}
         ordered = sorted(methods, key=lambda m: values[m], reverse=True)
         for m in methods:
             pos = ordered.index(m) + 1

@@ -195,16 +195,9 @@ def fuse(e: np.ndarray, a: np.ndarray, beta_inter: float, beta_intra: float) -> 
 
 def assemble_objects(cad: CAD, nodes: CavNodeSet, fused: np.ndarray) -> np.ndarray:
     """Per-object vectors: fused CAV vectors concatenated in attribute order."""
-    width = fused.shape[1]
-    out = np.empty((cad.n, cad.m * width))
-    for i, rec in enumerate(cad.records):
-        for j, token in enumerate(rec):
-            try:
-                node_id = nodes.index_of[(j, token)]
-            except KeyError:
-                raise ModelError(f"unknown value {token!r} for attribute {cad.attribute_names[j]!r}") from None
-            out[i, j * width:(j + 1) * width] = fused[node_id]
-    return out
+    if cad.domains != nodes.domains:
+        raise ModelError("the CAD's attribute domains differ from the node set's")
+    return fused[cad.codes + nodes.offsets[:-1]].reshape(cad.n, cad.m * fused.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class TrainConfig:
     rel_tol: float = 1e-5
     kernel_sigma: float = 1.0
     clamp_eps: float = 1e-7
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
@@ -125,10 +124,14 @@ def forward_loss(net: HetNet, params: NecaParams, model_config: NecaConfig,
     return _loss_var(net, fw.fused, train_config, scale), fw, pvars
 
 
-def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
-              train_config: TrainConfig, scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact reverse-mode gradients of the loss for every parameter tensor."""
-    loss, _, pvars = forward_loss(net, params, model_config, train_config, scale)
+def _step(net: HetNet, params: NecaParams, model_config: NecaConfig,
+          train_config: TrainConfig, scale: float = 1.0):
+    """One forward and backward pass: (loss, (beta_inter, beta_intra), gradients).
+
+    No forward state is returned, so the tape is freed before the next pass.
+    A non-finite loss or gradient raises ``TrainingError`` naming it.
+    """
+    loss, fw, pvars = forward_loss(net, params, model_config, train_config, scale)
     if not np.isfinite(loss.value):
         raise TrainingError("loss is not finite")
     ad.backward(loss)
@@ -140,7 +143,14 @@ def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"gradient for tensor {name!r} is not finite")
         grads[name] = g
-    return float(loss.value), grads
+    return float(loss.value), (float(fw.beta_inter.value), float(fw.beta_intra.value)), grads
+
+
+def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
+              train_config: TrainConfig, scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
+    """Exact reverse-mode gradients of the loss for every parameter tensor."""
+    loss, _, grads = _step(net, params, model_config, train_config, scale)
+    return loss, grads
 
 
 @dataclass
@@ -188,18 +198,13 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
     prev = None
     stop = "max_epochs"
     for epoch in range(1, train_config.max_epochs + 1):
-        loss_var, fw, pvars = forward_loss(net, params, model_config, train_config)
-        loss = float(loss_var.value)
-        if not math.isfinite(loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}", history)
+        try:
+            loss, betas, grads = _step(net, params, model_config, train_config)
+        except TrainingError as exc:
+            raise TrainingError(f"training diverged at epoch {epoch}: {exc}", history) from exc
         history.append(loss)
         if log_fn is not None:
-            log_fn(epoch, loss, float(fw.beta_inter.value), float(fw.beta_intra.value))
-        ad.backward(loss_var)
-        grads = {}
-        for name, tensor in params.named_tensors():
-            g = pvars[name].grad
-            grads[name] = g if g is not None else np.zeros_like(tensor)
+            log_fn(epoch, loss, *betas)
         adam_step(params, grads, state, train_config, epoch)
         if prev is not None:
             if abs(loss - prev) / max(abs(prev), 1e-12) < train_config.rel_tol:

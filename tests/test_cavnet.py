@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from neca.cavnet import (GraphError, build_hetnet, build_inter_network,
-                         build_intra_network, build_node_set, co_occurrence,
-                         export_edge_list, intra_affinity, read_edge_list,
-                         stable_softmax)
+                         build_intra_network, build_node_set, export_edge_list,
+                         read_edge_list, stable_softmax)
 from neca.dataset import make_cad
 
 
-def node(nodes, attr, token):
-    return nodes.nodes[nodes.index_of[(attr, token)]]
+def co_occurrence(cad, u, v):
+    """The oracle's count for (attr, token) nodes u and v, after checking the
+    inter network's raw count (0 when there is no edge) against it."""
+    count = oracles.co_occurrence(cad.records, u, v)
+    nodes = build_node_set(cad)
+    a, b = sorted((nodes.id_for(*u), nodes.id_for(*v)))
+    edges = build_inter_network(cad, nodes)
+    assert edges.raw[(edges.u == a) & (edges.v == b)].sum() == count
+    return count
 
 
 class TestNodeSet:
@@ -22,10 +29,10 @@ class TestNodeSet:
 
     def test_counts_match_column_tallies(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        assert nodes.counts[nodes.index_of[(0, "M")]] == 4
-        assert nodes.counts[nodes.index_of[(0, "F")]] == 2
-        assert nodes.counts[nodes.index_of[(1, "Engineering")]] == 3
-        assert nodes.counts[nodes.index_of[(1, "Science")]] == 1
+        assert nodes.counts[nodes.id_for(0, "M")] == 4
+        assert nodes.counts[nodes.id_for(0, "F")] == 2
+        assert nodes.counts[nodes.id_for(1, "Engineering")] == 3
+        assert nodes.counts[nodes.id_for(1, "Science")] == 1
 
     def test_per_attribute_counts_sum_to_n(self, toy_cad):
         nodes = build_node_set(toy_cad)
@@ -46,28 +53,23 @@ class TestNodeSet:
 
 class TestCoOccurrence:
     def test_engineering_programmer(self, toy_cad):
-        nodes = build_node_set(toy_cad)
-        u = node(nodes, 1, "Engineering")
-        v = node(nodes, 2, "Programmer")
+        u = (1, "Engineering")
+        v = (2, "Programmer")
         assert co_occurrence(toy_cad, u, v) == 2  # John, Ben
 
     def test_female_engineering_never_cooccur(self, toy_cad):
-        nodes = build_node_set(toy_cad)
-        assert co_occurrence(toy_cad, node(nodes, 0, "F"), node(nodes, 1, "Engineering")) == 0
+        assert co_occurrence(toy_cad, (0, "F"), (1, "Engineering")) == 0
 
     def test_male_engineering(self, toy_cad):
-        nodes = build_node_set(toy_cad)
-        assert co_occurrence(toy_cad, node(nodes, 0, "M"), node(nodes, 1, "Engineering")) == 3
+        assert co_occurrence(toy_cad, (0, "M"), (1, "Engineering")) == 3
 
     def test_symmetric(self, toy_cad):
-        nodes = build_node_set(toy_cad)
-        u, v = node(nodes, 0, "M"), node(nodes, 2, "Programmer")
+        u, v = (0, "M"), (2, "Programmer")
         assert co_occurrence(toy_cad, u, v) == co_occurrence(toy_cad, v, u)
 
     def test_same_attribute_rejected(self, toy_cad):
-        nodes = build_node_set(toy_cad)
         with pytest.raises(GraphError):
-            co_occurrence(toy_cad, node(nodes, 0, "M"), node(nodes, 0, "F"))
+            co_occurrence(toy_cad, (0, "M"), (0, "F"))
 
 
 class TestInterNetwork:
@@ -99,7 +101,7 @@ class TestInterNetwork:
         sp_mask = (attr[edges.u] != attr[edges.v]) & \
                   (np.minimum(attr[edges.u], attr[edges.v]) == 1) & \
                   (np.maximum(attr[edges.u], attr[edges.v]) == 2)
-        eng_prog = {nodes.index_of[(1, "Engineering")], nodes.index_of[(2, "Programmer")]}
+        eng_prog = {nodes.id_for(1, "Engineering"), nodes.id_for(2, "Programmer")}
         target = [i for i in np.nonzero(sp_mask)[0]
                   if {int(edges.u[i]), int(edges.v[i])} == eng_prog]
         others = [i for i in np.nonzero(sp_mask)[0] if i not in target]
@@ -129,32 +131,32 @@ class TestInterNetwork:
 class TestIntraAffinity:
     def test_gender_pair(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.index_of[(0, "M")]
-        v = nodes.index_of[(0, "F")]
-        assert intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.0)
+        u = nodes.id_for(0, "M")
+        v = nodes.id_for(0, "F")
+        assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.0)
 
     def test_specialty_pair(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.index_of[(1, "Engineering")]
-        v = nodes.index_of[(1, "Science")]
-        assert intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.5)
+        u = nodes.id_for(1, "Engineering")
+        v = nodes.id_for(1, "Science")
+        assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.5)
 
     def test_cross_attribute_returns_beta(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.index_of[(0, "M")]
-        v = nodes.index_of[(1, "Science")]
-        assert intra_affinity(nodes, toy_cad.n, u, v, 0.01) == 0.01
+        u = nodes.id_for(0, "M")
+        v = nodes.id_for(1, "Science")
+        assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == 0.01
 
     def test_symmetric(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u, v = nodes.index_of[(2, "Lawyer")], nodes.index_of[(2, "Analyst")]
-        assert intra_affinity(nodes, toy_cad.n, u, v, 0.01) == \
-            intra_affinity(nodes, toy_cad.n, v, u, 0.01)
+        u, v = nodes.id_for(2, "Lawyer"), nodes.id_for(2, "Analyst")
+        assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == \
+            oracles.intra_affinity(nodes, toy_cad.n, v, u, 0.01)
 
     def test_identical_nodes_rejected(self, toy_cad):
         nodes = build_node_set(toy_cad)
         with pytest.raises(GraphError):
-            intra_affinity(nodes, toy_cad.n, 3, 3, 0.01)
+            oracles.intra_affinity(nodes, toy_cad.n, 3, 3, 0.01)
 
 
 class TestIntraNetwork:
@@ -213,7 +215,7 @@ class TestIntraNetwork:
     def test_single_value_attribute_allowed(self):
         cad = make_cad([("x", "p"), ("x", "q")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
-        lone = net.node_set.index_of[(0, "x")]
+        lone = net.node_set.id_for(0, "x")
         assert len(net.intra_adj[lone]) >= 1
 
     def test_mutual_connectivity_draws_collapse_to_one_edge(self):

@@ -164,6 +164,16 @@ class TestEval:
         out = capsys.readouterr().out
         assert "s =" in out and "ch =" not in out
 
+    def test_unknown_index_rejected(self, labeled_csv, tmp_path, capsys):
+        emb = tmp_path / "e.csv"
+        cli.write_embedding(emb, np.zeros((12, 2)))
+        out = tmp_path / "r.json"
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(emb),
+                    "--indices", "s,bogus", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown index 'bogus'" in captured.err and "s =" not in captured.out
+        assert not out.exists()
+
     def test_row_mismatch_rejected(self, labeled_csv, tmp_path, capsys):
         emb = tmp_path / "bad.csv"
         cli.write_embedding(emb, np.zeros((3, 2)))
@@ -241,6 +251,22 @@ class TestFetchAndGraph:
         assert code == 1
         err = capsys.readouterr().err
         assert "checksum mismatch" in err and "expected" in err
+
+    def test_checksum_mismatch_caches_nothing(self, tmp_path, labeled_csv, capsys):
+        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
+        bad = tmp_path / "bad-mirror"
+        bad.mkdir()
+        (bad / "blob.data").write_text("truncated")
+        cache = tmp_path / "cache"
+        code = run(["fetch", "blob", "--manifest", str(manifest),
+                    "--cache", str(cache), "--mirror", str(bad)])
+        assert code == 1
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert list(cache.iterdir()) == []
+        assert run(["fetch", "blob", "--manifest", str(manifest),
+                    "--cache", str(cache), "--mirror", str(mirror)]) == 0
+        assert (cache / "blob.data").read_bytes() == labeled_csv.read_bytes()
+        assert [p.name for p in cache.iterdir()] == ["blob.data"]
 
     def test_unknown_bundled_name(self, capsys):
         assert run(["fetch", "nosuch"]) == 1

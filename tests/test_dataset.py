@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,17 +98,19 @@ class TestLoadCsv:
 class TestCadInvariants:
     def test_every_domain_token_observed(self, toy_cad):
         for j, domain in enumerate(toy_cad.domains):
-            col = toy_cad.column(j)
-            for token in domain:
-                assert col.count(token) >= 1
+            assert np.all(np.bincount(toy_cad.codes[:, j], minlength=len(domain)) >= 1)
 
     def test_record_arity_enforced(self):
-        with pytest.raises(DatasetError):
-            CAD(records=(("a", "b"),), attribute_names=("x",), domains=(("a",),))
+        with pytest.raises(DatasetError, match=r"\(n, 1\)"):
+            CAD(codes=np.zeros((1, 2), dtype=np.int64), attribute_names=("x",),
+                domains=(("a",),))
+        with pytest.raises(DatasetError, match="record 0 has 2 entries"):
+            make_cad([("a", "b")], ("x",))
 
     def test_token_outside_domain_rejected(self):
-        with pytest.raises(DatasetError):
-            CAD(records=(("a",),), attribute_names=("x",), domains=(("b",),))
+        for code in (1, -1):
+            with pytest.raises(DatasetError, match="outside the domain of 'x'"):
+                CAD(codes=np.array([[0], [code]]), attribute_names=("x",), domains=(("b",),))
 
     def test_label_count_enforced(self):
         with pytest.raises(DatasetError):
@@ -176,6 +179,11 @@ class TestDiscretizeNumeric:
     def test_empty_column_rejected(self):
         with pytest.raises(DatasetError):
             discretize_numeric([], 2)
+
+    def test_non_finite_value_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DatasetError, match="non-finite"):
+                discretize_numeric([0.0, bad, 1.0], 2)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
            st.integers(1, 8))

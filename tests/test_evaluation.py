@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neca.evaluation import (ComparisonRow, EvaluationError, LabeledEmbedding,
+from neca.evaluation import (INDICES, ComparisonRow, EvaluationError, LabeledEmbedding,
                              calinski_harabasz, evaluate_all, format_rows,
                              silhouette, silhouette_samples)
 
@@ -272,6 +272,15 @@ class TestEvaluateAll:
         b = LabeledEmbedding(np.zeros((4, 2)), ("A", "B", "B", "B"))
         with pytest.raises(EvaluationError, match="labels"):
             evaluate_all({"a": a, "b": b})
+
+    def test_unknown_index_rejected_before_scoring(self, monkeypatch):
+        scored = []
+        monkeypatch.setitem(INDICES, "ch", lambda emb: scored.append(emb) or 1.0)
+        rng = np.random.default_rng(10)
+        vectors, labels = random_instance(rng)
+        with pytest.raises(EvaluationError, match="unknown index 'bogus'"):
+            evaluate_all({"a": LabeledEmbedding(vectors, labels)}, indices=("ch", "bogus"))
+        assert scored == []
 
     def test_format_rows_is_aligned_text(self):
         rng = np.random.default_rng(9)

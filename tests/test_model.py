@@ -227,8 +227,8 @@ class TestEmbedNetwork:
                       for nb in net.inter_adj[target]}
             return neighbor_weights(logits)[neighbor]
 
-        a1 = net.node_set.index_of[(0, "a1")]
-        b1 = net.node_set.index_of[(1, "b1")]
+        a1 = net.node_set.id_for(0, "a1")
+        b1 = net.node_set.id_for(1, "b1")
         assert alpha(a1, b1) == pytest.approx(1.0)
         assert alpha(b1, a1) != pytest.approx(1.0)
 
@@ -348,8 +348,8 @@ class TestAssembleObjects:
         nodes = build_node_set(toy_cad)
         fused = np.arange(10, dtype=float).reshape(10, 1)
         objs = assemble_objects(toy_cad, nodes, fused)
-        john = [nodes.index_of[(0, "M")], nodes.index_of[(1, "Engineering")],
-                nodes.index_of[(2, "Programmer")]]
+        john = [nodes.id_for(0, "M"), nodes.id_for(1, "Engineering"),
+                nodes.id_for(2, "Programmer")]
         np.testing.assert_array_equal(objs[0], np.array(john, dtype=float))
 
 

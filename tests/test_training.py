@@ -32,8 +32,8 @@ class TestImpactingStrength:
     def test_two_equal_neighbors_split(self):
         cad = make_cad([("a", "x"), ("a", "y")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
-        x = net.node_set.index_of[(1, "x")]
-        a = net.node_set.index_of[(0, "a")]
+        x = net.node_set.id_for(1, "x")
+        a = net.node_set.id_for(0, "a")
         assert impacting_strength(net, a, x) == pytest.approx(0.5)
 
     def test_toy_female_neighborhood_oracle(self, toy_cad):
@@ -41,10 +41,10 @@ class TestImpactingStrength:
         # p = softmax of the raw counts over that neighborhood.
         net = build_hetnet(toy_cad, seed=0)
         ns = net.node_set
-        f = ns.index_of[(0, "F")]
-        la = ns.index_of[(1, "Liberal Arts")]
-        law = ns.index_of[(2, "Lawyer")]
-        mkt = ns.index_of[(2, "Marketing")]
+        f = ns.id_for(0, "F")
+        la = ns.id_for(1, "Liberal Arts")
+        law = ns.id_for(2, "Lawyer")
+        mkt = ns.id_for(2, "Marketing")
         z = math.exp(2) + 2 * math.exp(1)
         assert impacting_strength(net, f, la) == pytest.approx(math.exp(2) / z, abs=1e-12)
         assert impacting_strength(net, f, law) == pytest.approx(math.exp(1) / z, abs=1e-12)
@@ -60,8 +60,8 @@ class TestImpactingStrength:
     def test_non_neighbor_rejected(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         ns = net.node_set
-        f = ns.index_of[(0, "F")]
-        eng = ns.index_of[(1, "Engineering")]  # F never co-occurs with Engineering
+        f = ns.id_for(0, "F")
+        eng = ns.id_for(1, "Engineering")  # F never co-occurs with Engineering
         with pytest.raises(TrainingError, match="not a cross-attribute neighbor"):
             impacting_strength(net, f, eng)
 
@@ -348,6 +348,27 @@ class TestTrain:
                   TrainConfig(learning_rate=1e200, max_epochs=10, rel_tol=0.0))
         assert len(exc.value.loss_history) >= 1
         assert all(math.isfinite(x) for x in exc.value.loss_history)
+
+    def test_nan_gradient_stops_training_in_its_epoch(self, toy_cad, monkeypatch):
+        # a NaN in one gradient, with a finite loss, must not reach Adam
+        from neca import autodiff, training
+        state = {}
+        forward, backward = training.forward_loss, autodiff.backward
+
+        def forward_loss(*args, **kwargs):
+            state["out"] = forward(*args, **kwargs)
+            return state["out"]
+
+        def poisoned_backward(root):
+            backward(root)
+            state["out"][2]["w2"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "forward_loss", forward_loss)
+        monkeypatch.setattr(autodiff, "backward", poisoned_backward)
+        net = build_hetnet(toy_cad, seed=0)
+        with pytest.raises(TrainingError, match="diverged at epoch 1: .*'w2'") as exc:
+            train(toy_cad, net, small_model(), TrainConfig(max_epochs=5, rel_tol=0.0))
+        assert exc.value.loss_history == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameters_rejected(self, toy_cad):
