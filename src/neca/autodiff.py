@@ -1,18 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A ``Var`` wraps an ndarray and remembers how to push an incoming gradient
-back to its parents.  Graphs are built per forward pass (a few hundred
-vectorized nodes), so there is no parameter registry and no in-place reuse:
+back to its parents.  Graphs are built per forward pass (under a hundred
+dense nodes), so there is no parameter registry and no in-place reuse:
 ``backward(root)`` walks the graph once and leaves the gradient of every
 reachable ``Var`` in ``.grad``.
 
-All ops operate on float64 arrays and are deterministic: reductions use
-numpy's fixed left-to-right order and scatter ops use ``np.add.at``.
+All ops operate on float64 arrays and are deterministic for a given shape.
+Matrix products go through BLAS, which can round differently when it splits
+a large product across threads; ``gram`` avoids BLAS for that reason.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -116,12 +115,12 @@ def tanh(a) -> Var:
 
 def leaky_relu(a, slope: float) -> Var:
     a = as_var(a)
-    pos = a.value >= 0
-
-    def back(g):
-        _acc(a, g * np.where(pos, 1.0, slope))
-
-    return Var(np.where(pos, a.value, slope * a.value), (a,), back)
+    # the derivative, slope below 0 and 1 elsewhere (slope + (1 - slope)
+    # rounds to exactly 1 for any slope in (0, 1)); on large arrays this
+    # arithmetic is faster than np.where
+    dz = (a.value >= 0) * (1.0 - slope)
+    dz += slope
+    return Var(a.value * dz, (a,), lambda g: _acc(a, g * dz))
 
 
 def elu(a, alpha: float) -> Var:
@@ -148,80 +147,60 @@ def clip(a, lo: float, hi: float) -> Var:
 
 
 def matmul(a, b) -> Var:
-    """Matrix product for (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) operands."""
+    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes,
+    (m, k) @ (k,) and (k,) @ (k,) operands."""
     a, b = as_var(a), as_var(b)
+    batched = a.value.ndim >= 2 and b.value.ndim >= 2
+    if batched and a.value.shape[:-2] != b.value.shape[:-2]:
+        raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
+    if not batched and (a.value.ndim, b.value.ndim) not in ((2, 1), (1, 1)):
+        raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
     out = a.value @ b.value
 
     def back(g):
-        if a.value.ndim == 2 and b.value.ndim == 2:
-            _acc(a, g @ b.value.T)
-            _acc(b, a.value.T @ g)
-        elif a.value.ndim == 2 and b.value.ndim == 1:
+        if batched:
+            _acc(a, g @ np.swapaxes(b.value, -1, -2))
+            _acc(b, np.swapaxes(a.value, -1, -2) @ g)
+        elif a.value.ndim == 2:
             _acc(a, np.outer(g, b.value))
             _acc(b, a.value.T @ g)
-        elif a.value.ndim == 1 and b.value.ndim == 1:
+        else:
             _acc(a, g * b.value)
             _acc(b, g * a.value)
-        else:
-            raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
 
     return Var(out, (a, b), back)
 
 
-def transpose(a) -> Var:
-    a = as_var(a)
-    return Var(a.value.T, (a,), lambda g: _acc(a, g.T))
+def gram(a) -> Var:
+    """Row inner products ``a @ a.T`` of a 2-d operand.
 
-
-def gather(a, idx: np.ndarray) -> Var:
-    """Select rows of ``a`` by integer index (repeats allowed)."""
-    a = as_var(a)
-
-    def back(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, idx, g)
-        _acc(a, ga)
-
-    return Var(a.value[idx], (a,), back)
-
-
-def segment_sum(a, seg: np.ndarray, num: int) -> Var:
-    """out[k] = sum of rows of ``a`` whose segment id is k."""
-    a = as_var(a)
-    out = np.zeros((num,) + a.value.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.value)
-    return Var(out, (a,), lambda g: _acc(a, g[seg]))
-
-
-def segment_max_const(values: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
-    """Per-segment max as a detached constant (for stable softmax shifts)."""
-    out = np.full(num, -np.inf)
-    np.maximum.at(out, seg, values)
-    return out
-
-
-def segment_softmax(logits: Var, seg: np.ndarray, num: int) -> Var:
-    """Softmax within each segment, shifted by the per-segment max.
-
-    The shift constant is detached; softmax is shift-invariant, so the
-    gradient is exact.
+    Summed by numpy's own einsum loops, not BLAS: at a few hundred rows a
+    threaded BLAS product rounds differently from a single-threaded one.
     """
-    shift = segment_max_const(logits.value, seg, num)
-    e = exp(sub(logits, shift[seg]))
-    denom = segment_sum(e, seg, num)
-    return div(e, gather(denom, seg))
+    a = as_var(a)
+
+    def back(g):
+        _acc(a, np.einsum("ij,jk->ik", g + g.T, a.value))
+
+    return Var(np.einsum("ik,jk->ij", a.value, a.value), (a,), back)
 
 
-def slice_vec(a, lo: int, hi: int) -> Var:
-    """Contiguous slice of a 1-d vector."""
+def transpose(a) -> Var:
+    """Swap the last two axes."""
+    a = as_var(a)
+    return Var(np.swapaxes(a.value, -1, -2), (a,), lambda g: _acc(a, np.swapaxes(g, -1, -2)))
+
+
+def index(a, key) -> Var:
+    """Basic indexing ``a[key]``: slices, integers and None, no index arrays."""
     a = as_var(a)
 
     def back(g):
         ga = np.zeros_like(a.value)
-        ga[lo:hi] = g
+        ga[key] = g
         _acc(a, ga)
 
-    return Var(a.value[lo:hi], (a,), back)
+    return Var(a.value[key], (a,), back)
 
 
 def reshape(a, shape: tuple) -> Var:
@@ -229,17 +208,36 @@ def reshape(a, shape: tuple) -> Var:
     return Var(a.value.reshape(shape), (a,), lambda g: _acc(a, g.reshape(a.value.shape)))
 
 
-def concat_cols(parts: Sequence[Var]) -> Var:
-    """Concatenate 2-d blocks along axis 1."""
-    parts = [as_var(p) for p in parts]
-    widths = [p.value.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+def heads_to_columns(a) -> Var:
+    """(K, n, d) head outputs to (n, K*d) rows, head k in columns k*d to (k+1)*d."""
+    a = as_var(a)
+    k, n, d = a.value.shape
 
     def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _acc(p, g[:, lo:hi])
+        _acc(a, np.swapaxes(g.reshape(n, k, d), 0, 1))
 
-    return Var(np.concatenate([p.value for p in parts], axis=1), tuple(parts), back)
+    return Var(np.swapaxes(a.value, 0, 1).reshape(n, k * d), (a,), back)
+
+
+def masked_softmax(logits, mask: np.ndarray) -> Var:
+    """Softmax over the last axis among the entries where ``mask`` is true.
+
+    Masked-out entries get weight 0; each row must keep at least one entry.
+    The row-max shift is a constant, and softmax is shift-invariant, so the
+    gradient is exact.
+    """
+    a = as_var(logits)
+    out = a.value + np.where(mask, 0.0, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        ga = g - np.einsum("...j,...j->...", g, out)[..., None]
+        ga *= out
+        _acc(a, ga)
+
+    return Var(out, (a,), back)
 
 
 def summation(a, axis=None) -> Var:

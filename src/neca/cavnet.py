@@ -174,10 +174,22 @@ class HetNet:
     rng_seed: int
     inter_adj: list[np.ndarray] = field(init=False)
     intra_adj: list[np.ndarray] = field(init=False)
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.inter_adj = _adjacency(*self.directed_pairs("inter")[:2], self.node_set.total)
         self.intra_adj = _adjacency(*self.directed_pairs("intra")[:2], self.node_set.total)
+
+    def derived(self, fn, *args):
+        """``fn(self, *args)``, computed on the first call and kept with the graph.
+
+        For dense structures that depend only on the graph, such as attention
+        masks and loss targets; the graph must not change after the first call.
+        """
+        key = (fn, args)
+        if key not in self._derived:
+            self._derived[key] = fn(self, *args)
+        return self._derived[key]
 
     def edges(self, which: str) -> EdgeSet:
         if which == "inter":

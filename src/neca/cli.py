@@ -386,24 +386,25 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_run_config(args)
+    methods = [m.strip() for m in args.methods.split(",")]
+    unknown = [m for m in methods if m not in ("onehot", "frequency", "neca")]
+    if unknown:
+        raise StageError("compare", f"unknown method {unknown[0]!r}")
     cad, manifest, _ = _stage("dataset", resolve_dataset, args)
     if cad.labels is None:
         raise StageError("compare", "dataset has no label column; comparison needs labels")
-    methods = [m.strip() for m in args.methods.split(",")]
     records = []
     for method in methods:
         if method == "onehot":
             embeddings = [(None, encode_onehot(cad).vectors)]
         elif method == "frequency":
             embeddings = [(None, encode_frequency(cad).vectors)]
-        elif method == "neca":
+        else:
             embeddings = []
             for i in range(args.runs):
                 seed = args.seed0 + i
                 _, _, table, _ = run_pipeline(cad, config, seed=seed)
                 embeddings.append((seed, table.objects))
-        else:
-            raise StageError("compare", f"unknown method {method!r}")
         for seed, vectors in embeddings:
             emb = LabeledEmbedding(vectors, cad.labels)
             records.append({"method": method, "seed": seed,
@@ -433,7 +434,8 @@ def cmd_compare(args) -> int:
     if args.json:
         payload = {"summary": summary,
                    "runs": [{**r, "dataset": manifest.name} for r in records]}
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        with _replacing(args.json) as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

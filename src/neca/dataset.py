@@ -200,10 +200,29 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
 
     feature_idx = [j for j, c in enumerate(header) if roles[c] == "feature"]
     label_idx = next((j for j, c in enumerate(header) if roles[c] == "label"), None)
-    codes, domains = _encode_columns(
-        [tuple(map(str.strip, columns[j])) for j in feature_idx], len(rows))
-    labels = tuple(map(str.strip, columns[label_idx])) if label_idx is not None else None
+    codes, domains = _strip_domains(*_encode_columns([columns[j] for j in feature_idx], len(rows)))
+    labels = None
+    if label_idx is not None:
+        stripped = {t: t.strip() for t in set(columns[label_idx])}
+        labels = tuple(map(stripped.__getitem__, columns[label_idx]))
     return CAD(codes, tuple(header[j] for j in feature_idx), domains, labels)
+
+
+def _strip_domains(codes: np.ndarray, domains):
+    """Strip surrounding whitespace from each distinct token, not from every cell.
+
+    Tokens equal after stripping merge into one, and the merged domains keep
+    first-appearance order, so the result equals stripping cell by cell.
+    """
+    stripped_domains = []
+    for j, domain in enumerate(domains):
+        stripped = [t.strip() for t in domain]
+        merged = tuple(dict.fromkeys(stripped))
+        if len(merged) < len(domain):
+            index = dict(zip(merged, range(len(merged))))
+            codes[:, j] = np.fromiter(map(index.__getitem__, stripped), np.int64)[codes[:, j]]
+        stripped_domains.append(merged)
+    return codes, tuple(stripped_domains)
 
 
 def save_csv(cad: CAD, path, label_name: str = "label") -> None:

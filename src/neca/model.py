@@ -8,9 +8,11 @@ concatenated.  The two per-network representations are fused by a learned
 two-way softmax over dataset-level importance scores, and per-object vectors
 are the in-order concatenation of the fused vectors of the object's values.
 
-The differentiable forward pass is vectorized over directed edges (see
-``autodiff``); the standalone operation functions below implement the same
-arithmetic one node at a time and serve as the reference contract.
+The differentiable forward pass (see ``autodiff``) computes every head at
+once, densely: the attention logits of all node pairs form a (K, |V|, |V|)
+tensor, and a softmax masked by the network's adjacency matrix keeps each
+node's neighborhood.  CAD neighborhoods are nearly complete, so this costs
+few more operations than visiting the edges one by one.
 """
 
 from __future__ import annotations
@@ -61,14 +63,15 @@ class NecaConfig:
 class NecaParams:
     """All trainable tensors.
 
-    ``w1[net][k]`` has shape (head_dim, |V|) and maps one-hot node features
-    into head k's space; ``attn[net][k]`` has length 2*head_dim and scores a
-    concatenated (target, neighbor) projection pair.  ``w2``, ``b`` and ``s``
-    parameterize the importance score used by the fusion weights.
+    ``w1[net]`` has shape (heads, head_dim, |V|): head k maps one-hot node
+    features into its space with ``w1[net][k]``.  ``attn[net]`` has shape
+    (heads, 2*head_dim) and scores a concatenated (target, neighbor)
+    projection pair.  ``w2``, ``b`` and ``s`` parameterize the importance
+    score used by the fusion weights.
     """
 
-    w1: dict[str, list[np.ndarray]]
-    attn: dict[str, list[np.ndarray]]
+    w1: dict[str, np.ndarray]
+    attn: dict[str, np.ndarray]
     w2: np.ndarray
     b: np.ndarray
     s: np.ndarray
@@ -79,12 +82,10 @@ class NecaParams:
         With shared projections only the "inter" tensors exist (and receive
         gradient contributions from both networks).
         """
-        for net in self.w1:
-            for k, t in enumerate(self.w1[net]):
-                yield f"w1.{net}.{k}", t
-        for net in self.attn:
-            for k, t in enumerate(self.attn[net]):
-                yield f"attn.{net}.{k}", t
+        for net, t in self.w1.items():
+            yield f"w1.{net}", t
+        for net, t in self.attn.items():
+            yield f"attn.{net}", t
         yield "w2", self.w2
         yield "b", self.b
         yield "s", self.s
@@ -96,24 +97,28 @@ class NecaParams:
         raise KeyError(name)
 
     def set(self, name: str, value: np.ndarray) -> None:
-        parts = name.split(".")
-        if parts[0] in ("w1", "attn"):
-            getattr(self, parts[0])[parts[1]][int(parts[2])] = value
+        group, _, net = name.partition(".")
+        if net:
+            getattr(self, group)[net] = value
         else:
-            setattr(self, parts[0], value)
+            setattr(self, group, value)
 
     def copy(self) -> "NecaParams":
         return NecaParams(
-            w1={net: [t.copy() for t in ts] for net, ts in self.w1.items()},
-            attn={net: [t.copy() for t in ts] for net, ts in self.attn.items()},
+            w1={net: t.copy() for net, t in self.w1.items()},
+            attn={net: t.copy() for net, t in self.attn.items()},
             w2=self.w2.copy(), b=self.b.copy(), s=self.s.copy(),
         )
 
 
 def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the seeded generator."""
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the seeded generator.
+
+    Tensors are drawn in the order of ``named_tensors``, heads one after the
+    other within each stacked tensor.
+    """
     rng = np.random.default_rng(config.seed)
-    d, dp, kd = config.head_dim, config.fusion_dim, config.cav_dim
+    k, d, dp, kd = config.heads, config.head_dim, config.fusion_dim, config.cav_dim
     nets = ("inter",) if config.share_projections else NETWORKS
 
     def draw(shape, fan_in):
@@ -121,10 +126,8 @@ def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
         return rng.uniform(-bound, bound, size=shape)
 
     return NecaParams(
-        w1={net: [draw((d, num_nodes), num_nodes) for _ in range(config.heads)]
-            for net in nets},
-        attn={net: [draw((2 * d,), 2 * d) for _ in range(config.heads)]
-              for net in nets},
+        w1={net: draw((k, d, num_nodes), num_nodes) for net in nets},
+        attn={net: draw((k, 2 * d), 2 * d) for net in nets},
         w2=draw((dp, kd), kd),
         b=draw((dp,), kd),
         s=draw((dp,), dp),
@@ -139,21 +142,6 @@ def init_node_features(nodes: CavNodeSet) -> np.ndarray:
     return np.eye(nodes.total)
 
 
-def project(w1: np.ndarray, node_feature: np.ndarray) -> np.ndarray:
-    if w1.shape[1] != node_feature.shape[0]:
-        raise ModelError(f"projection shape mismatch: {w1.shape} vs {node_feature.shape}")
-    return w1 @ node_feature
-
-
-def attention_logit(a_vec: np.ndarray, h_target: np.ndarray, h_neighbor: np.ndarray,
-                    slope: float = 0.2) -> float:
-    """LeakyReLU(a_vec . [h_target || h_neighbor]); the target comes first."""
-    if a_vec.shape[0] != h_target.shape[0] + h_neighbor.shape[0]:
-        raise ModelError("attention vector length must equal both projections combined")
-    z = float(a_vec @ np.concatenate([h_target, h_neighbor]))
-    return z if z >= 0 else slope * z
-
-
 def neighbor_weights(logits: Mapping) -> dict:
     """Softmax of attention logits over one target's neighborhood."""
     if not logits:
@@ -163,21 +151,6 @@ def neighbor_weights(logits: Mapping) -> dict:
     e = np.exp(vals - vals.max())
     w = e / e.sum()
     return dict(zip(keys, w))
-
-
-def aggregate(weights: Mapping, projections: Mapping, elu_alpha: float = 1.0) -> np.ndarray:
-    """ELU of the attention-weighted sum of neighbor projections."""
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ModelError(f"neighbor weights sum to {total}, expected 1")
-    acc = sum(weights[k] * np.asarray(projections[k], dtype=np.float64) for k in weights)
-    return np.where(acc >= 0, acc, elu_alpha * (np.exp(np.minimum(acc, 0.0)) - 1.0))
-
-
-def importance_score(vectors: np.ndarray, s: np.ndarray, w2: np.ndarray,
-                     b: np.ndarray) -> float:
-    """Mean over nodes of s . tanh(w2 @ v + b)."""
-    return float(np.mean(np.tanh(vectors @ w2.T + b) @ s))
 
 
 def fusion_weights(gamma_inter: float, gamma_intra: float) -> tuple[float, float]:
@@ -201,45 +174,45 @@ def assemble_objects(cad: CAD, nodes: CavNodeSet, fused: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Vectorized differentiable forward pass
+# Dense differentiable forward pass
 
 def wrap_params(params: NecaParams) -> dict[str, Var]:
     return {name: Var(tensor) for name, tensor in params.named_tensors()}
 
 
-def _check_no_isolated(net: HetNet, which: str) -> None:
+def _attention_mask(net: HetNet, which: str, self_loop: bool) -> np.ndarray:
+    """(|V|, |V|) neighborhood mask of one network, the diagonal set with self loops.
+
+    An isolated node has no neighborhood to attend over and is an error.
+    """
     adj = net.inter_adj if which == "inter" else net.intra_adj
-    for node_id, neigh in enumerate(adj):
-        if len(neigh) == 0:
-            raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
+    num = net.node_set.total
+    sizes = np.fromiter(map(len, adj), np.int64, num)
+    if not sizes.all():
+        isolated = net.node_set.qualified(int(np.argmin(sizes)))
+        raise ModelError(f"isolated node {isolated} in {which} network")
+    mask = np.zeros((num, num), dtype=bool)
+    mask[np.repeat(np.arange(num), sizes), np.concatenate(adj)] = True
+    if self_loop:
+        np.fill_diagonal(mask, True)
+    return mask
 
 
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
                       config: NecaConfig) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
-    _check_no_isolated(net, which)
-    num = net.node_set.total
-    tgt, src, _ = net.directed_pairs(which)
-    if config.include_self_loop:
-        loop = np.arange(num)
-        tgt = np.concatenate([tgt, loop])
-        src = np.concatenate([src, loop])
-    d = config.head_dim
+    mask = net.derived(_attention_mask, which, config.include_self_loop)
+    k, d = config.heads, config.head_dim
     net_key = "inter" if config.share_projections else which
-    heads = []
-    for k in range(config.heads):
-        h = ad.transpose(pvars[f"w1.{net_key}.{k}"])        # (|V|, d): row = projection
-        a_vec = pvars[f"attn.{net_key}.{k}"]
-        a_tgt = ad.slice_vec(a_vec, 0, d)
-        a_src = ad.slice_vec(a_vec, d, 2 * d)
-        logits = ad.leaky_relu(
-            ad.add(ad.gather(ad.matmul(h, a_tgt), tgt), ad.gather(ad.matmul(h, a_src), src)),
-            config.leaky_slope,
-        )
-        alpha = ad.segment_softmax(logits, tgt, num)
-        msgs = ad.mul(ad.gather(h, src), ad.reshape(alpha, (len(tgt), 1)))
-        heads.append(ad.elu(ad.segment_sum(msgs, tgt, num), config.elu_alpha))
-    return ad.concat_cols(heads)
+    w1 = pvars[f"w1.{net_key}"]                               # (K, d, |V|)
+    # row 0 of each head scores every node as a target, row 1 as a neighbor
+    scores = ad.matmul(ad.reshape(pvars[f"attn.{net_key}"], (k, 2, d)), w1)
+    logits = ad.leaky_relu(
+        ad.add(ad.transpose(ad.index(scores, np.s_[:, :1])), ad.index(scores, np.s_[:, 1:])),
+        config.leaky_slope)                                    # (K, |V|, |V|)
+    alpha = ad.masked_softmax(logits, mask)
+    heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), config.elu_alpha)
+    return ad.heads_to_columns(heads)
 
 
 @dataclass

@@ -6,7 +6,10 @@ strength p(v|u), the target node's edge weight renormalized over its
 neighborhood, under a binary cross-entropy.  Because the network weights
 are a global softmax of the raw co-occurrence counts, the per-neighborhood
 renormalization reduces to a neighborhood softmax of the raw counts, which
-is how it is computed (no underflow from tiny global weights).
+is how it is computed (no underflow from tiny global weights).  The loss is
+evaluated densely over all node pairs, with squared distances taken from a
+Gram matrix and the terms weighted by |V|×|V| matrices that are zero off the
+cross-attribute pairs.
 
 Gradients for every parameter tensor come from the reverse-mode tape in
 ``autodiff``; optimization is plain full-batch Adam with bias correction.
@@ -63,34 +66,22 @@ class TrainReport:
     wall_time: float
 
 
-def impacting_strength(net: HetNet, target: int, neighbor: int) -> float:
-    """p(neighbor | target): target's edge weight renormalized over its neighborhood."""
-    neigh = net.inter_adj[target]
-    pos = np.searchsorted(neigh, neighbor)
-    if pos >= len(neigh) or neigh[pos] != neighbor:
-        raise TrainingError(f"node {neighbor} is not a cross-attribute neighbor of {target}")
-    lookup = {}
-    for i in range(len(net.inter)):
-        lookup[(int(net.inter.u[i]), int(net.inter.v[i]))] = net.inter.raw[i]
-    raws = np.array([lookup[(min(target, nb), max(target, nb))] for nb in neigh])
-    e = np.exp(raws - raws.max())
-    return float(e[pos] / e.sum())
+def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, int]:
+    """(P, Q, pairs) over the directed cross-attribute pairs (target u, neighbor v).
 
-
-def edge_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(target, source, p) for every directed cross-attribute pair.
-
-    p is the neighborhood softmax of raw counts, grouped by target.
+    P[u, v] is the impacting strength p(v|u), the neighborhood softmax of
+    the raw counts, and Q[u, v] = 1 - P[u, v]; both are 0 off the pairs.
     """
     tgt, src, eidx = net.directed_pairs("inter")
-    raw = net.inter.raw[eidx]
+    if len(tgt) == 0:
+        raise TrainingError("empty cross-attribute edge set")
     num = net.node_set.total
-    mx = np.full(num, -np.inf)
-    np.maximum.at(mx, tgt, raw)
-    e = np.exp(raw - mx[tgt])
-    denom = np.zeros(num)
-    np.add.at(denom, tgt, e)
-    return tgt, src, e / denom[tgt]
+    raw = np.full((num, num), -np.inf)
+    raw[tgt, src] = net.inter.raw[eidx]
+    on_pair = np.isfinite(raw)
+    e = np.exp(raw - raw.max(axis=1, keepdims=True), where=on_pair, out=np.zeros((num, num)))
+    p = e / e.sum(axis=1, keepdims=True)
+    return p, on_pair - p, len(tgt)
 
 
 def gaussian_similarity(f_u: np.ndarray, f_v: np.ndarray, sigma: float) -> float:
@@ -100,15 +91,19 @@ def gaussian_similarity(f_u: np.ndarray, f_v: np.ndarray, sigma: float) -> float
 
 
 def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig, scale: float = 1.0) -> ad.Var:
-    tgt, src, p = edge_targets(net)
-    if len(tgt) == 0:
-        raise TrainingError("empty cross-attribute edge set")
-    diff = ad.sub(ad.gather(fused, tgt), ad.gather(fused, src))
-    sq = ad.summation(ad.mul(diff, diff), axis=1)
+    p, q, pairs = net.derived(loss_targets)
+    num = len(p)
+    # squared distances from the Gram matrix: |f_u|^2 + |f_v|^2 - 2 f_u.f_v,
+    # centered first so the cancellation error scales with the spread of
+    # the rows, not with their offset from the origin
+    f = ad.sub(fused, ad.mul(ad.summation(fused, axis=0), 1.0 / num))
+    norms = ad.summation(ad.mul(f, f), axis=1)
+    sq = ad.sub(ad.add(ad.reshape(norms, (num, 1)), ad.reshape(norms, (1, num))),
+                ad.mul(ad.gram(f), 2.0))
     kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.kernel_sigma ** 2)))
     kernel = ad.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
-    terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), 1.0 - p))
-    return ad.mul(ad.summation(terms), -scale / len(tgt))
+    terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), q))
+    return ad.mul(ad.summation(terms), -scale / pairs)
 
 
 def neca_loss(net: HetNet, fused: np.ndarray, config: TrainConfig, scale: float = 1.0) -> float:

@@ -1,9 +1,15 @@
-"""Per-record reference implementations of the coded CAD pipeline.
+"""Reference implementations the package's stages are tested against.
 
-These are the string-record loops the package used before it coded a CAD
-as an integer matrix: every stage walks the records and re-hashes
-(attribute, token) for each cell.  Tests compare the vectorized stages in
-``neca`` against them byte for byte.
+The coded CAD pipeline: the string-record loops the package used before it
+coded a CAD as an integer matrix; every stage walks the records and
+re-hashes (attribute, token) for each cell.  Tests compare the vectorized
+stages in ``neca`` against them byte for byte.
+
+The model and loss: the one-node-at-a-time operations, the edge-list
+forward pass (one head at a time, gathering each directed pair and
+scattering with ``np.add.at``) and the per-pair loss that the dense,
+head-batched tape path replaced.  Their sums run in another order, so tests
+compare against them to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import numpy as np
 
 from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
 from neca.dataset import DatasetError
+from neca.model import ModelError, fuse, fusion_weights
+from neca.training import TrainingError
 
 
 def observed_domains(records, m: int) -> tuple[tuple[str, ...], ...]:
@@ -149,3 +157,107 @@ def assemble(records, nodes: NodeIndex, fused: np.ndarray) -> np.ndarray:
         for j, token in enumerate(rec):
             out[i, j * width:(j + 1) * width] = fused[nodes.index_of[(j, token)]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Model and loss
+
+def project(w1: np.ndarray, node_feature: np.ndarray) -> np.ndarray:
+    if w1.shape[1] != node_feature.shape[0]:
+        raise ModelError(f"projection shape mismatch: {w1.shape} vs {node_feature.shape}")
+    return w1 @ node_feature
+
+
+def attention_logit(a_vec: np.ndarray, h_target: np.ndarray, h_neighbor: np.ndarray,
+                    slope: float = 0.2) -> float:
+    """LeakyReLU(a_vec . [h_target || h_neighbor]); the target comes first."""
+    if a_vec.shape[0] != h_target.shape[0] + h_neighbor.shape[0]:
+        raise ModelError("attention vector length must equal both projections combined")
+    z = float(a_vec @ np.concatenate([h_target, h_neighbor]))
+    return z if z >= 0 else slope * z
+
+
+def aggregate(weights, projections, elu_alpha: float = 1.0) -> np.ndarray:
+    """ELU of the attention-weighted sum of neighbor projections."""
+    total = sum(weights.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ModelError(f"neighbor weights sum to {total}, expected 1")
+    acc = sum(weights[k] * np.asarray(projections[k], dtype=np.float64) for k in weights)
+    return np.where(acc >= 0, acc, elu_alpha * (np.exp(np.minimum(acc, 0.0)) - 1.0))
+
+
+def importance_score(vectors: np.ndarray, s: np.ndarray, w2: np.ndarray,
+                     b: np.ndarray) -> float:
+    """Mean over nodes of s . tanh(w2 @ v + b)."""
+    return float(np.mean(np.tanh(vectors @ w2.T + b) @ s))
+
+
+def impacting_strength(net, target: int, neighbor: int) -> float:
+    """p(neighbor | target): target's edge weight renormalized over its neighborhood."""
+    neigh = net.inter_adj[target]
+    pos = np.searchsorted(neigh, neighbor)
+    if pos >= len(neigh) or neigh[pos] != neighbor:
+        raise TrainingError(f"node {neighbor} is not a cross-attribute neighbor of {target}")
+    lookup = {}
+    for i in range(len(net.inter)):
+        lookup[(int(net.inter.u[i]), int(net.inter.v[i]))] = net.inter.raw[i]
+    raws = np.array([lookup[(min(target, nb), max(target, nb))] for nb in neigh])
+    e = np.exp(raws - raws.max())
+    return float(e[pos] / e.sum())
+
+
+def _segment_softmax(logits: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
+    shift = np.full(num, -np.inf)
+    np.maximum.at(shift, seg, logits)
+    e = np.exp(logits - shift[seg])
+    denom = np.zeros(num)
+    np.add.at(denom, seg, e)
+    return e / denom[seg]
+
+
+def network_embedding(net, which: str, params, config) -> np.ndarray:
+    """Edge-list multi-head attention embedding of one network, (|V|, K*d)."""
+    num = net.node_set.total
+    adj = net.inter_adj if which == "inter" else net.intra_adj
+    for node_id, neigh in enumerate(adj):
+        if len(neigh) == 0:
+            raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
+    tgt, src, _ = net.directed_pairs(which)
+    if config.include_self_loop:
+        tgt = np.concatenate([tgt, np.arange(num)])
+        src = np.concatenate([src, np.arange(num)])
+    d = config.head_dim
+    key = "inter" if config.share_projections else which
+    heads = []
+    for k in range(config.heads):
+        h = params.w1[key][k].T
+        a_vec = params.attn[key][k]
+        z = (h @ a_vec[:d])[tgt] + (h @ a_vec[d:])[src]
+        alpha = _segment_softmax(np.where(z >= 0, z, config.leaky_slope * z), tgt, num)
+        acc = np.zeros((num, d))
+        np.add.at(acc, tgt, h[src] * alpha[:, None])
+        heads.append(np.where(acc >= 0, acc,
+                              config.elu_alpha * (np.exp(np.minimum(acc, 0.0)) - 1.0)))
+    return np.concatenate(heads, axis=1)
+
+
+def fused_embedding(net, params, config) -> np.ndarray:
+    """Both networks' edge-list embeddings fused by their importance scores."""
+    e = network_embedding(net, "inter", params, config)
+    a = network_embedding(net, "intra", params, config)
+    betas = fusion_weights(importance_score(e, params.s, params.w2, params.b),
+                           importance_score(a, params.s, params.w2, params.b))
+    return fuse(e, a, *betas)
+
+
+def neca_loss(net, fused: np.ndarray, config, scale: float = 1.0) -> float:
+    """Mean BCE over the gathered directed cross-attribute pairs."""
+    tgt, src, eidx = net.directed_pairs("inter")
+    if len(tgt) == 0:
+        raise TrainingError("empty cross-attribute edge set")
+    p = _segment_softmax(net.inter.raw[eidx], tgt, net.node_set.total)
+    diff = fused[tgt] - fused[src]
+    kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.kernel_sigma ** 2))
+    kernel = np.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
+    terms = np.log(kernel) * p + np.log(1.0 - kernel) * (1.0 - p)
+    return float(-scale * terms.sum() / len(tgt))

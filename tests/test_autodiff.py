@@ -68,48 +68,90 @@ def test_matmul_gradient_wrt_second_operand():
     check(lambda v: ad.summation(ad.tanh(ad.matmul(a, v))), rng.standard_normal((3, 2)))
 
 
+def test_batched_matmul_both_operands():
+    a = rng.standard_normal((2, 4, 3))
+    b = rng.standard_normal((2, 3, 5))
+    check(lambda v: ad.summation(ad.tanh(ad.matmul(v, b))), a.copy())
+    check(lambda v: ad.summation(ad.tanh(ad.matmul(a, v))), b.copy())
+    # a product of an operand with its own transpose (the Gram matrix)
+    check(lambda v: ad.summation(ad.tanh(ad.matmul(v, ad.transpose(v)))),
+          rng.standard_normal((4, 3)))
+
+
+def test_gram():
+    x = rng.standard_normal((5, 3))
+    np.testing.assert_allclose(ad.gram(ad.Var(x)).value, x @ x.T, rtol=1e-14)
+    weights = rng.standard_normal((5, 5))   # not symmetric, so both halves count
+    check(lambda v: ad.summation(ad.mul(ad.gram(v), weights)), x.copy())
+
+
+def test_matmul_rejects_mismatched_batches():
+    with pytest.raises(ValueError, match="batch"):
+        ad.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 2)))
+    with pytest.raises(ValueError, match="ranks"):
+        ad.matmul(np.ones(3), np.ones((3, 2)))
+
+
 def test_transpose_reshape_slice():
     check(lambda v: ad.summation(ad.mul(ad.transpose(v), ad.transpose(v))),
           rng.standard_normal((3, 4)))
+    # on a stack, transpose swaps the last two axes only
+    w = rng.standard_normal((2, 3, 4))
+    assert ad.transpose(ad.Var(w)).shape == (2, 4, 3)
+    check(lambda v: ad.summation(ad.mul(ad.transpose(v), w.swapaxes(1, 2))), w.copy())
     check(lambda v: ad.summation(ad.exp(ad.reshape(v, (6,)))), rng.standard_normal((2, 3)))
-    check(lambda v: ad.summation(ad.mul(ad.slice_vec(v, 1, 4), 3.0)), rng.standard_normal(6))
+    check(lambda v: ad.summation(ad.mul(ad.index(v, np.s_[1:4]), 3.0)), rng.standard_normal(6))
+    check(lambda v: ad.summation(ad.tanh(ad.index(v, np.s_[:, 1:, None]))),
+          rng.standard_normal((2, 3, 4)))
 
 
-def test_gather_with_repeats():
-    idx = np.array([0, 2, 2, 1, 0])
-    check(lambda v: ad.summation(ad.tanh(ad.gather(v, idx))), rng.standard_normal((3, 2)))
+def test_heads_to_columns():
+    x = rng.standard_normal((3, 4, 2))
+    out = ad.heads_to_columns(ad.Var(x)).value
+    assert out.shape == (4, 6)
+    for k in range(3):
+        np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2], x[k])
+    weights = rng.standard_normal((4, 6))
+    check(lambda v: ad.summation(ad.mul(ad.tanh(ad.heads_to_columns(v)), weights)), x.copy())
 
 
-def test_segment_sum():
-    seg = np.array([0, 1, 1, 2, 0])
-    check(lambda v: ad.summation(ad.exp(ad.segment_sum(v, seg, 3))),
-          rng.standard_normal((5, 2)))
+MASK = np.array([[True, True, False, True],
+                 [False, True, False, False],    # a one-neighbor row
+                 [True, False, True, True]])
 
 
-def test_segment_softmax_sums_to_one_and_grad():
-    seg = np.array([0, 0, 1, 1, 1])
-    logits = ad.Var(rng.standard_normal(5))
-    w = ad.segment_softmax(logits, seg, 2)
-    sums = np.zeros(2)
-    np.add.at(sums, seg, w.value)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-    check(lambda v: ad.summation(ad.mul(ad.segment_softmax(v, seg, 2),
-                                        np.arange(5, dtype=float))),
-          rng.standard_normal(5))
+def test_masked_softmax_sums_to_one_and_grad():
+    w = ad.masked_softmax(ad.Var(rng.standard_normal((2, 3, 4))), MASK).value
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(w[:, ~MASK] == 0.0)
+    assert np.all(w[:, 1, 1] == 1.0)
+    weights = rng.standard_normal((2, 3, 4))
+    check(lambda v: ad.summation(ad.mul(ad.masked_softmax(v, MASK), weights)),
+          rng.standard_normal((2, 3, 4)))
 
 
-def test_segment_softmax_large_logits_stable():
-    seg = np.array([0, 0, 0])
-    w = ad.segment_softmax(ad.Var(np.array([1000.0, 1001.0, 1002.0])), seg, 1)
-    assert np.all(np.isfinite(w.value))
-    np.testing.assert_allclose(w.value.sum(), 1.0, atol=1e-12)
+def test_masked_softmax_matches_softmax_over_the_kept_entries():
+    logits = rng.standard_normal((3, 4))
+    w = ad.masked_softmax(ad.Var(logits), MASK).value
+    for row, keep in zip(range(3), MASK):
+        e = np.exp(logits[row, keep])
+        np.testing.assert_allclose(w[row, keep], e / e.sum(), rtol=1e-14)
 
 
-def test_concat_cols():
-    def build(v):
-        half = ad.mul(v, 0.5)
-        return ad.summation(ad.tanh(ad.concat_cols([v, half])))
-    check(build, rng.standard_normal((3, 2)))
+def test_masked_softmax_large_logits_stable():
+    # logits near +-700, where exp without the shift overflows or underflows;
+    # masked-out entries far above the kept ones must not set the shift
+    logits = np.array([[700.0, 701.0, -5.0, 702.0],
+                       [700.0, -701.0, 3.0, 9.0],
+                       [-700.0, 700.0, -701.5, -699.0]])
+    w = ad.masked_softmax(ad.Var(logits), MASK).value
+    assert np.all(np.isfinite(w))
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+    e = np.exp([-2.0, -1.0, 0.0])
+    np.testing.assert_allclose(w[0, [0, 1, 3]], e / e.sum(), rtol=1e-14)
+    assert w[1, 1] == 1.0
+    weights = rng.standard_normal((3, 4))
+    check(lambda v: ad.summation(ad.mul(ad.masked_softmax(v, MASK), weights)), logits)
 
 
 def test_clip_passes_gradient_only_inside():

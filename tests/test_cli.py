@@ -220,6 +220,29 @@ class TestCompare:
             assert row["runs"] == 2
 
 
+    def test_unknown_method_rejected_before_any_training(self, labeled_csv, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: calls.append(a))
+        out = tmp_path / "c.json"
+        assert run(["compare", str(labeled_csv), "--label", "group",
+                    "--methods", "neca,bogus", "--json", str(out)]) == 1
+        assert calls == []
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interrupted_json_write_keeps_the_old_file(self, labeled_csv, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "c.json"
+        out.write_text("old\n")
+        # a lone surrogate cannot be encoded, so writing the payload fails
+        monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: "{\ud800")
+        assert run(["compare", str(labeled_csv), "--label", "group",
+                    "--methods", "onehot", "--json", str(out)]) == 1
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "labeled.csv"]
+
+
 class TestFetchAndGraph:
     def make_mirror(self, tmp_path, labeled_csv):
         mirror = tmp_path / "mirror"

@@ -1,8 +1,11 @@
+import csv
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from neca.dataset import (CAD, DatasetError, DatasetManifest, discretize_numeric,
                           impute_modes, load_csv, make_cad, read_kv_file, save_csv)
@@ -93,6 +96,47 @@ class TestLoadCsv:
         again = load_csv(out, DatasetManifest(name="lab", label_column="label"))
         assert again.records == cad.records
         assert again.labels == ("p", "q")
+
+
+TOKENS = ["a", " a", "a ", " a\t", "b", "b ", "?", "", " "]
+
+
+@st.composite
+def padded_tables(draw):
+    """Rows of tokens that differ only by surrounding whitespace, plus labels.
+
+    Column 0 always holds " a", "a " and "a", in an order and at rows drawn
+    by hypothesis, so the token that the merged value keeps can come first
+    at any row.
+    """
+    n = draw(st.integers(3, 12))
+    m = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=m + 1, max_size=m + 1),
+                          min_size=n, max_size=n))
+    rows = draw(st.permutations(range(n)))[:3]
+    for row, token in zip(rows, draw(st.permutations([" a", "a ", "a"]))):
+        cells[row][0] = token
+    return cells
+
+
+class TestStripDistinctTokens:
+    @given(padded_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stripping_every_cell(self, cells):
+        m = len(cells[0]) - 1
+        header = [f"c{j}" for j in range(m)] + ["label"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + cells)
+            cad = load_csv(path, DatasetManifest(name="t", label_column="label"))
+        stripped = [[t.strip() for t in row] for row in cells]
+        expected = make_cad([row[:m] for row in stripped], header[:m],
+                            labels=[row[m] for row in stripped])
+        assert cad.codes.tobytes() == expected.codes.tobytes()
+        assert cad.domains == expected.domains
+        assert cad.labels == expected.labels
+        assert all(type(label) is str for label in cad.labels)
 
 
 class TestCadInvariants:

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from neca.cavnet import build_hetnet, build_node_set
 from neca.dataset import make_cad
-from neca.model import (EmbeddingTable, ModelError, NecaConfig,
-                        aggregate, assemble_objects, attention_logit,
+from neca.model import (EmbeddingTable, ModelError, NecaConfig, assemble_objects,
                         compute_table, embed_network, fuse, fusion_weights,
-                        importance_score, init_node_features, init_params,
-                        neighbor_weights, project)
+                        init_node_features, init_params, neighbor_weights)
+from neca.training import TrainConfig, neca_loss
+import oracles
+from oracles import aggregate, attention_logit, importance_score, project
 
 
 def small_config(**kw):
@@ -38,18 +39,35 @@ class TestParams:
         cfg = small_config()
         params = init_params(10, cfg)
         for net in ("inter", "intra"):
-            assert len(params.w1[net]) == 2
-            assert all(t.shape == (3, 10) for t in params.w1[net])
-            assert all(t.shape == (6,) for t in params.attn[net])
+            assert params.w1[net].shape == (2, 3, 10)
+            assert params.attn[net].shape == (2, 6)
         assert params.w2.shape == (4, 6)
         assert params.b.shape == (4,)
         assert params.s.shape == (4,)
 
     def test_bounds_follow_fan_in(self):
         params = init_params(100, small_config())
-        assert np.abs(params.w1["inter"][0]).max() <= 1 / math.sqrt(100)
-        assert np.abs(params.attn["intra"][1]).max() <= 1 / math.sqrt(6)
+        assert np.abs(params.w1["inter"]).max() <= 1 / math.sqrt(100)
+        assert np.abs(params.attn["intra"]).max() <= 1 / math.sqrt(6)
         assert np.abs(params.s).max() <= 1 / math.sqrt(4)
+
+    def test_heads_stack_the_per_head_draws(self):
+        # one (d, |V|) or (2d,) draw per head, in the order of separate
+        # per-head tensors, so a seed keeps its initial values
+        params = init_params(10, small_config(seed=4))
+        rng = np.random.default_rng(4)
+
+        def draw(shape, fan_in):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape)
+
+        for group, shape, fan_in in (("w1", (3, 10), 10), ("attn", (6,), 6)):
+            for net in ("inter", "intra"):
+                for k in range(2):
+                    assert np.array_equal(getattr(params, group)[net][k], draw(shape, fan_in))
+        assert np.array_equal(params.w2, draw((4, 6), 6))
+        assert np.array_equal(params.b, draw((4,), 6))
+        assert np.array_equal(params.s, draw((4,), 4))
 
     def test_seeded_and_deterministic(self):
         a = init_params(10, small_config(seed=5))
@@ -62,9 +80,11 @@ class TestParams:
     def test_named_tensor_round_trip(self):
         params = init_params(4, small_config())
         names = [n for n, _ in params.named_tensors()]
-        assert names[0] == "w1.inter.0" and names[-1] == "s"
-        params.set("w1.intra.1", np.zeros((3, 4)))
-        assert np.array_equal(params.get("w1.intra.1"), np.zeros((3, 4)))
+        assert names == ["w1.inter", "w1.intra", "attn.inter", "attn.intra", "w2", "b", "s"]
+        params.set("w1.intra", np.zeros((2, 3, 4)))
+        assert np.array_equal(params.get("w1.intra"), np.zeros((2, 3, 4)))
+        params.set("b", np.ones(4))
+        assert np.array_equal(params.get("b"), np.ones(4))
 
 
 class TestNodeFeatures:
@@ -262,6 +282,37 @@ class TestEmbedNetwork:
         a = embed_network(net, "intra", params, cfg)
         assert e.shape == a.shape == (10, 6)
         assert not np.allclose(e, a)
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Largest difference within ``rel`` of the largest magnitude."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestDenseMatchesEdgeList:
+    """The dense head-batched path against the edge-list oracle on random CADs."""
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 4),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_embeddings_fused_matrix_and_loss(self, seed, heads, head_dim, self_loop, share):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 30)), int(rng.integers(2, 6))
+        sizes = rng.integers(1, 7, size=m)
+        records = [tuple(f"v{int(rng.integers(k))}" for k in sizes) for _ in range(n)]
+        cad = make_cad(records, tuple(f"a{j}" for j in range(m)))
+        net = build_hetnet(cad, seed=seed)
+        cfg = NecaConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed,
+                         include_self_loop=self_loop, share_projections=share)
+        params = init_params(net.node_set.total, cfg)
+        table = compute_table(cad, net, params, cfg)
+        assert_rel_close(table.inter, oracles.network_embedding(net, "inter", params, cfg))
+        assert_rel_close(table.intra, oracles.network_embedding(net, "intra", params, cfg))
+        assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
+        tcfg = TrainConfig(kernel_sigma=float(rng.uniform(0.3, 2.0)))
+        loss = neca_loss(net, table.fused, tcfg)
+        assert abs(loss - oracles.neca_loss(net, table.fused, tcfg)) <= 1e-12 * abs(loss)
 
 
 class TestImportanceScore:

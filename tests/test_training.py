@@ -8,9 +8,9 @@ from neca.cavnet import EdgeSet, HetNet, build_hetnet
 from neca.dataset import make_cad
 from neca.model import NecaConfig, init_params
 from neca.training import (AdamState, TrainConfig, TrainingError, TrainReport,
-                           adam_step, edge_targets, forward_loss,
-                           gaussian_similarity, gradients, impacting_strength,
-                           neca_loss, train)
+                           adam_step, forward_loss, gaussian_similarity, gradients,
+                           loss_targets, neca_loss, train)
+from oracles import impacting_strength
 
 
 def small_model(**kw):
@@ -67,9 +67,15 @@ class TestImpactingStrength:
 
     def test_vectorized_targets_match_scalar_op(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        tgt, src, p = edge_targets(net)
-        for t, s, val in zip(tgt, src, p):
-            assert val == pytest.approx(impacting_strength(net, int(t), int(s)), abs=1e-12)
+        p, q, pairs = loss_targets(net)
+        tgt, src, _ = net.directed_pairs("inter")
+        assert pairs == len(tgt)
+        for t, s in zip(tgt, src):
+            assert p[t, s] == pytest.approx(impacting_strength(net, int(t), int(s)), abs=1e-12)
+        np.testing.assert_array_equal(q[tgt, src], 1.0 - p[tgt, src])
+        off = np.ones_like(p, dtype=bool)
+        off[tgt, src] = False
+        assert not p[off].any() and not q[off].any()
 
 
 class TestGaussianSimilarity:
@@ -127,8 +133,9 @@ class TestLoss:
 
     def test_cross_entropy_lower_bound(self):
         _, net = four_node_net()
-        _, _, p = edge_targets(net)
-        pc = np.clip(p, 1e-12, 1 - 1e-12)
+        p, _, _ = loss_targets(net)
+        tgt, src, _ = net.directed_pairs("inter")
+        pc = np.clip(p[tgt, src], 1e-12, 1 - 1e-12)
         entropy = float(-np.mean(pc * np.log(pc) + (1 - pc) * np.log(1 - pc)))
         rng = np.random.default_rng(1)
         cfg = TrainConfig()
@@ -204,7 +211,7 @@ class TestGradients:
         mcfg = NecaConfig(heads=2, head_dim=2, fusion_dim=3, seed=6,
                           share_projections=True)
         params = init_params(4, mcfg)
-        assert "w1.intra.0" not in dict(params.named_tensors())
+        assert "w1.intra" not in dict(params.named_tensors())
         fd_check(net, params, mcfg, TrainConfig())
 
     def test_scaling_loss_doubles_gradients(self, toy_cad):
@@ -223,16 +230,12 @@ class TestGradients:
         net = build_hetnet(cad, seed=0)
         mcfg = NecaConfig(heads=2, head_dim=2, fusion_dim=3, seed=5)
         params = init_params(2, mcfg)
-        for k in range(mcfg.heads):
-            params.w1["intra"][k] = params.w1["inter"][k].copy()
-            params.attn["intra"][k] = params.attn["inter"][k].copy()
+        params.w1["intra"] = params.w1["inter"].copy()
+        params.attn["intra"] = params.attn["inter"].copy()
         params.s = np.zeros_like(params.s)
         _, grads = gradients(net, params, mcfg, TrainConfig())
-        for k in range(mcfg.heads):
-            np.testing.assert_allclose(grads[f"w1.inter.{k}"], grads[f"w1.intra.{k}"],
-                                       atol=1e-12)
-            np.testing.assert_allclose(grads[f"attn.inter.{k}"], grads[f"attn.intra.{k}"],
-                                       atol=1e-12)
+        np.testing.assert_allclose(grads["w1.inter"], grads["w1.intra"], atol=1e-12)
+        np.testing.assert_allclose(grads["attn.inter"], grads["attn.intra"], atol=1e-12)
         np.testing.assert_allclose(grads["s"], 0.0, atol=1e-12)
 
     def test_gradients_deterministic(self, toy_cad):
