@@ -13,14 +13,13 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import sys
 import time
 import urllib.error
 import urllib.request
 import uuid
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -28,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .cavnet import build_hetnet, export_edge_list
-from .dataset import CAD, DatasetError, DatasetManifest, impute_modes, load_csv
+from .dataset import CAD, DatasetManifest, impute_modes, load_csv, read_kv_file
 from .encoders import encode_frequency, encode_onehot
 from .evaluation import INDICES, LabeledEmbedding, evaluate_all
 from .model import NecaConfig
 from .training import TrainConfig, train
 
 BUNDLED = ("bc", "ce", "de", "ly", "ma", "mu", "pt", "sb", "sh", "wi", "zo")
+ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
 _CHUNK_ROWS = 128       # embedding CSV rows formatted or parsed at a time
 _TOKEN_CACHE = 1 << 16  # parsed tokens kept across chunks by read_embedding
 
@@ -54,56 +54,19 @@ class FetchError(StageError):
 
 
 @dataclass
-class RunConfig:
-    """Merged view of model, training and graph parameters."""
+class RunConfig(TrainConfig, NecaConfig):
+    """Every hyperparameter of a run: the model's, the training's and the graph's.
 
-    heads: int = 8
-    head_dim: int = 8
-    fusion_dim: int = 16
-    leaky_slope: float = 0.2
-    elu_alpha: float = 1.0
-    self_loop: bool = False
-    share_projections: bool = False
-    beta_connect: float = 0.01
-    seed: int = 0
-    lr: float = 0.005
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs: int = 200
-    tol: float = 1e-5
-    sigma: float = 1.0
-    clamp_eps: float = 1e-7
+    A field's name is also its flag (``--name-with-dashes``), its config-file
+    key and its key in the metadata JSON; its ``help`` metadata is the flag's
+    help text.
+    """
 
-    def model_config(self, seed: int | None = None) -> NecaConfig:
-        return NecaConfig(
-            heads=self.heads, head_dim=self.head_dim, fusion_dim=self.fusion_dim,
-            leaky_slope=self.leaky_slope, elu_alpha=self.elu_alpha,
-            include_self_loop=self.self_loop, share_projections=self.share_projections,
-            seed=self.seed if seed is None else seed,
-        )
+    beta_connect: float = field(default=0.01, metadata={"help": "connectivity-edge affinity"})
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.lr, adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2, adam_epsilon=self.adam_eps,
-            max_epochs=self.epochs, rel_tol=self.tol, kernel_sigma=self.sigma,
-            clamp_eps=self.clamp_eps,
-        )
-
-    @classmethod
-    def from_sources(cls, file_entries: dict[str, str], overrides: dict) -> "RunConfig":
-        values = {}
-        types = {f.name: f.type for f in fields(cls)}
-        casts = {"int": int, "float": float, "bool": lambda s: str(s).lower() == "true"}
-        for key, raw in file_entries.items():
-            if key not in types:
-                raise DatasetError(f"unknown config key {key!r}")
-            values[key] = casts[types[key]](raw)
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
-        return cls(**values)
+    def __post_init__(self):
+        NecaConfig.__post_init__(self)
+        TrainConfig.__post_init__(self)
 
 
 def cache_dir() -> Path:
@@ -316,8 +279,7 @@ def run_pipeline(cad: CAD, config: RunConfig, seed: int | None = None,
     seed = config.seed if seed is None else seed
     net = _stage("graph", build_hetnet, cad, beta=config.beta_connect, seed=seed)
     params, table, report = _stage(
-        "training", train, cad, net,
-        config.model_config(seed=seed), config.train_config(), log_fn)
+        "training", train, cad, net, replace(config, seed=seed), config, log_fn)
     return net, params, table, report
 
 
@@ -337,7 +299,7 @@ def cmd_embed(args) -> int:
                     "num_cav_nodes": net.node_set.total,
                     "inter_edges": len(net.inter), "intra_edges": len(net.intra)},
         "config": asdict(config),
-        "seeds": {"graph": net.rng_seed, "model": config.model_config().seed},
+        "seeds": {"graph": net.rng_seed, "model": config.seed},
         "loss_history": report.loss_history,
         "epochs_run": report.epochs_run,
         "stop_reason": report.stop_reason,
@@ -359,7 +321,7 @@ def cmd_embed(args) -> int:
 
 def cmd_encode(args) -> int:
     cad, _, _ = _stage("dataset", resolve_dataset, args)
-    encoder = {"onehot": encode_onehot, "frequency": encode_frequency}[args.method]
+    encoder = ENCODERS[args.method]
     encoded = _stage("encode", encoder, cad)
     _stage("output", write_embedding, args.out, encoded.vectors)
     print(f"wrote {args.out} ({encoded.vectors.shape[0]} x {encoded.vectors.shape[1]})")
@@ -374,9 +336,9 @@ def cmd_eval(args) -> int:
     if vectors.shape[0] != cad.n:
         raise StageError("eval", f"embedding has {vectors.shape[0]} rows, dataset has {cad.n}")
     indices = tuple(s.strip() for s in args.indices.split(","))
-    rows = _stage("eval", evaluate_all, {"embedding": LabeledEmbedding(vectors, cad.labels)},
+    rows = _stage("eval", evaluate_all, {"embedding": [LabeledEmbedding(vectors, cad.labels)]},
                   indices)
-    results = {row.index: row.value for row in rows}
+    results = {row.index: row.best for row in rows}
     for index, value in results.items():
         print(f"{index} = {value!r}")
     if args.out:
@@ -387,55 +349,38 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     config = load_run_config(args)
     methods = [m.strip() for m in args.methods.split(",")]
-    unknown = [m for m in methods if m not in ("onehot", "frequency", "neca")]
+    unknown = [m for m in methods if m != "neca" and m not in ENCODERS]
     if unknown:
         raise StageError("compare", f"unknown method {unknown[0]!r}")
     cad, manifest, _ = _stage("dataset", resolve_dataset, args)
     if cad.labels is None:
         raise StageError("compare", "dataset has no label column; comparison needs labels")
-    records = []
-    for method in methods:
-        if method == "onehot":
-            embeddings = [(None, encode_onehot(cad).vectors)]
-        elif method == "frequency":
-            embeddings = [(None, encode_frequency(cad).vectors)]
-        else:
-            embeddings = []
-            for i in range(args.runs):
-                seed = args.seed0 + i
-                _, _, table, _ = run_pipeline(cad, config, seed=seed)
-                embeddings.append((seed, table.objects))
-        for seed, vectors in embeddings:
-            emb = LabeledEmbedding(vectors, cad.labels)
-            records.append({"method": method, "seed": seed,
-                            **{index: fn(emb) for index, fn in INDICES.items()}})
+    seeds = {m: [args.seed0 + i for i in range(args.runs)] if m == "neca" else [None]
+             for m in methods}
 
-    summary = []
-    for method in methods:
-        runs = [r for r in records if r["method"] == method]
-        for index in INDICES:
-            values = [r[index] for r in runs]
-            summary.append({
-                "method": method, "dataset": manifest.name, "index": index,
-                "best": max(values), "median": statistics.median(values),
-                "runs": len(values),
-            })
-    for index in INDICES:
-        rows = [s for s in summary if s["index"] == index]
-        ranked = sorted(rows, key=lambda r: -r["best"])
-        for row in rows:
-            row["rank"] = ranked.index(row) + 1
+    def embeddings(method):
+        for seed in seeds[method]:
+            if method == "neca":
+                vectors = run_pipeline(cad, config, seed=seed)[2].objects
+            else:
+                vectors = _stage("encode", ENCODERS[method], cad).vectors
+            yield LabeledEmbedding(vectors, cad.labels)
 
-    header = f"{'index':<6}{'method':<12}{'best':>12}{'median':>12}{'runs':>6}  rank"
-    print(header)
-    for row in summary:
-        print(f"{row['index']:<6}{row['method']:<12}{row['best']:>12.4g}"
-              f"{row['median']:>12.4g}{row['runs']:>6}  {row['rank']}")
+    rows = _stage("eval", evaluate_all, {m: embeddings(m) for m in seeds}, tuple(INDICES))
+    print(f"{'index':<6}{'method':<12}{'best':>12}{'median':>12}{'runs':>6}  rank")
+    for row in rows:
+        print(f"{row.index:<6}{row.method:<12}{row.best:>12.4g}"
+              f"{row.median:>12.4g}{row.runs:>6}  {row.rank}")
     if args.json:
-        payload = {"summary": summary,
-                   "runs": [{**r, "dataset": manifest.name} for r in records]}
+        summary = [{"method": row.method, "dataset": manifest.name, "index": row.index,
+                    "best": row.best, "median": row.median, "runs": row.runs, "rank": row.rank}
+                   for row in rows]
+        records = [{"method": m, "seed": seed,
+                    **{row.index: row.values[i] for row in rows if row.method == m},
+                    "dataset": manifest.name}
+                   for m in seeds for i, seed in enumerate(seeds[m])]
         with _replacing(args.json) as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(json.dumps({"summary": summary, "runs": records}, indent=2) + "\n")
     return 0
 
 
@@ -463,12 +408,31 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
+def _parse_value(kind: type, raw: str):
+    """``raw`` as a ``kind``; a bool is ``true`` or ``false`` in any case."""
+    if kind is bool:
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(raw)
+        return raw.lower() == "true"
+    return kind(raw)
+
+
 def load_run_config(args) -> RunConfig:
-    from .dataset import read_kv_file
-    file_entries = read_kv_file(args.config) if getattr(args, "config", None) else {}
-    flag_names = [f.name for f in fields(RunConfig)]
-    overrides = {name: getattr(args, name, None) for name in flag_names}
-    return RunConfig.from_sources(file_entries, overrides)
+    """Defaults, then the ``--config`` file's keys, then the flags given."""
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+    values = {}
+    path = getattr(args, "config", None)
+    for key, raw in (read_kv_file(path) if path else {}).items():
+        if key not in kinds:
+            raise StageError("config", f"{path}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(kinds[key], raw)
+        except ValueError:
+            raise StageError("config", f"{path}: {key} = {raw!r} is not "
+                                       f"a valid {kinds[key].__name__}") from None
+    values.update((name, getattr(args, name)) for name in kinds
+                  if getattr(args, name, None) is not None)
+    return _stage("config", RunConfig, **values)
 
 
 def add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -484,27 +448,13 @@ def add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="master seed (graph sampling and init)")
-    p.add_argument("--heads", type=int, help="attention heads K (default 8)")
-    p.add_argument("--head-dim", type=int, dest="head_dim", help="per-head width (default 8)")
-    p.add_argument("--fusion-dim", type=int, dest="fusion_dim")
-    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
-    p.add_argument("--elu-alpha", type=float, dest="elu_alpha")
-    p.add_argument("--self-loop", action="store_const", const=True, default=None,
-                   dest="self_loop", help="include each node in its own neighborhood")
-    p.add_argument("--share-projections", action="store_const", const=True, default=None,
-                   dest="share_projections",
-                   help="use one projection/attention set for both networks")
-    p.add_argument("--beta-connect", type=float, dest="beta_connect",
-                   help="connectivity-edge affinity (default 0.01)")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 0.005)")
-    p.add_argument("--adam-beta1", type=float, dest="adam_beta1")
-    p.add_argument("--adam-beta2", type=float, dest="adam_beta2")
-    p.add_argument("--adam-eps", type=float, dest="adam_eps")
-    p.add_argument("--epochs", type=int, help="epoch cap (default 200)")
-    p.add_argument("--tol", type=float, help="relative loss-change stop (default 1e-5)")
-    p.add_argument("--sigma", type=float, help="kernel bandwidth (default 1.0)")
-    p.add_argument("--clamp-eps", type=float, dest="clamp_eps")
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        text = f"{f.metadata['help']} (default {f.default})"
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_const", const=True, default=None, help=text)
+        else:
+            p.add_argument(flag, type=type(f.default), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="baseline encoders")
     add_dataset_args(p)
-    p.add_argument("--method", required=True, choices=("onehot", "frequency"))
+    p.add_argument("--method", required=True, choices=tuple(ENCODERS))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_encode)
 

@@ -177,9 +177,11 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     """Load a comma-separated file into a CAD per the manifest's column roles.
 
     Identifier columns are dropped, the label column is split out, and
-    domains are computed in first-appearance order.
+    domains are computed in first-appearance order.  A byte-order mark
+    before the header is ignored, and a label or drop column missing from
+    the header is an error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(filter(None, csv.reader(fh, delimiter=manifest.delimiter)))
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
@@ -195,8 +197,10 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
         f"{path}: row {i + 1} has {k} fields, expected {len(header)}"))
 
     roles = manifest.column_roles(header)
-    if manifest.label_column is not None and manifest.label_column not in header:
-        raise DatasetError(f"{path}: label column {manifest.label_column!r} not found")
+    named = [("label", manifest.label_column)] + [("drop", c) for c in manifest.drop_columns]
+    for role, column in named:
+        if column is not None and column not in header:
+            raise DatasetError(f"{path}: {role} column {column!r} not found")
 
     feature_idx = [j for j, c in enumerate(header) if roles[c] == "feature"]
     label_idx = next((j for j, c in enumerate(header) if roles[c] == "label"), None)

@@ -10,6 +10,7 @@ s(x) = 0 as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -135,57 +136,47 @@ INDICES = {"ch": calinski_harabasz, "s": silhouette}
 
 @dataclass
 class ComparisonRow:
-    index: str          # "ch" or "s"
+    """One method's scores on one index, over all of the method's runs."""
+
+    index: str            # a key of INDICES
     method: str
-    value: float
-    rank: int           # 1 = best within the index, 2 = second best
-    degenerate: bool    # CH infinity sentinel
+    values: list[float]   # one per run, in run order
+    best: float
+    median: float
+    runs: int
+    rank: int = 0         # 1..k within the index by best; ties keep method order
 
 
-def evaluate_all(embeddings: dict[str, LabeledEmbedding],
+def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
                  indices: tuple[str, ...] = ("ch", "s")) -> list[ComparisonRow]:
-    """Score every method on every index; rank best and second best per index."""
-    methods = list(embeddings)
-    if not methods:
+    """Score every run of every method on every index, and rank the methods by best.
+
+    Each embedding is scored on each index once, and each method's runs are
+    taken one at a time, so a generator of runs holds one embedding at a time.
+    Rows come method by method, each method's in ``indices`` order.
+    """
+    if not runs:
         raise EvaluationError("no embeddings to evaluate")
-    label_sets = {embeddings[m].labels for m in methods}
-    if len(label_sets) != 1:
-        raise EvaluationError("all embeddings must share the same labels")
     unknown = [index for index in indices if index not in INDICES]
     if unknown:
         raise EvaluationError(f"unknown index {unknown[0]!r} (choose from {', '.join(INDICES)})")
+    labels = None
     rows: list[ComparisonRow] = []
+    for method, embeddings in runs.items():
+        scores = []
+        for emb in embeddings:
+            if labels is None:
+                labels = emb.labels
+            elif emb.labels != labels:
+                raise EvaluationError("all embeddings must share the same labels")
+            scores.append([INDICES[index](emb) for index in indices])
+        if not scores:
+            raise EvaluationError(f"no embeddings to evaluate for {method!r}")
+        for index, values in zip(indices, map(list, zip(*scores))):
+            rows.append(ComparisonRow(index, method, values, max(values),
+                                      float(np.median(values)), len(values)))
     for index in indices:
-        values = {m: INDICES[index](embeddings[m]) for m in methods}
-        ordered = sorted(methods, key=lambda m: values[m], reverse=True)
-        for m in methods:
-            pos = ordered.index(m) + 1
-            rows.append(ComparisonRow(
-                index=index,
-                method=m,
-                value=values[m],
-                rank=pos if pos <= 2 else 0,
-                degenerate=bool(np.isinf(values[m])),
-            ))
+        ranked = sorted((row for row in rows if row.index == index), key=lambda row: -row.best)
+        for rank, row in enumerate(ranked, 1):
+            row.rank = rank
     return rows
-
-
-def format_rows(rows: list[ComparisonRow]) -> str:
-    """Aligned text table: one line per index, one column per method.
-
-    The best value per index is marked '*', the second best '+' (mirroring
-    the usual bold/underline convention in results tables).
-    """
-    methods = list(dict.fromkeys(r.method for r in rows))
-    indices = list(dict.fromkeys(r.index for r in rows))
-    width = max(12, max(len(m) for m in methods) + 3)
-    lines = ["index  " + "".join(m.rjust(width) for m in methods)]
-    by_key = {(r.index, r.method): r for r in rows}
-    for index in indices:
-        cells = []
-        for m in methods:
-            r = by_key[(index, m)]
-            mark = "*" if r.rank == 1 else ("+" if r.rank == 2 else " ")
-            cells.append(f"{r.value:.4g}{mark}".rjust(width))
-        lines.append(f"{index:<7}" + "".join(cells))
-    return "\n".join(lines)

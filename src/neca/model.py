@@ -17,7 +17,7 @@ few more operations than visiting the edges one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -37,16 +37,21 @@ NETWORKS = ("inter", "intra")
 
 @dataclass
 class NecaConfig:
-    """Architecture hyperparameters; ``seed`` drives parameter initialization."""
+    """Architecture hyperparameters; ``seed`` drives parameter initialization.
 
-    heads: int = 8
-    head_dim: int = 8
-    fusion_dim: int = 16
-    leaky_slope: float = 0.2
-    elu_alpha: float = 1.0
-    include_self_loop: bool = False
-    share_projections: bool = False   # one W1/attention set for both networks
-    seed: int = 0
+    Each field's ``help`` metadata is the one-line description the command
+    line shows for the flag of the same name.
+    """
+
+    heads: int = field(default=8, metadata={"help": "attention heads K"})
+    head_dim: int = field(default=8, metadata={"help": "width d of each head"})
+    fusion_dim: int = field(default=16, metadata={"help": "width of the importance-score layer"})
+    leaky_slope: float = field(default=0.2, metadata={"help": "attention-logit LeakyReLU slope"})
+    elu_alpha: float = field(default=1.0, metadata={"help": "ELU alpha of the aggregation"})
+    self_loop: bool = field(default=False, metadata={"help": "each node attends to itself too"})
+    share_projections: bool = field(default=False, metadata={
+        "help": "use one projection/attention set for both networks"})
+    seed: int = field(default=0, metadata={"help": "master seed (graph sampling and init)"})
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1 or self.fusion_dim < 1:
@@ -201,7 +206,7 @@ def _attention_mask(net: HetNet, which: str, self_loop: bool) -> np.ndarray:
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
                       config: NecaConfig) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
-    mask = net.derived(_attention_mask, which, config.include_self_loop)
+    mask = net.derived(_attention_mask, which, config.self_loop)
     k, d = config.heads, config.head_dim
     net_key = "inter" if config.share_projections else which
     w1 = pvars[f"w1.{net_key}"]                               # (K, d, |V|)

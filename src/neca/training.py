@@ -40,20 +40,26 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.005
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    max_epochs: int = 200
-    rel_tol: float = 1e-5
-    kernel_sigma: float = 1.0
-    clamp_eps: float = 1e-7
+    """Loss and optimizer hyperparameters, each with its command-line ``help``."""
+
+    lr: float = field(default=0.005, metadata={"help": "Adam learning rate"})
+    adam_beta1: float = field(default=0.9, metadata={"help": "Adam first-moment decay"})
+    adam_beta2: float = field(default=0.999, metadata={"help": "Adam second-moment decay"})
+    adam_eps: float = field(default=1e-8, metadata={"help": "Adam denominator epsilon"})
+    epochs: int = field(default=200, metadata={"help": "epoch cap"})
+    tol: float = field(default=1e-5, metadata={"help": "relative loss-change stop"})
+    sigma: float = field(default=1.0, metadata={"help": "Gaussian kernel bandwidth"})
+    clamp_eps: float = field(default=1e-7, metadata={
+        "help": "kernel values are clipped to [clamp_eps, 1 - clamp_eps]"})
 
     def __post_init__(self):
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise TrainingError("adam betas must lie in (0, 1)")
-        if self.kernel_sigma <= 0:
-            raise TrainingError("kernel_sigma must be positive")
+        if self.sigma <= 0:
+            raise TrainingError("sigma must be positive")
+        if not 0.0 < self.clamp_eps < 0.5:
+            # at 0.5 or above the clip leaves one constant kernel value and no gradient
+            raise TrainingError("clamp_eps must lie in (0, 0.5)")
 
 
 @dataclass
@@ -100,7 +106,7 @@ def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig, scale: float = 1.
     norms = ad.summation(ad.mul(f, f), axis=1)
     sq = ad.sub(ad.add(ad.reshape(norms, (num, 1)), ad.reshape(norms, (1, num))),
                 ad.mul(ad.gram(f), 2.0))
-    kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.kernel_sigma ** 2)))
+    kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.sigma ** 2)))
     kernel = ad.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
     terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), q))
     return ad.mul(ad.summation(terms), -scale / pairs)
@@ -174,7 +180,7 @@ def adam_step(params: NecaParams, grads: dict[str, np.ndarray], state: AdamState
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1 ** t)
         v_hat = state.v[name] / (1.0 - b2 ** t)
-        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        tensor -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
     return params, state
 
 
@@ -182,7 +188,7 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
           log_fn=None) -> tuple[NecaParams, EmbeddingTable, TrainReport]:
     """Full-batch training until convergence or the epoch cap.
 
-    Stops when the relative loss change drops below ``rel_tol`` (an infinite
+    Stops when the relative loss change drops below ``tol`` (an infinite
     tolerance is met immediately after the first epoch).  ``log_fn``, when
     given, receives (epoch, loss, beta_inter, beta_intra) once per epoch.
     """
@@ -192,7 +198,7 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
     history: list[float] = []
     prev = None
     stop = "max_epochs"
-    for epoch in range(1, train_config.max_epochs + 1):
+    for epoch in range(1, train_config.epochs + 1):
         try:
             loss, betas, grads = _step(net, params, model_config, train_config)
         except TrainingError as exc:
@@ -202,10 +208,10 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
             log_fn(epoch, loss, *betas)
         adam_step(params, grads, state, train_config, epoch)
         if prev is not None:
-            if abs(loss - prev) / max(abs(prev), 1e-12) < train_config.rel_tol:
+            if abs(loss - prev) / max(abs(prev), 1e-12) < train_config.tol:
                 stop = "converged"
                 break
-        elif math.isinf(train_config.rel_tol):
+        elif math.isinf(train_config.tol):
             stop = "converged"
             break
         prev = loss

@@ -223,7 +223,7 @@ def network_embedding(net, which: str, params, config) -> np.ndarray:
         if len(neigh) == 0:
             raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
     tgt, src, _ = net.directed_pairs(which)
-    if config.include_self_loop:
+    if config.self_loop:
         tgt = np.concatenate([tgt, np.arange(num)])
         src = np.concatenate([src, np.arange(num)])
     d = config.head_dim
@@ -257,7 +257,7 @@ def neca_loss(net, fused: np.ndarray, config, scale: float = 1.0) -> float:
         raise TrainingError("empty cross-attribute edge set")
     p = _segment_softmax(net.inter.raw[eidx], tgt, net.node_set.total)
     diff = fused[tgt] - fused[src]
-    kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.kernel_sigma ** 2))
+    kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.sigma ** 2))
     kernel = np.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
     terms = np.log(kernel) * p + np.log(1.0 - kernel) * (1.0 - p)
     return float(-scale * terms.sum() / len(tgt))

@@ -224,7 +224,7 @@ def test_criterion_4_training_descent():
         for seed in range(5):
             net = build_hetnet(cad, seed=seed)
             _, _, report = train(cad, net, NecaConfig(seed=seed),
-                                 TrainConfig(max_epochs=50, rel_tol=0.0))
+                                 TrainConfig(epochs=50, tol=0.0))
             assert report.epochs_run == 50
             early = statistics.median(report.loss_history[0:10])
             late = statistics.median(report.loss_history[40:50])

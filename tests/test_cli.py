@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -112,6 +114,68 @@ class TestEmbed:
         again = tmp_path / "again.csv"
         cli.write_embedding(again, first)
         assert cli.read_embedding(again).tobytes() == first.tobytes()
+
+
+HYPERPARAMETERS = {
+    "heads", "head_dim", "fusion_dim", "leaky_slope", "elu_alpha", "self_loop",
+    "share_projections", "beta_connect", "seed", "lr", "adam_beta1", "adam_beta2",
+    "adam_eps", "epochs", "tol", "sigma", "clamp_eps",
+}
+
+
+class TestConfig:
+    def test_one_name_per_hyperparameter(self, toy_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run(["embed", "--help"])
+        flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+        flags -= {"help", "manifest", "label", "drop", "columns", "missing", "no-header",
+                  "mirror", "config", "out", "meta", "verbose"}
+        assert {f.replace("-", "_") for f in flags} == HYPERPARAMETERS
+        assert set(asdict(cli.RunConfig())) == HYPERPARAMETERS
+        # every key is accepted in a config file, under the same name
+        cfgfile = tmp_path / "all.conf"
+        cfgfile.write_text("".join(f"{f.name} = {str(f.default).lower()}\n"
+                                   for f in fields(cli.RunConfig)))
+        config = cli.load_run_config(cli.build_parser().parse_args(
+            ["embed", str(toy_csv), "--out", "x.csv", "--config", str(cfgfile)]))
+        assert config == cli.RunConfig()
+        cfgfile.write_text("learning_rate = 0.01\n")
+        out = tmp_path / "emb.csv"
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                    "--config", str(cfgfile)]) == 1
+        assert "unknown key 'learning_rate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, expected", [("true", True), ("FALSE", False), ("True", True),
+                                               ("yes", None), ("1", None), ("", None)])
+    def test_config_bool_is_true_or_false(self, toy_csv, tmp_path, capsys, raw, expected):
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text(f"self_loop = {raw}\nepochs = 1\n")
+        out = tmp_path / "emb.csv"
+        code = run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                    "--config", str(cfgfile)])
+        if expected is None:
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "[config]" in err and str(cfgfile) in err and "self_loop" in err
+            assert not out.exists()
+        else:
+            assert code == 0
+            meta = json.loads((tmp_path / "emb.meta.json").read_text())
+            assert meta["config"]["self_loop"] is expected
+
+    def test_config_value_that_does_not_parse_names_file_and_key(self, toy_csv, tmp_path,
+                                                                 capsys):
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("heads = two\n")
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(tmp_path / "e.csv"),
+                    "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert "[config]" in err and str(cfgfile) in err and "heads" in err and "'two'" in err
+
+    def test_invalid_value_is_a_config_error(self, toy_csv, tmp_path, capsys):
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(tmp_path / "e.csv"),
+                    "--clamp-eps", "0.6", "--epochs", "50"]) == 1
+        assert "[config] clamp_eps must lie in (0, 0.5)" in capsys.readouterr().err
 
 
 class TestEncode:
@@ -358,7 +422,7 @@ class TestNecaBeatsNothingBaseline:
         cad = load_csv(labeled_csv, manifest)
         net = build_hetnet(cad, seed=0)
         _, table, _ = train(cad, net, NecaConfig(heads=2, head_dim=4, fusion_dim=4, seed=0),
-                            TrainConfig(max_epochs=40, rel_tol=0.0))
+                            TrainConfig(epochs=40, tol=0.0))
         from neca.evaluation import LabeledEmbedding
         s = silhouette(LabeledEmbedding(table.objects, cad.labels))
         assert s > 0.0

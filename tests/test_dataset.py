@@ -66,6 +66,21 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="label column"):
             load_csv(p, DatasetManifest(name="x", label_column="cls"))
 
+    def test_missing_drop_column_rejected(self, toy_csv):
+        with pytest.raises(DatasetError, match="drop column 'nosuch' not found"):
+            load_csv(toy_csv, DatasetManifest(name="toy", drop_columns=("Name", "nosuch")))
+
+    def test_byte_order_mark_and_crlf_header(self, tmp_path, toy_csv):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes().replace(b"\n", b"\r\n"))
+        cad = load_csv(p, toy_manifest())
+        expected = load_csv(toy_csv, toy_manifest())
+        assert cad.attribute_names == expected.attribute_names == ("Gender", "Specialty", "Position")
+        assert cad.domains == expected.domains
+        assert np.array_equal(cad.codes, expected.codes)
+        labeled = load_csv(p, DatasetManifest(name="toy", label_column="Name"))
+        assert labeled.m == 3 and labeled.labels[:2] == ("John", "Tony")
+
     def test_headerless_with_column_names(self, tmp_path):
         p = tmp_path / "raw.data"
         p.write_text("1,x\n2,y\n")

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neca.evaluation import (INDICES, ComparisonRow, EvaluationError, LabeledEmbedding,
-                             calinski_harabasz, evaluate_all, format_rows,
-                             silhouette, silhouette_samples)
+                             calinski_harabasz, evaluate_all, silhouette, silhouette_samples)
 
 
 def brute_ch(x, labels):
@@ -240,38 +239,80 @@ class TestEvaluateAll:
     def test_single_method_is_best(self):
         rng = np.random.default_rng(5)
         vectors, labels = random_instance(rng)
-        rows = evaluate_all({"onehot": LabeledEmbedding(vectors, labels)})
+        rows = evaluate_all({"onehot": [LabeledEmbedding(vectors, labels)]})
         assert all(isinstance(r, ComparisonRow) and r.rank == 1 for r in rows)
 
     def test_identical_methods_identical_scores(self):
         rng = np.random.default_rng(6)
         vectors, labels = random_instance(rng)
         rows = evaluate_all({
-            "a": LabeledEmbedding(vectors, labels),
-            "b": LabeledEmbedding(vectors.copy(), labels),
+            "a": [LabeledEmbedding(vectors, labels)],
+            "b": [LabeledEmbedding(vectors.copy(), labels)],
         })
         by_index = {}
         for r in rows:
-            by_index.setdefault(r.index, []).append(r.value)
+            by_index.setdefault(r.index, []).append(r.best)
         for vals in by_index.values():
             assert vals[0] == vals[1]
+        # a tie keeps the methods' order
+        assert [(r.method, r.rank) for r in rows if r.index == "ch"] == [("a", 1), ("b", 2)]
+
+    def test_runs_summarized_and_methods_ranked_one_to_k(self):
+        rng = np.random.default_rng(11)
+        base, labels = random_instance(rng)
+        runs = {method: [LabeledEmbedding(base + rng.standard_normal(base.shape) * scale, labels)
+                         for _ in range(3)]
+                for method, scale in (("mid", 1.0), ("tight", 0.1), ("loose", 5.0))}
+        rows = evaluate_all(runs)
+        assert [(r.method, r.index) for r in rows] == [
+            (m, index) for m in ("mid", "tight", "loose") for index in ("ch", "s")]
+        for row in rows:
+            expected = [INDICES[row.index](emb) for emb in runs[row.method]]
+            assert row.values == expected and row.runs == 3
+            assert row.best == max(expected) and row.median == sorted(expected)[1]
+        for index in ("ch", "s"):
+            same = [r for r in rows if r.index == index]
+            assert sorted(r.rank for r in same) == [1, 2, 3]
+            assert [r.best for r in sorted(same, key=lambda r: r.rank)] == sorted(
+                (r.best for r in same), reverse=True)
+
+    def test_runs_are_taken_one_at_a_time(self, monkeypatch):
+        events = []
+        for index, fn in list(INDICES.items()):
+            monkeypatch.setitem(INDICES, index,
+                                lambda emb, index=index, fn=fn: events.append(index) or fn(emb))
+        rng = np.random.default_rng(12)
+        vectors, labels = random_instance(rng)
+
+        def runs():
+            for k in range(2):
+                events.append(f"run {k}")
+                yield LabeledEmbedding(vectors + k, labels)
+
+        rows = evaluate_all({"gen": runs()})
+        assert events == ["run 0", "ch", "s", "run 1", "ch", "s"]
+        assert [r.runs for r in rows] == [2, 2]
+
+    def test_method_without_runs_rejected(self):
+        with pytest.raises(EvaluationError, match="no embeddings to evaluate for 'a'"):
+            evaluate_all({"a": []})
 
     def test_best_and_second_marked(self):
         rng = np.random.default_rng(8)
         base, labels = random_instance(rng)
         rows = evaluate_all({
-            "tight": LabeledEmbedding(base, labels),
-            "loose": LabeledEmbedding(base + rng.standard_normal(base.shape) * 5.0, labels),
+            "tight": [LabeledEmbedding(base, labels)],
+            "loose": [LabeledEmbedding(base + rng.standard_normal(base.shape) * 5.0, labels)],
         })
         for index in ("ch", "s"):
-            ranked = sorted((r for r in rows if r.index == index), key=lambda r: -r.value)
+            ranked = sorted((r for r in rows if r.index == index), key=lambda r: -r.best)
             assert ranked[0].rank == 1 and ranked[1].rank == 2
 
     def test_inconsistent_labels_rejected(self):
         a = LabeledEmbedding(np.zeros((4, 2)), ("A", "A", "B", "B"))
         b = LabeledEmbedding(np.zeros((4, 2)), ("A", "B", "B", "B"))
         with pytest.raises(EvaluationError, match="labels"):
-            evaluate_all({"a": a, "b": b})
+            evaluate_all({"a": [a], "b": [b]})
 
     def test_unknown_index_rejected_before_scoring(self, monkeypatch):
         scored = []
@@ -279,13 +320,5 @@ class TestEvaluateAll:
         rng = np.random.default_rng(10)
         vectors, labels = random_instance(rng)
         with pytest.raises(EvaluationError, match="unknown index 'bogus'"):
-            evaluate_all({"a": LabeledEmbedding(vectors, labels)}, indices=("ch", "bogus"))
+            evaluate_all({"a": [LabeledEmbedding(vectors, labels)]}, indices=("ch", "bogus"))
         assert scored == []
-
-    def test_format_rows_is_aligned_text(self):
-        rng = np.random.default_rng(9)
-        vectors, labels = random_instance(rng)
-        rows = evaluate_all({"onehot": LabeledEmbedding(vectors, labels)})
-        text = format_rows(rows)
-        assert "ch" in text and "s" in text and "onehot" in text
-        assert "*" in text

@@ -68,7 +68,7 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     net = build_hetnet(toy_cad, seed=3)
     cfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=5)
     params = init_params(net.node_set.total, cfg)
-    tcfg = TrainConfig(kernel_sigma=1.2)
+    tcfg = TrainConfig(sigma=1.2)
 
     e = reference_network_embedding(net, "inter", params, cfg)
     a = reference_network_embedding(net, "intra", params, cfg)
@@ -90,7 +90,7 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     np.testing.assert_allclose(
         table.objects, assemble_objects(toy_cad, net.node_set, fused), atol=1e-12)
 
-    expected = reference_loss(net, fused, tcfg.kernel_sigma, tcfg.clamp_eps)
+    expected = reference_loss(net, fused, tcfg.sigma, tcfg.clamp_eps)
     assert neca_loss(net, table.fused, tcfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -108,4 +108,4 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
         tcfg = TrainConfig()
         assert neca_loss(net, table.fused, tcfg) == pytest.approx(
-            reference_loss(net, fused, tcfg.kernel_sigma, tcfg.clamp_eps), abs=1e-12)
+            reference_loss(net, fused, tcfg.sigma, tcfg.clamp_eps), abs=1e-12)

@@ -25,7 +25,7 @@ class TestConfig:
         cfg = NecaConfig()
         assert (cfg.heads, cfg.head_dim, cfg.fusion_dim) == (8, 8, 16)
         assert cfg.leaky_slope == 0.2 and cfg.elu_alpha == 1.0
-        assert not cfg.include_self_loop
+        assert not cfg.self_loop
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ModelError):
@@ -256,7 +256,7 @@ class TestEmbedNetwork:
         net = build_hetnet(toy_cad, seed=0)
         params = init_params(10, small_config())
         plain = embed_network(net, "inter", params, small_config())
-        looped = embed_network(net, "inter", params, small_config(include_self_loop=True))
+        looped = embed_network(net, "inter", params, small_config(self_loop=True))
         assert not np.allclose(plain, looped)
 
     def test_isolated_node_rejected(self):
@@ -304,13 +304,13 @@ class TestDenseMatchesEdgeList:
         cad = make_cad(records, tuple(f"a{j}" for j in range(m)))
         net = build_hetnet(cad, seed=seed)
         cfg = NecaConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed,
-                         include_self_loop=self_loop, share_projections=share)
+                         self_loop=self_loop, share_projections=share)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(cad, net, params, cfg)
         assert_rel_close(table.inter, oracles.network_embedding(net, "inter", params, cfg))
         assert_rel_close(table.intra, oracles.network_embedding(net, "intra", params, cfg))
         assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
-        tcfg = TrainConfig(kernel_sigma=float(rng.uniform(0.3, 2.0)))
+        tcfg = TrainConfig(sigma=float(rng.uniform(0.3, 2.0)))
         loss = neca_loss(net, table.fused, tcfg)
         assert abs(loss - oracles.neca_loss(net, table.fused, tcfg)) <= 1e-12 * abs(loss)
 

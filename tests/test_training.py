@@ -107,7 +107,7 @@ class TestLoss:
         _, net = four_node_net()
         rng = np.random.default_rng(0)
         fused = rng.standard_normal((4, 3))
-        cfg = TrainConfig(kernel_sigma=1.3)
+        cfg = TrainConfig(sigma=1.3)
 
         # independent summation: loop every directed pair explicitly
         total = 0.0
@@ -115,7 +115,7 @@ class TestLoss:
         for target in range(4):
             for nb in net.inter_adj[target]:
                 p = impacting_strength(net, target, int(nb))
-                g = gaussian_similarity(fused[target], fused[int(nb)], cfg.kernel_sigma)
+                g = gaussian_similarity(fused[target], fused[int(nb)], cfg.sigma)
                 g = min(max(g, cfg.clamp_eps), 1.0 - cfg.clamp_eps)
                 total += p * math.log(g) + (1.0 - p) * math.log(1.0 - g)
                 count += 1
@@ -203,7 +203,7 @@ class TestGradients:
         _, net = four_node_net()
         mcfg = NecaConfig(heads=1, head_dim=2, fusion_dim=3, seed=4)
         params = init_params(4, mcfg)
-        fd_check(net, params, mcfg, TrainConfig(kernel_sigma=0.8))
+        fd_check(net, params, mcfg, TrainConfig(sigma=0.8))
 
     def test_finite_differences_with_shared_projections(self):
         # a shared tensor accumulates gradient from both networks
@@ -265,18 +265,18 @@ class TestAdam:
         before = {n: t.copy() for n, t in params.named_tensors()}
         rng = np.random.default_rng(0)
         grads = {n: rng.standard_normal(t.shape) for n, t in params.named_tensors()}
-        cfg = TrainConfig(learning_rate=0.01)
+        cfg = TrainConfig(lr=0.01)
         adam_step(params, grads, AdamState.for_params(params), cfg, 1)
         for name, tensor in params.named_tensors():
             delta = tensor - before[name]
             # bias correction makes m_hat/sqrt(v_hat) ~ sign(g) on step one
-            np.testing.assert_allclose(delta, -cfg.learning_rate * np.sign(grads[name]),
+            np.testing.assert_allclose(delta, -cfg.lr * np.sign(grads[name]),
                                        atol=1e-5)
 
     def test_identical_inputs_identical_trajectories(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         mcfg = small_model(seed=7)
-        tcfg = TrainConfig(max_epochs=5, rel_tol=0.0)
+        tcfg = TrainConfig(epochs=5, tol=0.0)
         _, _, r1 = train(toy_cad, net, mcfg, tcfg)
         _, _, r2 = train(toy_cad, net, mcfg, tcfg)
         assert r1.loss_history == r2.loss_history
@@ -293,15 +293,22 @@ class TestAdam:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("clamp_eps", [0.0, -1e-7, 0.5, 0.6])
+    def test_clamp_outside_open_half_interval_rejected(self, clamp_eps):
+        # from 0.5 on, the clip maps every kernel value to one constant
+        with pytest.raises(TrainingError, match="clamp_eps"):
+            TrainConfig(clamp_eps=clamp_eps)
+        assert TrainConfig(clamp_eps=0.49).clamp_eps == 0.49
+
     def test_infinite_tolerance_stops_after_one_epoch(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        _, _, report = train(toy_cad, net, small_model(), TrainConfig(rel_tol=math.inf))
+        _, _, report = train(toy_cad, net, small_model(), TrainConfig(tol=math.inf))
         assert report.epochs_run == 1
         assert report.stop_reason == "converged"
 
     def test_max_epochs_one_records_one_loss(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        _, _, report = train(toy_cad, net, small_model(), TrainConfig(max_epochs=1))
+        _, _, report = train(toy_cad, net, small_model(), TrainConfig(epochs=1))
         assert report.epochs_run == 1
         assert len(report.loss_history) == 1
         assert report.stop_reason == "max_epochs"
@@ -309,13 +316,13 @@ class TestTrain:
     def test_loss_descends_on_toy(self, toy_cad):
         net = build_hetnet(toy_cad, seed=42)
         mcfg = small_model(seed=42)
-        tcfg = TrainConfig(max_epochs=50, rel_tol=0.0)
+        tcfg = TrainConfig(epochs=50, tol=0.0)
         _, _, report = train(toy_cad, net, mcfg, tcfg)
         assert report.loss_history[49] < report.loss_history[0]
 
     def test_report_invariants(self, toy_cad):
         net = build_hetnet(toy_cad, seed=1)
-        _, table, report = train(toy_cad, net, small_model(), TrainConfig(max_epochs=3))
+        _, table, report = train(toy_cad, net, small_model(), TrainConfig(epochs=3))
         assert isinstance(report, TrainReport)
         assert len(report.loss_history) == report.epochs_run
         assert report.stop_reason in ("max_epochs", "converged")
@@ -326,7 +333,7 @@ class TestTrain:
 
     def test_convergence_by_relative_change(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        _, _, report = train(toy_cad, net, small_model(), TrainConfig(max_epochs=500, rel_tol=1e-3))
+        _, _, report = train(toy_cad, net, small_model(), TrainConfig(epochs=500, tol=1e-3))
         assert report.stop_reason == "converged"
         assert report.epochs_run < 500
         a, b = report.loss_history[-2], report.loss_history[-1]
@@ -335,7 +342,7 @@ class TestTrain:
     def test_log_fn_receives_epoch_lines(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         lines = []
-        train(toy_cad, net, small_model(), TrainConfig(max_epochs=4, rel_tol=0.0),
+        train(toy_cad, net, small_model(), TrainConfig(epochs=4, tol=0.0),
               log_fn=lambda *args: lines.append(args))
         assert len(lines) == 4
         epoch, loss, bi, ba = lines[0]
@@ -348,7 +355,7 @@ class TestTrain:
         mcfg = small_model()
         with pytest.raises(TrainingError, match="diverged") as exc:
             train(toy_cad, net, mcfg,
-                  TrainConfig(learning_rate=1e200, max_epochs=10, rel_tol=0.0))
+                  TrainConfig(lr=1e200, epochs=10, tol=0.0))
         assert len(exc.value.loss_history) >= 1
         assert all(math.isfinite(x) for x in exc.value.loss_history)
 
@@ -370,7 +377,7 @@ class TestTrain:
         monkeypatch.setattr(autodiff, "backward", poisoned_backward)
         net = build_hetnet(toy_cad, seed=0)
         with pytest.raises(TrainingError, match="diverged at epoch 1: .*'w2'") as exc:
-            train(toy_cad, net, small_model(), TrainConfig(max_epochs=5, rel_tol=0.0))
+            train(toy_cad, net, small_model(), TrainConfig(epochs=5, tol=0.0))
         assert exc.value.loss_history == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -386,7 +393,7 @@ class TestTrain:
         net1 = build_hetnet(toy_cad, seed=9)
         net2 = build_hetnet(toy_cad, seed=9)
         mcfg = small_model(seed=9)
-        tcfg = TrainConfig(max_epochs=10, rel_tol=0.0)
+        tcfg = TrainConfig(epochs=10, tol=0.0)
         _, t1, r1 = train(toy_cad, net1, mcfg, tcfg)
         _, t2, r2 = train(toy_cad, net2, mcfg, tcfg)
         assert r1.loss_history == r2.loss_history
