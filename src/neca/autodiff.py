@@ -91,11 +91,6 @@ def div(a, b) -> Var:
     return Var(a.value / b.value, (a, b), back)
 
 
-def neg(a) -> Var:
-    a = as_var(a)
-    return Var(-a.value, (a,), lambda g: _acc(a, -g))
-
-
 def exp(a) -> Var:
     a = as_var(a)
     out = np.exp(a.value)

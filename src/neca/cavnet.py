@@ -20,7 +20,6 @@ log-weights without the underflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -157,28 +156,15 @@ def build_intra_network(cad: CAD, nodes: CavNodeSet, beta: float = 0.01,
                         np.full(len(connect), CONNECTIVITY, np.int8)]))
 
 
-def _adjacency(tgt: np.ndarray, src: np.ndarray, num_nodes: int) -> list[np.ndarray]:
-    """Sorted neighbor ids of every node, from the directed pairs (tgt, src)."""
-    order = np.lexsort((src, tgt))
-    bounds = np.cumsum(np.bincount(tgt, minlength=num_nodes))[:-1]
-    return np.split(src[order], bounds)
-
-
 @dataclass
 class HetNet:
-    """The two weighted networks over one CAV node set, plus adjacency."""
+    """The two weighted networks over one CAV node set."""
 
     node_set: CavNodeSet
     inter: EdgeSet
     intra: EdgeSet
     rng_seed: int
-    inter_adj: list[np.ndarray] = field(init=False)
-    intra_adj: list[np.ndarray] = field(init=False)
     _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.inter_adj = _adjacency(*self.directed_pairs("inter")[:2], self.node_set.total)
-        self.intra_adj = _adjacency(*self.directed_pairs("intra")[:2], self.node_set.total)
 
     def derived(self, fn, *args):
         """``fn(self, *args)``, computed on the first call and kept with the graph.
@@ -197,9 +183,6 @@ class HetNet:
         if which == "intra":
             return self.intra
         raise GraphError(f"unknown network {which!r}")
-
-    def neighbors(self, which: str, node_id: int) -> np.ndarray:
-        return (self.inter_adj if which == "inter" else self.intra_adj)[node_id]
 
     def directed_pairs(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each undirected edge expanded both ways: (target, source, edge index)."""
@@ -220,8 +203,8 @@ def build_hetnet(cad: CAD, beta: float = 0.01, seed: int = 0) -> HetNet:
     )
 
 
-def export_edge_list(net: HetNet, which: str, path) -> None:
-    """Write tab-separated rows: u_token, v_token, raw, weight, kind.
+def export_edge_list(net: HetNet, which: str) -> str:
+    """Tab-separated rows: u_token, v_token, raw, weight, kind.
 
     Tokens are attribute-qualified ("Attr=value") so they identify nodes
     unambiguously; rows are sorted by (u id, v id).
@@ -236,15 +219,4 @@ def export_edge_list(net: HetNet, which: str, path) -> None:
             repr(float(edges.weight[i])),
             edges.kind_name(i),
         ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_edge_list(path) -> list[tuple[str, str, float, float, str]]:
-    """Parse an exported edge list back into (u, v, raw, weight, kind) rows."""
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        u, v, raw, weight, kind = line.split("\t")
-        rows.append((u, v, float(raw), float(weight), kind))
-    return rows
+    return "\n".join(lines) + "\n"

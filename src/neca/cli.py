@@ -184,6 +184,12 @@ def _replacing(path, binary: bool = False):
         raise
 
 
+def _write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text``, atomically through ``_replacing``."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 def _format_rows(block: np.ndarray, first_id: int) -> str:
     """CSV lines of ``block``, formatting each distinct float64 bit pattern once.
 
@@ -310,8 +316,7 @@ def cmd_embed(args) -> int:
 
     def write_outputs():
         write_embedding(out, table.objects)
-        with _replacing(meta_path) as fh:
-            fh.write(json.dumps(metadata, indent=2) + "\n")
+        _write_text(meta_path, json.dumps(metadata, indent=2) + "\n")
 
     _stage("output", write_outputs)
     print(f"wrote {out} ({table.objects.shape[0]} x {table.objects.shape[1]}) "
@@ -342,7 +347,7 @@ def cmd_eval(args) -> int:
     for index, value in results.items():
         print(f"{index} = {value!r}")
     if args.out:
-        Path(args.out).write_text(json.dumps(results) + "\n", encoding="utf-8")
+        _stage("output", _write_text, args.out, json.dumps(results) + "\n")
     return 0
 
 
@@ -379,8 +384,7 @@ def cmd_compare(args) -> int:
                     **{row.index: row.values[i] for row in rows if row.method == m},
                     "dataset": manifest.name}
                    for m in seeds for i, seed in enumerate(seeds[m])]
-        with _replacing(args.json) as fh:
-            fh.write(json.dumps({"summary": summary, "runs": records}, indent=2) + "\n")
+        _write_text(args.json, json.dumps({"summary": summary, "runs": records}, indent=2) + "\n")
     return 0
 
 
@@ -403,7 +407,8 @@ def cmd_export_graph(args) -> int:
     config = load_run_config(args)
     cad, _, _ = _stage("dataset", resolve_dataset, args)
     net = _stage("graph", build_hetnet, cad, beta=config.beta_connect, seed=config.seed)
-    _stage("output", export_edge_list, net, args.which, args.out)
+    text = _stage("graph", export_edge_list, net, args.which)
+    _stage("output", _write_text, args.out, text)
     print(f"wrote {args.out} ({len(net.edges(args.which))} edges)")
     return 0
 
@@ -515,9 +520,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -229,18 +229,6 @@ def _strip_domains(codes: np.ndarray, domains):
     return codes, tuple(stripped_domains)
 
 
-def save_csv(cad: CAD, path, label_name: str = "label") -> None:
-    """Write a CAD back to CSV (features plus the label column if present)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if cad.labels is None:
-            writer.writerow(cad.attribute_names)
-            writer.writerows(cad.records)
-        else:
-            writer.writerow(cad.attribute_names + (label_name,))
-            writer.writerows(rec + (label,) for rec, label in zip(cad.records, cad.labels))
-
-
 def _first_appearance(column: np.ndarray, domain: tuple[str, ...]):
     """``column`` and ``domain`` renumbered in first-appearance order, unused values dropped."""
     present, first = np.unique(column, return_index=True)
@@ -272,23 +260,3 @@ def impute_modes(cad: CAD, missing_token: str = "?") -> CAD:
         codes[:, j] = column
         domains.append(domain)
     return CAD(codes, cad.attribute_names, tuple(domains), cad.labels)
-
-
-def discretize_numeric(column: Sequence[float], bins: int) -> list[str]:
-    """Equal-width binning of a numeric column into tokens bin_0..bin_{bins-1}.
-
-    Values exactly at the maximum land in the last bin; a constant column
-    maps everything to bin_0.
-    """
-    if bins < 1:
-        raise DatasetError("bins must be >= 1")
-    if not len(column):
-        raise DatasetError("empty column")
-    values = np.asarray(column, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DatasetError("column holds a non-finite value")
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return ["bin_0"] * len(values)
-    k = np.minimum(((values - lo) / ((hi - lo) / bins)).astype(np.int64), bins - 1)
-    return list(map("bin_{}".format, k.tolist()))

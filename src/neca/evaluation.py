@@ -1,10 +1,9 @@
 """Internal cluster-validity indices against held-out class labels.
 
 Both indices use Euclidean distance.  The silhouette index is the macro
-average (mean over classes of the per-class mean of s(x)); the micro average
-(mean over all objects) is available as an option.  Singleton-class objects
-get s(x) = 0, and when an object's a and b are both 0 (coincident points)
-s(x) = 0 as well.
+average (mean over classes of the per-class mean of s(x)).  Singleton-class
+objects get s(x) = 0, and when an object's a and b are both 0 (coincident
+points) s(x) = 0 as well.
 """
 
 from __future__ import annotations
@@ -120,13 +119,9 @@ def silhouette_samples(emb: LabeledEmbedding) -> np.ndarray:
     return s
 
 
-def silhouette(emb: LabeledEmbedding, average: str = "macro") -> float:
-    """Macro-averaged silhouette index in [-1, 1] (micro available)."""
+def silhouette(emb: LabeledEmbedding) -> float:
+    """Macro-averaged silhouette index in [-1, 1]."""
     s = silhouette_samples(emb)
-    if average == "micro":
-        return float(s.mean())
-    if average != "macro":
-        raise EvaluationError(f"unknown average {average!r}")
     per_class = [float(s[idx].mean()) for idx in emb.members]
     return float(np.mean(per_class))
 

@@ -18,7 +18,6 @@ few more operations than visiting the edges one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -95,26 +94,6 @@ class NecaParams:
         yield "b", self.b
         yield "s", self.s
 
-    def get(self, name: str) -> np.ndarray:
-        for n, t in self.named_tensors():
-            if n == name:
-                return t
-        raise KeyError(name)
-
-    def set(self, name: str, value: np.ndarray) -> None:
-        group, _, net = name.partition(".")
-        if net:
-            getattr(self, group)[net] = value
-        else:
-            setattr(self, group, value)
-
-    def copy(self) -> "NecaParams":
-        return NecaParams(
-            w1={net: t.copy() for net, t in self.w1.items()},
-            attn={net: t.copy() for net, t in self.attn.items()},
-            w2=self.w2.copy(), b=self.b.copy(), s=self.s.copy(),
-        )
-
 
 def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the seeded generator.
@@ -140,36 +119,7 @@ def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
 
 
 # ---------------------------------------------------------------------------
-# Standalone operations (contract implementations, one node at a time)
-
-def init_node_features(nodes: CavNodeSet) -> np.ndarray:
-    """One-hot features: node i gets the i-th standard basis vector."""
-    return np.eye(nodes.total)
-
-
-def neighbor_weights(logits: Mapping) -> dict:
-    """Softmax of attention logits over one target's neighborhood."""
-    if not logits:
-        raise ModelError("isolated node: empty neighborhood")
-    keys = list(logits)
-    vals = np.array([logits[k] for k in keys], dtype=np.float64)
-    e = np.exp(vals - vals.max())
-    w = e / e.sum()
-    return dict(zip(keys, w))
-
-
-def fusion_weights(gamma_inter: float, gamma_intra: float) -> tuple[float, float]:
-    """Two-way softmax over the importance scores."""
-    shift = max(gamma_inter, gamma_intra)
-    e1, e2 = np.exp(gamma_inter - shift), np.exp(gamma_intra - shift)
-    return float(e1 / (e1 + e2)), float(e2 / (e1 + e2))
-
-
-def fuse(e: np.ndarray, a: np.ndarray, beta_inter: float, beta_intra: float) -> np.ndarray:
-    if abs(beta_inter + beta_intra - 1.0) > 1e-9:
-        raise ModelError("fusion weights must sum to 1")
-    return beta_inter * e + beta_intra * a
-
+# Object assembly
 
 def assemble_objects(cad: CAD, nodes: CavNodeSet, fused: np.ndarray) -> np.ndarray:
     """Per-object vectors: fused CAV vectors concatenated in attribute order."""
@@ -190,14 +140,14 @@ def _attention_mask(net: HetNet, which: str, self_loop: bool) -> np.ndarray:
 
     An isolated node has no neighborhood to attend over and is an error.
     """
-    adj = net.inter_adj if which == "inter" else net.intra_adj
+    tgt, src, _ = net.directed_pairs(which)
     num = net.node_set.total
-    sizes = np.fromiter(map(len, adj), np.int64, num)
+    sizes = np.bincount(tgt, minlength=num)
     if not sizes.all():
         isolated = net.node_set.qualified(int(np.argmin(sizes)))
         raise ModelError(f"isolated node {isolated} in {which} network")
     mask = np.zeros((num, num), dtype=bool)
-    mask[np.repeat(np.arange(num), sizes), np.concatenate(adj)] = True
+    mask[tgt, src] = True
     if self_loop:
         np.fill_diagonal(mask, True)
     return mask
@@ -249,12 +199,6 @@ def forward_fused(net: HetNet, pvars: dict[str, Var], config: NecaConfig) -> For
     b_e, b_a = ad.div(ee, denom), ad.div(ea, denom)
     fused = ad.add(ad.mul(e, b_e), ad.mul(a, b_a))
     return ForwardVars(e, a, g_e, g_a, b_e, b_a, fused)
-
-
-def embed_network(net: HetNet, which: str, params: NecaParams,
-                  config: NecaConfig) -> np.ndarray:
-    """Per-node K*d embeddings of one network (forward values only)."""
-    return network_embedding(net, which, wrap_params(params), config).value
 
 
 @dataclass

@@ -53,6 +53,10 @@ class TrainConfig:
         "help": "kernel values are clipped to [clamp_eps, 1 - clamp_eps]"})
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise TrainingError("epochs must be >= 1")
+        if not self.lr > 0:
+            raise TrainingError("lr must be positive")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise TrainingError("adam betas must lie in (0, 1)")
         if self.sigma <= 0:
@@ -90,13 +94,7 @@ def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, int]:
     return p, on_pair - p, len(tgt)
 
 
-def gaussian_similarity(f_u: np.ndarray, f_v: np.ndarray, sigma: float) -> float:
-    """exp(-||f_u - f_v||^2 / (2 sigma^2)), in (0, 1]."""
-    d = np.asarray(f_u, dtype=np.float64) - np.asarray(f_v, dtype=np.float64)
-    return float(np.exp(-(d @ d) / (2.0 * sigma * sigma)))
-
-
-def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig, scale: float = 1.0) -> ad.Var:
+def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig) -> ad.Var:
     p, q, pairs = net.derived(loss_targets)
     num = len(p)
     # squared distances from the Gram matrix: |f_u|^2 + |f_v|^2 - 2 f_u.f_v,
@@ -109,30 +107,32 @@ def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig, scale: float = 1.
     kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.sigma ** 2)))
     kernel = ad.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
     terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), q))
-    return ad.mul(ad.summation(terms), -scale / pairs)
+    return ad.mul(ad.summation(terms), -1.0 / pairs)
 
 
-def neca_loss(net: HetNet, fused: np.ndarray, config: TrainConfig, scale: float = 1.0) -> float:
+def neca_loss(net: HetNet, fused: np.ndarray, config: TrainConfig) -> float:
     """Mean binary cross-entropy between kernel similarities and impacting strengths."""
-    return float(_loss_var(net, ad.Var(fused), config, scale).value)
+    return float(_loss_var(net, ad.Var(fused), config).value)
 
 
 def forward_loss(net: HetNet, params: NecaParams, model_config: NecaConfig,
-                 train_config: TrainConfig, scale: float = 1.0):
+                 train_config: TrainConfig):
     """One differentiable forward pass; returns (loss Var, forward state, param Vars)."""
     pvars = wrap_params(params)
     fw = forward_fused(net, pvars, model_config)
-    return _loss_var(net, fw.fused, train_config, scale), fw, pvars
+    return _loss_var(net, fw.fused, train_config), fw, pvars
 
 
-def _step(net: HetNet, params: NecaParams, model_config: NecaConfig,
-          train_config: TrainConfig, scale: float = 1.0):
+def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
+              train_config: TrainConfig):
     """One forward and backward pass: (loss, (beta_inter, beta_intra), gradients).
 
-    No forward state is returned, so the tape is freed before the next pass.
-    A non-finite loss or gradient raises ``TrainingError`` naming it.
+    The gradients are exact reverse-mode gradients of the loss for every
+    parameter tensor.  No forward state is returned, so the tape is freed
+    before the next pass.  A non-finite loss or gradient raises
+    ``TrainingError`` naming it.
     """
-    loss, fw, pvars = forward_loss(net, params, model_config, train_config, scale)
+    loss, fw, pvars = forward_loss(net, params, model_config, train_config)
     if not np.isfinite(loss.value):
         raise TrainingError("loss is not finite")
     ad.backward(loss)
@@ -145,13 +145,6 @@ def _step(net: HetNet, params: NecaParams, model_config: NecaConfig,
             raise TrainingError(f"gradient for tensor {name!r} is not finite")
         grads[name] = g
     return float(loss.value), (float(fw.beta_inter.value), float(fw.beta_intra.value)), grads
-
-
-def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
-              train_config: TrainConfig, scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact reverse-mode gradients of the loss for every parameter tensor."""
-    loss, _, grads = _step(net, params, model_config, train_config, scale)
-    return loss, grads
 
 
 @dataclass
@@ -200,7 +193,7 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
     stop = "max_epochs"
     for epoch in range(1, train_config.epochs + 1):
         try:
-            loss, betas, grads = _step(net, params, model_config, train_config)
+            loss, betas, grads = gradients(net, params, model_config, train_config)
         except TrainingError as exc:
             raise TrainingError(f"training diverged at epoch {epoch}: {exc}", history) from exc
         history.append(loss)

@@ -10,17 +10,23 @@ forward pass (one head at a time, gathering each directed pair and
 scattering with ``np.add.at``) and the per-pair loss that the dense,
 head-batched tape path replaced.  Their sums run in another order, so tests
 compare against them to a relative tolerance.
+
+Graph I/O: the sorted neighbor lists of each node, a parser for the
+exported edge list and a CSV writer for a CAD.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
 from neca.dataset import DatasetError
-from neca.model import ModelError, fuse, fusion_weights
+from neca.model import ModelError
 from neca.training import TrainingError
 
 
@@ -159,8 +165,77 @@ def assemble(records, nodes: NodeIndex, fused: np.ndarray) -> np.ndarray:
     return out
 
 
+def save_csv(cad, path, label_name: str = "label") -> None:
+    """Write a CAD back to CSV (features plus the label column if present)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if cad.labels is None:
+            writer.writerow(cad.attribute_names)
+            writer.writerows(cad.records)
+        else:
+            writer.writerow(cad.attribute_names + (label_name,))
+            writer.writerows(rec + (label,) for rec, label in zip(cad.records, cad.labels))
+
+
+# ---------------------------------------------------------------------------
+# Graph structure and the exported edge list
+
+def adjacency(net, which: str) -> list[np.ndarray]:
+    """Sorted neighbor ids of every node of one network."""
+    tgt, src, _ = net.directed_pairs(which)
+    order = np.lexsort((src, tgt))
+    bounds = np.cumsum(np.bincount(tgt, minlength=net.node_set.total))[:-1]
+    return np.split(src[order], bounds)
+
+
+def read_edge_list(path) -> list[tuple[str, str, float, float, str]]:
+    """Parse an exported edge list back into (u, v, raw, weight, kind) rows."""
+    rows = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        u, v, raw, weight, kind = line.split("\t")
+        rows.append((u, v, float(raw), float(weight), kind))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Model and loss
+
+def init_node_features(nodes) -> np.ndarray:
+    """One-hot features: node i gets the i-th standard basis vector."""
+    return np.eye(nodes.total)
+
+
+def neighbor_weights(logits: Mapping) -> dict:
+    """Softmax of attention logits over one target's neighborhood."""
+    if not logits:
+        raise ModelError("isolated node: empty neighborhood")
+    keys = list(logits)
+    vals = np.array([logits[k] for k in keys], dtype=np.float64)
+    e = np.exp(vals - vals.max())
+    w = e / e.sum()
+    return dict(zip(keys, w))
+
+
+def fusion_weights(gamma_inter: float, gamma_intra: float) -> tuple[float, float]:
+    """Two-way softmax over the importance scores."""
+    shift = max(gamma_inter, gamma_intra)
+    e1, e2 = np.exp(gamma_inter - shift), np.exp(gamma_intra - shift)
+    return float(e1 / (e1 + e2)), float(e2 / (e1 + e2))
+
+
+def fuse(e: np.ndarray, a: np.ndarray, beta_inter: float, beta_intra: float) -> np.ndarray:
+    if abs(beta_inter + beta_intra - 1.0) > 1e-9:
+        raise ModelError("fusion weights must sum to 1")
+    return beta_inter * e + beta_intra * a
+
+
+def gaussian_similarity(f_u: np.ndarray, f_v: np.ndarray, sigma: float) -> float:
+    """exp(-||f_u - f_v||^2 / (2 sigma^2)), in (0, 1]."""
+    d = np.asarray(f_u, dtype=np.float64) - np.asarray(f_v, dtype=np.float64)
+    return float(np.exp(-(d @ d) / (2.0 * sigma * sigma)))
+
 
 def project(w1: np.ndarray, node_feature: np.ndarray) -> np.ndarray:
     if w1.shape[1] != node_feature.shape[0]:
@@ -194,7 +269,7 @@ def importance_score(vectors: np.ndarray, s: np.ndarray, w2: np.ndarray,
 
 def impacting_strength(net, target: int, neighbor: int) -> float:
     """p(neighbor | target): target's edge weight renormalized over its neighborhood."""
-    neigh = net.inter_adj[target]
+    neigh = adjacency(net, "inter")[target]
     pos = np.searchsorted(neigh, neighbor)
     if pos >= len(neigh) or neigh[pos] != neighbor:
         raise TrainingError(f"node {neighbor} is not a cross-attribute neighbor of {target}")
@@ -218,8 +293,7 @@ def _segment_softmax(logits: np.ndarray, seg: np.ndarray, num: int) -> np.ndarra
 def network_embedding(net, which: str, params, config) -> np.ndarray:
     """Edge-list multi-head attention embedding of one network, (|V|, K*d)."""
     num = net.node_set.total
-    adj = net.inter_adj if which == "inter" else net.intra_adj
-    for node_id, neigh in enumerate(adj):
+    for node_id, neigh in enumerate(adjacency(net, which)):
         if len(neigh) == 0:
             raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
     tgt, src, _ = net.directed_pairs(which)
@@ -250,7 +324,7 @@ def fused_embedding(net, params, config) -> np.ndarray:
     return fuse(e, a, *betas)
 
 
-def neca_loss(net, fused: np.ndarray, config, scale: float = 1.0) -> float:
+def neca_loss(net, fused: np.ndarray, config) -> float:
     """Mean BCE over the gathered directed cross-attribute pairs."""
     tgt, src, eidx = net.directed_pairs("inter")
     if len(tgt) == 0:
@@ -260,4 +334,4 @@ def neca_loss(net, fused: np.ndarray, config, scale: float = 1.0) -> float:
     kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.sigma ** 2))
     kernel = np.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
     terms = np.log(kernel) * p + np.log(1.0 - kernel) * (1.0 - p)
-    return float(-scale * terms.sum() / len(tgt))
+    return float(-terms.sum() / len(tgt))

@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neca import autodiff as ad
 from neca.cavnet import build_hetnet, build_inter_network, build_intra_network, build_node_set
 from neca.cli import FetchError, bundled_manifest, fetch_dataset
 from neca.dataset import impute_modes, load_csv, make_cad
 from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import LabeledEmbedding, calinski_harabasz, silhouette
-from neca.model import NecaConfig, fuse, fusion_weights, init_params, neighbor_weights
+from neca.model import NecaConfig, forward_fused, init_params, wrap_params
 from neca.training import TrainConfig, forward_loss, gradients, train
 
 from test_evaluation import brute_ch, brute_silhouette
@@ -79,7 +80,7 @@ def test_criterion_1_gradient_correctness():
             mcfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
             tcfg = TrainConfig()
             params = init_params(10, mcfg)
-            _, grads = gradients(net, params, mcfg, tcfg)
+            _, _, grads = gradients(net, params, mcfg, tcfg)
             for name, tensor in params.named_tensors():
                 flat = tensor.reshape(-1)
                 gflat = grads[name].reshape(-1)
@@ -115,24 +116,46 @@ def _intra_weights_normalized(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers(0, 30), st.floats(-40, 40), min_size=1, max_size=15))
-def _neighbor_weights_normalized(logits):
-    assert abs(sum(neighbor_weights(logits).values()) - 1.0) <= 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(-150, 150), st.floats(-150, 150))
-def _fusion_weights_normalized(gi, ga):
-    bi, ba = fusion_weights(gi, ga)
-    assert abs(bi + ba - 1.0) <= 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
-def _fused_betweenness(width, beta, seed):
+@given(st.integers(0, 10 ** 6), st.floats(0.0, 40.0))
+def _masked_softmax_normalized(seed, spread):
+    # one mask over every head, as in the attention; each row keeps an entry
     rng = np.random.default_rng(seed)
-    e, a = rng.standard_normal(width), rng.standard_normal(width)
-    f = fuse(e, a, beta, 1.0 - beta)
+    heads, rows, cols = (int(x) for x in rng.integers(1, 9, size=3))
+    mask = rng.random((rows, cols)) < rng.random()
+    mask[np.arange(rows), rng.integers(cols, size=rows)] = True
+    logits = rng.uniform(-spread, spread, size=(heads, rows, cols))
+    alpha = ad.masked_softmax(logits, mask).value
+    assert np.all(np.abs(alpha.sum(axis=-1) - 1.0) <= 1e-9)
+    assert not alpha[:, ~mask].any()
+
+
+def _forward_with_gamma_reaching(seed, reach):
+    """``forward_fused`` on a random CAD, ``s`` scaled so the larger |gamma| is ``reach``."""
+    cad = random_cad(seed)
+    net = build_hetnet(cad, seed=seed)
+    cfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
+    params = init_params(net.node_set.total, cfg)
+    fw = forward_fused(net, wrap_params(params), cfg)
+    top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
+    if top > 0.0:   # gamma is linear in s
+        params.s *= reach / top
+    return forward_fused(net, wrap_params(params), cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(0.0, 150.0))
+def _fusion_weights_normalized(seed, reach):
+    fw = _forward_with_gamma_reaching(seed, reach)
+    top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
+    assert top == pytest.approx(reach, rel=1e-9) or top == 0.0
+    assert abs(float(fw.beta_inter.value) + float(fw.beta_intra.value) - 1.0) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(0.0, 150.0))
+def _fused_betweenness(seed, reach):
+    fw = _forward_with_gamma_reaching(seed, reach)
+    e, a, f = fw.inter.value, fw.intra.value, fw.fused.value
     assert np.all(f >= np.minimum(e, a) - 1e-12)
     assert np.all(f <= np.maximum(e, a) + 1e-12)
 
@@ -177,7 +200,7 @@ def test_criterion_2_invariant_suite():
         t0 = time.perf_counter()
         _inter_weights_normalized()
         _intra_weights_normalized()
-        _neighbor_weights_normalized()
+        _masked_softmax_normalized()
         _fusion_weights_normalized()
         _fused_betweenness()
         _silhouette_bounded()

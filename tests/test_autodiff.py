@@ -41,7 +41,7 @@ rng = np.random.default_rng(0)
     lambda v: ad.summation(ad.leaky_relu(v, 0.2)),
     lambda v: ad.summation(ad.elu(v, 1.0)),
     lambda v: ad.summation(ad.div(v, ad.add(ad.mul(v, v), 2.0))),
-    lambda v: ad.summation(ad.mul(ad.sub(v, 0.5), ad.neg(v))),
+    lambda v: ad.summation(ad.mul(ad.sub(v, 0.5), ad.sub(0.0, v))),
     lambda v: ad.mean(ad.mul(v, v)),
 ])
 def test_elementwise_ops(build):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from neca import cli
 from neca.cavnet import (GraphError, build_hetnet, build_inter_network,
                          build_intra_network, build_node_set, export_edge_list,
-                         read_edge_list, stable_softmax)
+                         stable_softmax)
 from neca.dataset import make_cad
+from oracles import adjacency, read_edge_list
 
 
 def co_occurrence(cad, u, v):
@@ -195,18 +197,18 @@ class TestIntraNetwork:
     def test_every_node_has_foreign_intra_neighbor(self, toy_cad):
         net = build_hetnet(toy_cad, seed=5)
         attr = net.node_set.attr_of
-        for node_id in range(net.node_set.total):
-            neigh = net.intra_adj[node_id]
+        for node_id, neigh in enumerate(adjacency(net, "intra")):
             assert any(attr[nb] != attr[node_id] for nb in neigh)
 
     def test_intra_graph_connected(self, toy_cad):
         net = build_hetnet(toy_cad, seed=11)
         total = net.node_set.total
+        adj = adjacency(net, "intra")
         seen = {0}
         frontier = [0]
         while frontier:
             cur = frontier.pop()
-            for nb in net.intra_adj[cur]:
+            for nb in adj[cur]:
                 if int(nb) not in seen:
                     seen.add(int(nb))
                     frontier.append(int(nb))
@@ -216,7 +218,7 @@ class TestIntraNetwork:
         cad = make_cad([("x", "p"), ("x", "q")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
         lone = net.node_set.id_for(0, "x")
-        assert len(net.intra_adj[lone]) >= 1
+        assert len(adjacency(net, "intra")[lone]) >= 1
 
     def test_mutual_connectivity_draws_collapse_to_one_edge(self):
         # two single-value attributes: each node must draw the other
@@ -267,7 +269,7 @@ class TestExport:
         net = build_hetnet(toy_cad, seed=9)
         for which in ("inter", "intra"):
             path = tmp_path / f"{which}.tsv"
-            export_edge_list(net, which, path)
+            path.write_text(export_edge_list(net, which), encoding="utf-8")
             rows = read_edge_list(path)
             edges = net.edges(which)
             assert len(rows) == len(edges)
@@ -281,14 +283,14 @@ class TestExport:
     def test_weight_column_sums_to_one(self, toy_cad, tmp_path):
         net = build_hetnet(toy_cad, seed=9)
         path = tmp_path / "inter.tsv"
-        export_edge_list(net, "inter", path)
+        path.write_text(export_edge_list(net, "inter"), encoding="utf-8")
         total = sum(r[3] for r in read_edge_list(path))
         assert abs(total - 1.0) <= 1e-9
 
     def test_row_count_matches_cooccurring_pairs(self, toy_cad, tmp_path):
         net = build_hetnet(toy_cad, seed=9)
         path = tmp_path / "inter.tsv"
-        export_edge_list(net, "inter", path)
+        path.write_text(export_edge_list(net, "inter"), encoding="utf-8")
         # distinct co-occurring cross-attribute pairs, counted independently
         pairs = set()
         for rec in toy_cad.records:
@@ -297,7 +299,10 @@ class TestExport:
                     pairs.add(((j, rec[j]), (jj, rec[jj])))
         assert len(read_edge_list(path)) == len(pairs)
 
-    def test_unwritable_path_raises(self, toy_cad, tmp_path):
-        net = build_hetnet(toy_cad, seed=9)
-        with pytest.raises(OSError):
-            export_edge_list(net, "inter", tmp_path / "no_such_dir" / "x.tsv")
+    def test_unwritable_path_raises(self, toy_csv, tmp_path):
+        # export_edge_list returns the text; the command line writes it
+        out = tmp_path / "no_such_dir" / "x.tsv"
+        args = cli.build_parser().parse_args(["export-graph", str(toy_csv), "--drop", "Name",
+                                              "--which", "inter", "--out", str(out)])
+        with pytest.raises(cli.StageError, match=r"\[output\]"):
+            args.fn(args)

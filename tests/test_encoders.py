@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neca.dataset import make_cad
-from neca.encoders import encode_frequency, encode_onehot, wrap_embedding
+from neca.encoders import encode_frequency, encode_onehot
 
 
 class TestOneHot:
@@ -30,11 +30,6 @@ class TestOneHot:
         assert set(np.unique(enc.vectors)) == {0.0, 1.0}
         assert np.all((enc.vectors == 0).sum(axis=1) == 10 - 3)
 
-    def test_column_labels_qualified(self, toy_cad):
-        enc = encode_onehot(toy_cad)
-        assert enc.column_labels[0] == "Gender=M"
-        assert enc.column_labels[2] == "Specialty=Engineering"
-
 
 class TestFrequency:
     def test_worked_example_100_over_40(self):
@@ -56,7 +51,6 @@ class TestFrequency:
     def test_width_is_m(self, toy_cad):
         enc = encode_frequency(toy_cad)
         assert enc.vectors.shape == (6, 3)
-        assert enc.column_labels == ("Gender", "Specialty", "Position")
 
     def test_rarity_monotonicity(self, toy_cad):
         enc = encode_frequency(toy_cad)
@@ -86,12 +80,3 @@ class TestDeterminism:
         np.testing.assert_array_equal(encode_frequency(toy_cad).vectors,
                                       encode_frequency(labeled).vectors)
 
-
-class TestWrapEmbedding:
-    def test_width_and_labels(self, toy_cad):
-        objects = np.zeros((6, 12))  # 3 attributes x 4 dims
-        enc = wrap_embedding(toy_cad, objects)
-        assert enc.method == "neca"
-        assert len(enc.column_labels) == 12
-        assert enc.column_labels[0] == "Gender[0]"
-        assert enc.column_labels[-1] == "Position[3]"

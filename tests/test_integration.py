@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from neca.cavnet import build_hetnet
 from neca.model import NecaConfig, assemble_objects, compute_table, init_params
 from neca.training import TrainConfig, neca_loss
@@ -20,12 +21,13 @@ def reference_network_embedding(net, which, params, cfg):
     total = net.node_set.total
     d = cfg.head_dim
     out = np.zeros((total, cfg.heads * d))
+    adj = oracles.adjacency(net, which)
     for k in range(cfg.heads):
         w1 = params.w1[which][k]
         a_vec = params.attn[which][k]
         proj = {v: w1[:, v] for v in range(total)}  # one-hot feature selects a column
         for v in range(total):
-            neigh = [int(x) for x in net.neighbors(which, v)]
+            neigh = [int(x) for x in adj[v]]
             logits = {}
             for nb in neigh:
                 z = float(a_vec @ np.concatenate([proj[v], proj[nb]]))
@@ -48,8 +50,8 @@ def reference_loss(net, fused, sigma, clamp):
         raw_of[(u, v)] = raw_of[(v, u)] = float(net.inter.raw[i])
     total = 0.0
     count = 0
-    for v in range(net.node_set.total):
-        neigh = [int(x) for x in net.neighbors("inter", v)]
+    for v, neigh in enumerate(oracles.adjacency(net, "inter")):
+        neigh = [int(x) for x in neigh]
         raws = [raw_of[(v, nb)] for nb in neigh]
         mx = max(raws)
         exps = [math.exp(r - mx) for r in raws]

@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neca.cavnet import build_hetnet, build_node_set
+from dataclasses import replace
+
+from neca.cavnet import EdgeSet, build_hetnet, build_node_set
 from neca.dataset import make_cad
 from neca.model import (EmbeddingTable, ModelError, NecaConfig, assemble_objects,
-                        compute_table, embed_network, fuse, fusion_weights,
-                        init_node_features, init_params, neighbor_weights)
+                        compute_table, init_params, network_embedding, wrap_params)
 from neca.training import TrainConfig, neca_loss
 import oracles
-from oracles import aggregate, attention_logit, importance_score, project
+from oracles import (aggregate, attention_logit, fuse, fusion_weights, importance_score,
+                     init_node_features, neighbor_weights, project)
 
 
 def small_config(**kw):
     defaults = dict(heads=2, head_dim=3, fusion_dim=4, seed=0)
     defaults.update(kw)
     return NecaConfig(**defaults)
+
+
+def embed_network(net, which, params, config):
+    """Per-node K*d embeddings of one network, from the dense forward pass."""
+    return network_embedding(net, which, wrap_params(params), config).value
 
 
 class TestConfig:
@@ -81,10 +88,12 @@ class TestParams:
         params = init_params(4, small_config())
         names = [n for n, _ in params.named_tensors()]
         assert names == ["w1.inter", "w1.intra", "attn.inter", "attn.intra", "w2", "b", "s"]
-        params.set("w1.intra", np.zeros((2, 3, 4)))
-        assert np.array_equal(params.get("w1.intra"), np.zeros((2, 3, 4)))
-        params.set("b", np.ones(4))
-        assert np.array_equal(params.get("b"), np.ones(4))
+        # the named tensors are the stored arrays, so Adam's in-place
+        # updates through named_tensors reach the parameters
+        tensors = dict(params.named_tensors())
+        assert tensors["w1.intra"] is params.w1["intra"]
+        assert tensors["attn.inter"] is params.attn["inter"]
+        assert tensors["b"] is params.b
 
 
 class TestNodeFeatures:
@@ -198,7 +207,7 @@ class TestEmbedNetwork:
         expected = np.zeros((3, 2))
         for t in range(3):
             h_t = project(w1, feats[t])
-            neigh = [int(x) for x in net.inter_adj[t]]
+            neigh = [int(x) for x in oracles.adjacency(net, "inter")[t]]
             logits = {nb: attention_logit(a_vec, h_t, project(w1, feats[nb]), cfg.leaky_slope)
                       for nb in neigh}
             alphas = neighbor_weights(logits)
@@ -244,7 +253,7 @@ class TestEmbedNetwork:
             h_t = project(w1, feats[target])
             logits = {int(nb): attention_logit(a_vec, h_t, project(w1, feats[int(nb)]),
                                                cfg.leaky_slope)
-                      for nb in net.inter_adj[target]}
+                      for nb in oracles.adjacency(net, "inter")[target]}
             return neighbor_weights(logits)[neighbor]
 
         a1 = net.node_set.id_for(0, "a1")
@@ -261,7 +270,9 @@ class TestEmbedNetwork:
 
     def test_isolated_node_rejected(self):
         cad, net = self.path_net()
-        net.inter_adj[0] = np.array([], dtype=np.int64)
+        keep = (net.inter.u != 0) & (net.inter.v != 0)
+        net = replace(net, inter=EdgeSet(net.inter.u[keep], net.inter.v[keep],
+                                         net.inter.raw[keep], net.inter.weight[keep]))
         cfg = small_config()
         with pytest.raises(ModelError, match="isolated"):
             embed_network(net, "inter", init_params(3, cfg), cfg)
