@@ -142,13 +142,13 @@ def clip(a, lo: float, hi: float) -> Var:
 
 
 def matmul(a, b) -> Var:
-    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes,
-    (m, k) @ (k,) and (k,) @ (k,) operands."""
+    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes
+    and (m, k) @ (k,) operands."""
     a, b = as_var(a), as_var(b)
     batched = a.value.ndim >= 2 and b.value.ndim >= 2
     if batched and a.value.shape[:-2] != b.value.shape[:-2]:
         raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
-    if not batched and (a.value.ndim, b.value.ndim) not in ((2, 1), (1, 1)):
+    if not batched and (a.value.ndim, b.value.ndim) != (2, 1):
         raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
     out = a.value @ b.value
 
@@ -156,12 +156,9 @@ def matmul(a, b) -> Var:
         if batched:
             _acc(a, g @ np.swapaxes(b.value, -1, -2))
             _acc(b, np.swapaxes(a.value, -1, -2) @ g)
-        elif a.value.ndim == 2:
+        else:
             _acc(a, np.outer(g, b.value))
             _acc(b, a.value.T @ g)
-        else:
-            _acc(a, g * b.value)
-            _acc(b, g * a.value)
 
     return Var(out, (a, b), back)
 

@@ -170,11 +170,14 @@ def _replacing(path, binary: bool = False):
     """Handle on a temp file beside ``path`` that replaces ``path`` on success.
 
     The handle is text unless ``binary``.  On any failure the temp file is
-    removed and ``path`` is left as it was.
+    removed and ``path`` is left as it was; a failed temp-file open names ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
-    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     try:
         with fh:
             yield fh
@@ -384,7 +387,8 @@ def cmd_compare(args) -> int:
                     **{row.index: row.values[i] for row in rows if row.method == m},
                     "dataset": manifest.name}
                    for m in seeds for i, seed in enumerate(seeds[m])]
-        _write_text(args.json, json.dumps({"summary": summary, "runs": records}, indent=2) + "\n")
+        _stage("output", _write_text, args.json,
+               json.dumps({"summary": summary, "runs": records}, indent=2) + "\n")
     return 0
 
 
@@ -413,25 +417,16 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
-def _parse_value(kind: type, raw: str):
-    """``raw`` as a ``kind``; a bool is ``true`` or ``false`` in any case."""
-    if kind is bool:
-        if raw.lower() not in ("true", "false"):
-            raise ValueError(raw)
-        return raw.lower() == "true"
-    return kind(raw)
-
-
 def load_run_config(args) -> RunConfig:
     """Defaults, then the ``--config`` file's keys, then the flags given."""
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     path = getattr(args, "config", None)
-    for key, raw in (read_kv_file(path) if path else {}).items():
+    for key, raw in (_stage("config", read_kv_file, path) if path else {}).items():
         if key not in kinds:
             raise StageError("config", f"{path}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(kinds[key], raw)
+            values[key] = kinds[key](raw)
         except ValueError:
             raise StageError("config", f"{path}: {key} = {raw!r} is not "
                                        f"a valid {kinds[key].__name__}") from None
@@ -455,11 +450,8 @@ def add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        text = f"{f.metadata['help']} (default {f.default})"
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action="store_const", const=True, default=None, help=text)
-        else:
-            p.add_argument(flag, type=type(f.default), help=text)
+        p.add_argument(flag, type=type(f.default),
+                       help=f"{f.metadata['help']} (default {f.default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

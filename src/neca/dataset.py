@@ -145,6 +145,9 @@ class DatasetManifest:
             raise DatasetError(f"unknown manifest keys: {sorted(unknown)}")
         if "name" not in entries:
             raise DatasetError(f"manifest {path} missing 'name'")
+        header = entries.get("header", "true").lower()
+        if header not in ("true", "false"):
+            raise DatasetError(f"manifest {path}: header = {header!r} is not true or false")
         return cls(
             name=entries["name"],
             source_url=entries.get("source_url", ""),
@@ -152,7 +155,7 @@ class DatasetManifest:
             label_column=entries.get("label") or None,
             drop_columns=tuple(t for t in entries.get("drop", "").split(",") if t),
             missing_token=entries.get("missing_token", "?"),
-            has_header=entries.get("header", "true").lower() != "false",
+            has_header=header == "true",
             column_names=tuple(t for t in entries.get("columns", "").split(",") if t) or None,
             delimiter=entries.get("delimiter", ","),
             notes=entries.get("notes", ""),
@@ -160,8 +163,11 @@ class DatasetManifest:
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` text file; '#' starts a comment line."""
-    entries = {}
+    """Parse a flat ``key = value`` text file; '#' starts a comment line.
+
+    A key given twice is an error naming the file, the line and the key.
+    """
+    entries, lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -169,7 +175,10 @@ def read_kv_file(path) -> dict[str, str]:
         if "=" not in line:
             raise DatasetError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise DatasetError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        entries[key], lines[key] = value.strip(), lineno
     return entries
 
 

@@ -32,6 +32,8 @@ class ModelError(Exception):
 
 
 NETWORKS = ("inter", "intra")
+LEAKY_SLOPE = 0.2   # negative slope of the attention-logit LeakyReLU, as in GAT
+ELU_ALPHA = 1.0     # ELU alpha of the aggregated neighborhood
 
 
 @dataclass
@@ -45,18 +47,11 @@ class NecaConfig:
     heads: int = field(default=8, metadata={"help": "attention heads K"})
     head_dim: int = field(default=8, metadata={"help": "width d of each head"})
     fusion_dim: int = field(default=16, metadata={"help": "width of the importance-score layer"})
-    leaky_slope: float = field(default=0.2, metadata={"help": "attention-logit LeakyReLU slope"})
-    elu_alpha: float = field(default=1.0, metadata={"help": "ELU alpha of the aggregation"})
-    self_loop: bool = field(default=False, metadata={"help": "each node attends to itself too"})
-    share_projections: bool = field(default=False, metadata={
-        "help": "use one projection/attention set for both networks"})
     seed: int = field(default=0, metadata={"help": "master seed (graph sampling and init)"})
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1 or self.fusion_dim < 1:
             raise ModelError("heads, head_dim and fusion_dim must be >= 1")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ModelError("leaky_slope must lie in (0, 1)")
 
     @property
     def cav_dim(self) -> int:
@@ -81,11 +76,7 @@ class NecaParams:
     s: np.ndarray
 
     def named_tensors(self):
-        """(name, tensor) pairs in a fixed canonical order.
-
-        With shared projections only the "inter" tensors exist (and receive
-        gradient contributions from both networks).
-        """
+        """(name, tensor) pairs in a fixed canonical order."""
         for net, t in self.w1.items():
             yield f"w1.{net}", t
         for net, t in self.attn.items():
@@ -103,15 +94,14 @@ def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
     """
     rng = np.random.default_rng(config.seed)
     k, d, dp, kd = config.heads, config.head_dim, config.fusion_dim, config.cav_dim
-    nets = ("inter",) if config.share_projections else NETWORKS
 
     def draw(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
     return NecaParams(
-        w1={net: draw((k, d, num_nodes), num_nodes) for net in nets},
-        attn={net: draw((k, 2 * d), 2 * d) for net in nets},
+        w1={net: draw((k, d, num_nodes), num_nodes) for net in NETWORKS},
+        attn={net: draw((k, 2 * d), 2 * d) for net in NETWORKS},
         w2=draw((dp, kd), kd),
         b=draw((dp,), kd),
         s=draw((dp,), dp),
@@ -135,8 +125,8 @@ def wrap_params(params: NecaParams) -> dict[str, Var]:
     return {name: Var(tensor) for name, tensor in params.named_tensors()}
 
 
-def _attention_mask(net: HetNet, which: str, self_loop: bool) -> np.ndarray:
-    """(|V|, |V|) neighborhood mask of one network, the diagonal set with self loops.
+def _attention_mask(net: HetNet, which: str) -> np.ndarray:
+    """(|V|, |V|) neighborhood mask of one network.
 
     An isolated node has no neighborhood to attend over and is an error.
     """
@@ -148,25 +138,22 @@ def _attention_mask(net: HetNet, which: str, self_loop: bool) -> np.ndarray:
         raise ModelError(f"isolated node {isolated} in {which} network")
     mask = np.zeros((num, num), dtype=bool)
     mask[tgt, src] = True
-    if self_loop:
-        np.fill_diagonal(mask, True)
     return mask
 
 
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
                       config: NecaConfig) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
-    mask = net.derived(_attention_mask, which, config.self_loop)
+    mask = net.derived(_attention_mask, which)
     k, d = config.heads, config.head_dim
-    net_key = "inter" if config.share_projections else which
-    w1 = pvars[f"w1.{net_key}"]                               # (K, d, |V|)
+    w1 = pvars[f"w1.{which}"]                                 # (K, d, |V|)
     # row 0 of each head scores every node as a target, row 1 as a neighbor
-    scores = ad.matmul(ad.reshape(pvars[f"attn.{net_key}"], (k, 2, d)), w1)
+    scores = ad.matmul(ad.reshape(pvars[f"attn.{which}"], (k, 2, d)), w1)
     logits = ad.leaky_relu(
         ad.add(ad.transpose(ad.index(scores, np.s_[:, :1])), ad.index(scores, np.s_[:, 1:])),
-        config.leaky_slope)                                    # (K, |V|, |V|)
+        LEAKY_SLOPE)                                           # (K, |V|, |V|)
     alpha = ad.masked_softmax(logits, mask)
-    heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), config.elu_alpha)
+    heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), ELU_ALPHA)
     return ad.heads_to_columns(heads)
 
 

@@ -17,7 +17,6 @@ Gradients for every parameter tensor come from the reverse-mode tape in
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +27,12 @@ from .cavnet import HetNet
 from .dataset import CAD
 from .model import (EmbeddingTable, NecaConfig, NecaParams, compute_table,
                     forward_fused, init_params, wrap_params)
+
+
+ADAM_BETA1 = 0.9       # Adam first-moment decay
+ADAM_BETA2 = 0.999     # Adam second-moment decay
+ADAM_EPS = 1e-8        # Adam denominator epsilon
+CLAMP_EPS = 1e-7       # kernel values are clipped to [CLAMP_EPS, 1 - CLAMP_EPS]
 
 
 class TrainingError(Exception):
@@ -43,27 +48,17 @@ class TrainConfig:
     """Loss and optimizer hyperparameters, each with its command-line ``help``."""
 
     lr: float = field(default=0.005, metadata={"help": "Adam learning rate"})
-    adam_beta1: float = field(default=0.9, metadata={"help": "Adam first-moment decay"})
-    adam_beta2: float = field(default=0.999, metadata={"help": "Adam second-moment decay"})
-    adam_eps: float = field(default=1e-8, metadata={"help": "Adam denominator epsilon"})
     epochs: int = field(default=200, metadata={"help": "epoch cap"})
     tol: float = field(default=1e-5, metadata={"help": "relative loss-change stop"})
     sigma: float = field(default=1.0, metadata={"help": "Gaussian kernel bandwidth"})
-    clamp_eps: float = field(default=1e-7, metadata={
-        "help": "kernel values are clipped to [clamp_eps, 1 - clamp_eps]"})
 
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
         if not self.lr > 0:
             raise TrainingError("lr must be positive")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise TrainingError("adam betas must lie in (0, 1)")
         if self.sigma <= 0:
             raise TrainingError("sigma must be positive")
-        if not 0.0 < self.clamp_eps < 0.5:
-            # at 0.5 or above the clip leaves one constant kernel value and no gradient
-            raise TrainingError("clamp_eps must lie in (0, 0.5)")
 
 
 @dataclass
@@ -105,7 +100,7 @@ def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig) -> ad.Var:
     sq = ad.sub(ad.add(ad.reshape(norms, (num, 1)), ad.reshape(norms, (1, num))),
                 ad.mul(ad.gram(f), 2.0))
     kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.sigma ** 2)))
-    kernel = ad.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
+    kernel = ad.clip(kernel, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), q))
     return ad.mul(ad.summation(terms), -1.0 / pairs)
 
@@ -137,10 +132,8 @@ def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
         raise TrainingError("loss is not finite")
     ad.backward(loss)
     grads = {}
-    for name, tensor in params.named_tensors():
+    for name in pvars:
         g = pvars[name].grad
-        if g is None:
-            g = np.zeros_like(tensor)
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"gradient for tensor {name!r} is not finite")
         grads[name] = g
@@ -166,14 +159,14 @@ def adam_step(params: NecaParams, grads: dict[str, np.ndarray], state: AdamState
     """Standard bias-corrected Adam update, in place; t counts from 1."""
     if t < 1:
         raise TrainingError("adam step index starts at 1")
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.named_tensors():
         g = grads[name]
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1 ** t)
         v_hat = state.v[name] / (1.0 - b2 ** t)
-        tensor -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        tensor -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -181,9 +174,8 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
           log_fn=None) -> tuple[NecaParams, EmbeddingTable, TrainReport]:
     """Full-batch training until convergence or the epoch cap.
 
-    Stops when the relative loss change drops below ``tol`` (an infinite
-    tolerance is met immediately after the first epoch).  ``log_fn``, when
-    given, receives (epoch, loss, beta_inter, beta_intra) once per epoch.
+    Stops when the relative loss change drops below ``tol``.  ``log_fn``,
+    when given, receives (epoch, loss, beta_inter, beta_intra) once per epoch.
     """
     t0 = time.perf_counter()
     params = init_params(net.node_set.total, model_config)
@@ -200,11 +192,7 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
         if log_fn is not None:
             log_fn(epoch, loss, *betas)
         adam_step(params, grads, state, train_config, epoch)
-        if prev is not None:
-            if abs(loss - prev) / max(abs(prev), 1e-12) < train_config.tol:
-                stop = "converged"
-                break
-        elif math.isinf(train_config.tol):
+        if prev is not None and abs(loss - prev) / max(abs(prev), 1e-12) < train_config.tol:
             stop = "converged"
             break
         prev = loss

@@ -26,8 +26,8 @@ import numpy as np
 
 from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
 from neca.dataset import DatasetError
-from neca.model import ModelError
-from neca.training import TrainingError
+from neca.model import ELU_ALPHA, LEAKY_SLOPE, ModelError
+from neca.training import CLAMP_EPS, TrainingError
 
 
 def observed_domains(records, m: int) -> tuple[tuple[str, ...], ...]:
@@ -297,21 +297,17 @@ def network_embedding(net, which: str, params, config) -> np.ndarray:
         if len(neigh) == 0:
             raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
     tgt, src, _ = net.directed_pairs(which)
-    if config.self_loop:
-        tgt = np.concatenate([tgt, np.arange(num)])
-        src = np.concatenate([src, np.arange(num)])
     d = config.head_dim
-    key = "inter" if config.share_projections else which
     heads = []
     for k in range(config.heads):
-        h = params.w1[key][k].T
-        a_vec = params.attn[key][k]
+        h = params.w1[which][k].T
+        a_vec = params.attn[which][k]
         z = (h @ a_vec[:d])[tgt] + (h @ a_vec[d:])[src]
-        alpha = _segment_softmax(np.where(z >= 0, z, config.leaky_slope * z), tgt, num)
+        alpha = _segment_softmax(np.where(z >= 0, z, LEAKY_SLOPE * z), tgt, num)
         acc = np.zeros((num, d))
         np.add.at(acc, tgt, h[src] * alpha[:, None])
         heads.append(np.where(acc >= 0, acc,
-                              config.elu_alpha * (np.exp(np.minimum(acc, 0.0)) - 1.0)))
+                              ELU_ALPHA * (np.exp(np.minimum(acc, 0.0)) - 1.0)))
     return np.concatenate(heads, axis=1)
 
 
@@ -332,6 +328,6 @@ def neca_loss(net, fused: np.ndarray, config) -> float:
     p = _segment_softmax(net.inter.raw[eidx], tgt, net.node_set.total)
     diff = fused[tgt] - fused[src]
     kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.sigma ** 2))
-    kernel = np.clip(kernel, config.clamp_eps, 1.0 - config.clamp_eps)
+    kernel = np.clip(kernel, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = np.log(kernel) * p + np.log(1.0 - kernel) * (1.0 - p)
     return float(-terms.sum() / len(tgt))

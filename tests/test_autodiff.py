@@ -58,11 +58,6 @@ def test_matmul_2d_1d():
     check(lambda v: ad.summation(ad.exp(ad.matmul(v, b))), rng.standard_normal((4, 3)))
 
 
-def test_matmul_1d_1d():
-    b = rng.standard_normal(5)
-    check(lambda v: ad.mul(ad.matmul(v, b), 2.0), rng.standard_normal(5))
-
-
 def test_matmul_gradient_wrt_second_operand():
     a = rng.standard_normal((4, 3))
     check(lambda v: ad.summation(ad.tanh(ad.matmul(a, v))), rng.standard_normal((3, 2)))

@@ -117,9 +117,7 @@ class TestEmbed:
 
 
 HYPERPARAMETERS = {
-    "heads", "head_dim", "fusion_dim", "leaky_slope", "elu_alpha", "self_loop",
-    "share_projections", "beta_connect", "seed", "lr", "adam_beta1", "adam_beta2",
-    "adam_eps", "epochs", "tol", "sigma", "clamp_eps",
+    "heads", "head_dim", "fusion_dim", "seed", "lr", "epochs", "tol", "sigma", "beta_connect",
 }
 
 
@@ -132,9 +130,10 @@ class TestConfig:
                   "mirror", "config", "out", "meta", "verbose"}
         assert {f.replace("-", "_") for f in flags} == HYPERPARAMETERS
         assert set(asdict(cli.RunConfig())) == HYPERPARAMETERS
+        assert not any(isinstance(f.default, bool) for f in fields(cli.RunConfig))
         # every key is accepted in a config file, under the same name
         cfgfile = tmp_path / "all.conf"
-        cfgfile.write_text("".join(f"{f.name} = {str(f.default).lower()}\n"
+        cfgfile.write_text("".join(f"{f.name} = {f.default}\n"
                                    for f in fields(cli.RunConfig)))
         config = cli.load_run_config(cli.build_parser().parse_args(
             ["embed", str(toy_csv), "--out", "x.csv", "--config", str(cfgfile)]))
@@ -145,23 +144,37 @@ class TestConfig:
                     "--config", str(cfgfile)]) == 1
         assert "unknown key 'learning_rate'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw, expected", [("true", True), ("FALSE", False), ("True", True),
-                                               ("yes", None), ("1", None), ("", None)])
-    def test_config_bool_is_true_or_false(self, toy_csv, tmp_path, capsys, raw, expected):
+    def test_removed_fork_is_not_a_flag(self, toy_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["embed", str(toy_csv), "--drop", "Name", "--out", str(tmp_path / "e.csv"),
+                 "--self-loop"])
+        assert exc.value.code == 2
+
+    def test_removed_fork_is_an_unknown_config_key(self, toy_csv, tmp_path, capsys):
         cfgfile = tmp_path / "run.conf"
-        cfgfile.write_text(f"self_loop = {raw}\nepochs = 1\n")
-        out = tmp_path / "emb.csv"
-        code = run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
-                    "--config", str(cfgfile)])
-        if expected is None:
-            assert code == 1
-            err = capsys.readouterr().err
-            assert "[config]" in err and str(cfgfile) in err and "self_loop" in err
-            assert not out.exists()
-        else:
-            assert code == 0
-            meta = json.loads((tmp_path / "emb.meta.json").read_text())
-            assert meta["config"]["self_loop"] is expected
+        cfgfile.write_text("self_loop = true\nepochs = 1\n")
+        out = tmp_path / "e.csv"
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                    "--config", str(cfgfile)]) == 1
+        assert f"[config] {cfgfile}: unknown key 'self_loop'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where", [
+        (None, "No such file"),
+        ("epochs = 1\nheads 2\n", ":2: expected 'key = value'"),
+        ("heads = 2\nepochs = 1\nheads = 4\n", ":3: key 'heads' repeats line 1"),
+    ], ids=["missing", "no-equals", "repeated-key"])
+    def test_unreadable_config_file_is_a_config_error(self, toy_csv, tmp_path, capsys,
+                                                      text, where):
+        cfgfile = tmp_path / "run.conf"
+        if text is not None:
+            cfgfile.write_text(text)
+        out = tmp_path / "e.csv"
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(out),
+                    "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [config]") and str(cfgfile) in err and where in err
+        assert not out.exists()
 
     def test_config_value_that_does_not_parse_names_file_and_key(self, toy_csv, tmp_path,
                                                                  capsys):
@@ -174,8 +187,8 @@ class TestConfig:
 
     def test_invalid_value_is_a_config_error(self, toy_csv, tmp_path, capsys):
         assert run(["embed", str(toy_csv), "--drop", "Name", "--out", str(tmp_path / "e.csv"),
-                    "--clamp-eps", "0.6", "--epochs", "50"]) == 1
-        assert "[config] clamp_eps must lie in (0, 0.5)" in capsys.readouterr().err
+                    "--sigma", "0", "--epochs", "50"]) == 1
+        assert "[config] sigma must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "0", "epochs must be >= 1"),
@@ -432,6 +445,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--epochs", "1", "--heads", "1", "--head-dim", "1", "--out"],
+        ["encode", "--method", "onehot", "--out"],
+        ["eval", "--out"],
+        ["compare", "--methods", "onehot", "--json"],
+        ["export-graph", "--which", "inter", "--out"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_names_stage_and_target(self, labeled_csv, tmp_path, capsys,
+                                                      argv):
+        emb = tmp_path / "e.csv"
+        cli.write_embedding(emb, np.zeros((12, 2)))
+        target = tmp_path / "nodir" / "result"
+        extra = ["--embedding", str(emb)] if argv[0] == "eval" else []
+        assert run([argv[0], str(labeled_csv), "--label", "group", *extra, *argv[1:],
+                    str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [output]") and str(target) in err and ".tmp" not in err
+        assert not target.parent.exists()
 
     def test_success_returns_zero(self, toy_csv, tmp_path):
         assert run(["encode", str(toy_csv), "--drop", "Name", "--method", "onehot",

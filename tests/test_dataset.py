@@ -235,6 +235,24 @@ class TestManifest:
         with pytest.raises(DatasetError, match="bogus"):
             DatasetManifest.from_file(p)
 
+    def test_repeated_key_names_file_line_and_key(self, tmp_path):
+        p = tmp_path / "dup.manifest"
+        p.write_text("name = x\n# note\nlabel = a\nname = y\n")
+        with pytest.raises(DatasetError, match=r"dup\.manifest:4: key 'name' repeats line 1"):
+            read_kv_file(p)
+
+    @pytest.mark.parametrize("raw, expected", [("true", True), ("FALSE", False),
+                                               ("True", True), ("flase", None),
+                                               ("yes", None), ("", None)])
+    def test_header_is_true_or_false(self, tmp_path, raw, expected):
+        p = tmp_path / "m.manifest"
+        p.write_text(f"name = x\nheader = {raw}\n")
+        if expected is None:
+            with pytest.raises(DatasetError, match=f"header = {raw.lower()!r}"):
+                DatasetManifest.from_file(p)
+        else:
+            assert DatasetManifest.from_file(p).has_header is expected
+
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "bad.manifest"
         p.write_text("name x\n")

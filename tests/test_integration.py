@@ -13,8 +13,9 @@ import pytest
 
 import oracles
 from neca.cavnet import build_hetnet
-from neca.model import NecaConfig, assemble_objects, compute_table, init_params
-from neca.training import TrainConfig, neca_loss
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, NecaConfig, assemble_objects, compute_table,
+                        init_params)
+from neca.training import CLAMP_EPS, TrainConfig, neca_loss
 
 
 def reference_network_embedding(net, which, params, cfg):
@@ -31,7 +32,7 @@ def reference_network_embedding(net, which, params, cfg):
             logits = {}
             for nb in neigh:
                 z = float(a_vec @ np.concatenate([proj[v], proj[nb]]))
-                logits[nb] = z if z >= 0 else cfg.leaky_slope * z
+                logits[nb] = z if z >= 0 else LEAKY_SLOPE * z
             mx = max(logits.values())
             exps = {nb: math.exp(z - mx) for nb, z in logits.items()}
             denom = sum(exps.values())
@@ -39,7 +40,7 @@ def reference_network_embedding(net, which, params, cfg):
             for nb in neigh:
                 agg += (exps[nb] / denom) * proj[nb]
             out[v, k * d:(k + 1) * d] = np.where(
-                agg >= 0, agg, cfg.elu_alpha * (np.exp(np.minimum(agg, 0.0)) - 1.0))
+                agg >= 0, agg, ELU_ALPHA * (np.exp(np.minimum(agg, 0.0)) - 1.0))
     return out
 
 
@@ -92,7 +93,7 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     np.testing.assert_allclose(
         table.objects, assemble_objects(toy_cad, net.node_set, fused), atol=1e-12)
 
-    expected = reference_loss(net, fused, tcfg.sigma, tcfg.clamp_eps)
+    expected = reference_loss(net, fused, tcfg.sigma, CLAMP_EPS)
     assert neca_loss(net, table.fused, tcfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -110,4 +111,4 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
         tcfg = TrainConfig()
         assert neca_loss(net, table.fused, tcfg) == pytest.approx(
-            reference_loss(net, fused, tcfg.sigma, tcfg.clamp_eps), abs=1e-12)
+            reference_loss(net, fused, tcfg.sigma, CLAMP_EPS), abs=1e-12)

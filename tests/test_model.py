@@ -8,8 +8,9 @@ from dataclasses import replace
 
 from neca.cavnet import EdgeSet, build_hetnet, build_node_set
 from neca.dataset import make_cad
-from neca.model import (EmbeddingTable, ModelError, NecaConfig, assemble_objects,
-                        compute_table, init_params, network_embedding, wrap_params)
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, EmbeddingTable, ModelError, NecaConfig,
+                        assemble_objects, compute_table, init_params, network_embedding,
+                        wrap_params)
 from neca.training import TrainConfig, neca_loss
 import oracles
 from oracles import (aggregate, attention_logit, fuse, fusion_weights, importance_score,
@@ -31,14 +32,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = NecaConfig()
         assert (cfg.heads, cfg.head_dim, cfg.fusion_dim) == (8, 8, 16)
-        assert cfg.leaky_slope == 0.2 and cfg.elu_alpha == 1.0
-        assert not cfg.self_loop
+        assert LEAKY_SLOPE == 0.2 and ELU_ALPHA == 1.0
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ModelError):
             NecaConfig(heads=0)
-        with pytest.raises(ModelError):
-            NecaConfig(leaky_slope=1.5)
 
 
 class TestParams:
@@ -208,11 +206,11 @@ class TestEmbedNetwork:
         for t in range(3):
             h_t = project(w1, feats[t])
             neigh = [int(x) for x in oracles.adjacency(net, "inter")[t]]
-            logits = {nb: attention_logit(a_vec, h_t, project(w1, feats[nb]), cfg.leaky_slope)
+            logits = {nb: attention_logit(a_vec, h_t, project(w1, feats[nb]), LEAKY_SLOPE)
                       for nb in neigh}
             alphas = neighbor_weights(logits)
             expected[t] = aggregate(alphas, {nb: project(w1, feats[nb]) for nb in neigh},
-                                    cfg.elu_alpha)
+                                    ELU_ALPHA)
         np.testing.assert_allclose(embed_network(net, "inter", params, cfg), expected,
                                    atol=1e-12)
 
@@ -252,7 +250,7 @@ class TestEmbedNetwork:
         def alpha(target, neighbor):
             h_t = project(w1, feats[target])
             logits = {int(nb): attention_logit(a_vec, h_t, project(w1, feats[int(nb)]),
-                                               cfg.leaky_slope)
+                                               LEAKY_SLOPE)
                       for nb in oracles.adjacency(net, "inter")[target]}
             return neighbor_weights(logits)[neighbor]
 
@@ -260,13 +258,6 @@ class TestEmbedNetwork:
         b1 = net.node_set.id_for(1, "b1")
         assert alpha(a1, b1) == pytest.approx(1.0)
         assert alpha(b1, a1) != pytest.approx(1.0)
-
-    def test_self_loop_changes_aggregation(self, toy_cad):
-        net = build_hetnet(toy_cad, seed=0)
-        params = init_params(10, small_config())
-        plain = embed_network(net, "inter", params, small_config())
-        looped = embed_network(net, "inter", params, small_config(self_loop=True))
-        assert not np.allclose(plain, looped)
 
     def test_isolated_node_rejected(self):
         cad, net = self.path_net()
@@ -276,23 +267,6 @@ class TestEmbedNetwork:
         cfg = small_config()
         with pytest.raises(ModelError, match="isolated"):
             embed_network(net, "inter", init_params(3, cfg), cfg)
-
-    def test_shared_projections_halve_parameters(self, toy_cad):
-        separate = init_params(10, small_config())
-        shared = init_params(10, small_config(share_projections=True))
-        count = lambda p: sum(t.size for _, t in p.named_tensors())
-        w1_attn = 2 * (3 * 10) + 2 * 6  # per network: 2 heads of W1 + attention
-        assert count(separate) - count(shared) == w1_attn
-
-    def test_shared_projections_still_distinguish_networks(self, toy_cad):
-        # one parameter set, but the two networks have different structure
-        net = build_hetnet(toy_cad, seed=0)
-        cfg = small_config(share_projections=True)
-        params = init_params(10, cfg)
-        e = embed_network(net, "inter", params, cfg)
-        a = embed_network(net, "intra", params, cfg)
-        assert e.shape == a.shape == (10, 6)
-        assert not np.allclose(e, a)
 
 
 def assert_rel_close(actual, expected, rel=1e-12):
@@ -304,18 +278,16 @@ def assert_rel_close(actual, expected, rel=1e-12):
 class TestDenseMatchesEdgeList:
     """The dense head-batched path against the edge-list oracle on random CADs."""
 
-    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 4),
-           st.booleans(), st.booleans())
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_embeddings_fused_matrix_and_loss(self, seed, heads, head_dim, self_loop, share):
+    def test_embeddings_fused_matrix_and_loss(self, seed, heads, head_dim):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 30)), int(rng.integers(2, 6))
         sizes = rng.integers(1, 7, size=m)
         records = [tuple(f"v{int(rng.integers(k))}" for k in sizes) for _ in range(n)]
         cad = make_cad(records, tuple(f"a{j}" for j in range(m)))
         net = build_hetnet(cad, seed=seed)
-        cfg = NecaConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed,
-                         self_loop=self_loop, share_projections=share)
+        cfg = NecaConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(cad, net, params, cfg)
         assert_rel_close(table.inter, oracles.network_embedding(net, "inter", params, cfg))
