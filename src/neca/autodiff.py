@@ -108,16 +108,6 @@ def tanh(a) -> Var:
     return Var(out, (a,), lambda g: _acc(a, g * (1.0 - out * out)))
 
 
-def leaky_relu(a, slope: float) -> Var:
-    a = as_var(a)
-    # the derivative, slope below 0 and 1 elsewhere (slope + (1 - slope)
-    # rounds to exactly 1 for any slope in (0, 1)); on large arrays this
-    # arithmetic is faster than np.where
-    dz = (a.value >= 0) * (1.0 - slope)
-    dz += slope
-    return Var(a.value * dz, (a,), lambda g: _acc(a, g * dz))
-
-
 def elu(a, alpha: float) -> Var:
     a = as_var(a)
     pos = a.value >= 0
@@ -183,18 +173,6 @@ def transpose(a) -> Var:
     return Var(np.swapaxes(a.value, -1, -2), (a,), lambda g: _acc(a, np.swapaxes(g, -1, -2)))
 
 
-def index(a, key) -> Var:
-    """Basic indexing ``a[key]``: slices, integers and None, no index arrays."""
-    a = as_var(a)
-
-    def back(g):
-        ga = np.zeros_like(a.value)
-        ga[key] = g
-        _acc(a, ga)
-
-    return Var(a.value[key], (a,), back)
-
-
 def reshape(a, shape: tuple) -> Var:
     a = as_var(a)
     return Var(a.value.reshape(shape), (a,), lambda g: _acc(a, g.reshape(a.value.shape)))
@@ -211,23 +189,39 @@ def heads_to_columns(a) -> Var:
     return Var(np.swapaxes(a.value, 0, 1).reshape(n, k * d), (a,), back)
 
 
-def masked_softmax(logits, mask: np.ndarray) -> Var:
-    """Softmax over the last axis among the entries where ``mask`` is true.
+def attention(scores, mask: np.ndarray, slope: float) -> Var:
+    """Attention weights from (K, 2, n) target and neighbor scores.
 
-    Masked-out entries get weight 0; each row must keep at least one entry.
-    The row-max shift is a constant, and softmax is shift-invariant, so the
-    gradient is exact.
+    Head k's logit for target i and neighbor j is the LeakyReLU of
+    ``scores[k, 0, i] + scores[k, 1, j]``; the (K, n, n) output is its
+    softmax over j among the entries where ``mask[i, j]`` is true.
+    Masked-out entries get weight 0 and are never exponentiated; each row
+    must keep at least one entry.  The row-max shift is a constant, and
+    softmax is shift-invariant, so the gradient is exact.
     """
-    a = as_var(logits)
-    out = a.value + np.where(mask, 0.0, -np.inf)
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
+    a = as_var(scores)
+    # masked-out pairs start at -inf, so the plain row max is the max over
+    # the kept entries; slope * z <= z exactly when z >= 0, so the
+    # elementwise maximum is the LeakyReLU
+    z = a.value[:, 0, :, None] + np.where(mask, 0.0, -np.inf)
+    z += a.value[:, 1, None, :]
+    np.maximum(z, slope * z, out=z)
+    pos = z >= 0
+    z -= z.max(axis=-1, keepdims=True)
+    out = np.exp(z, out=np.zeros_like(z), where=mask)
     out /= out.sum(axis=-1, keepdims=True)
 
     def back(g):
-        ga = g - np.einsum("...j,...j->...", g, out)[..., None]
-        ga *= out
-        _acc(a, ga)
+        # softmax backward, then the LeakyReLU derivative: slope below 0 and
+        # 1 elsewhere (slope + (1 - slope) rounds to exactly 1 for any slope
+        # in (0, 1)); on large arrays this arithmetic is faster than np.where.
+        # Sums over the neighbor and the target axis give the two score rows.
+        gz = g - np.einsum("...j,...j->...", g, out)[..., None]
+        gz *= out
+        dz = pos * (1.0 - slope)
+        dz += slope
+        gz *= dz
+        _acc(a, np.stack([gz.sum(axis=-1), gz.sum(axis=-2)], axis=1))
 
     return Var(out, (a,), back)
 

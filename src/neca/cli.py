@@ -67,6 +67,8 @@ class RunConfig(TrainConfig, NecaConfig):
     def __post_init__(self):
         NecaConfig.__post_init__(self)
         TrainConfig.__post_init__(self)
+        if not 0 < self.beta_connect < np.inf:
+            raise ValueError("beta_connect must be positive and finite")
 
 
 def cache_dir() -> Path:
@@ -312,8 +314,8 @@ def cmd_embed(args) -> int:
         "loss_history": report.loss_history,
         "epochs_run": report.epochs_run,
         "stop_reason": report.stop_reason,
-        "beta_inter": report.beta_inter,
-        "beta_intra": report.beta_intra,
+        "beta_inter": table.beta_inter,
+        "beta_intra": table.beta_intra,
         "wall_time_s": time.perf_counter() - t0,
     }
 

@@ -9,10 +9,12 @@ two-way softmax over dataset-level importance scores, and per-object vectors
 are the in-order concatenation of the fused vectors of the object's values.
 
 The differentiable forward pass (see ``autodiff``) computes every head at
-once, densely: the attention logits of all node pairs form a (K, |V|, |V|)
-tensor, and a softmax masked by the network's adjacency matrix keeps each
-node's neighborhood.  CAD neighborhoods are nearly complete, so this costs
-few more operations than visiting the edges one by one.
+once, densely: one ``autodiff.attention`` op turns each node's target and
+neighbor scores into the (K, |V|, |V|) weights of all node pairs, a softmax
+over the pairs the network's adjacency matrix keeps.  CAD
+neighborhoods are nearly complete, so this costs few more operations than
+visiting the edges one by one.  The trainable tensors are one dict from
+name to array, the form the tape, Adam and the gradients all use.
 """
 
 from __future__ import annotations
@@ -58,39 +60,16 @@ class NecaConfig:
         return self.heads * self.head_dim
 
 
-@dataclass
-class NecaParams:
-    """All trainable tensors.
+def init_params(num_nodes: int, config: NecaConfig) -> dict[str, np.ndarray]:
+    """All trainable tensors by name, uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
-    ``w1[net]`` has shape (heads, head_dim, |V|): head k maps one-hot node
-    features into its space with ``w1[net][k]``.  ``attn[net]`` has shape
+    ``w1.<net>`` has shape (heads, head_dim, |V|): head k maps one-hot node
+    features into its space with ``w1.<net>[k]``.  ``attn.<net>`` has shape
     (heads, 2*head_dim) and scores a concatenated (target, neighbor)
     projection pair.  ``w2``, ``b`` and ``s`` parameterize the importance
-    score used by the fusion weights.
-    """
-
-    w1: dict[str, np.ndarray]
-    attn: dict[str, np.ndarray]
-    w2: np.ndarray
-    b: np.ndarray
-    s: np.ndarray
-
-    def named_tensors(self):
-        """(name, tensor) pairs in a fixed canonical order."""
-        for net, t in self.w1.items():
-            yield f"w1.{net}", t
-        for net, t in self.attn.items():
-            yield f"attn.{net}", t
-        yield "w2", self.w2
-        yield "b", self.b
-        yield "s", self.s
-
-
-def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the seeded generator.
-
-    Tensors are drawn in the order of ``named_tensors``, heads one after the
-    other within each stacked tensor.
+    score used by the fusion weights.  Tensors are drawn from the seeded
+    generator in the dict's order, heads one after the other within each
+    stacked tensor.
     """
     rng = np.random.default_rng(config.seed)
     k, d, dp, kd = config.heads, config.head_dim, config.fusion_dim, config.cav_dim
@@ -99,13 +78,10 @@ def init_params(num_nodes: int, config: NecaConfig) -> NecaParams:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    return NecaParams(
-        w1={net: draw((k, d, num_nodes), num_nodes) for net in NETWORKS},
-        attn={net: draw((k, 2 * d), 2 * d) for net in NETWORKS},
-        w2=draw((dp, kd), kd),
-        b=draw((dp,), kd),
-        s=draw((dp,), dp),
-    )
+    params = {f"w1.{net}": draw((k, d, num_nodes), num_nodes) for net in NETWORKS}
+    params.update((f"attn.{net}", draw((k, 2 * d), 2 * d)) for net in NETWORKS)
+    params.update(w2=draw((dp, kd), kd), b=draw((dp,), kd), s=draw((dp,), dp))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +97,8 @@ def assemble_objects(cad: CAD, nodes: CavNodeSet, fused: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Dense differentiable forward pass
 
-def wrap_params(params: NecaParams) -> dict[str, Var]:
-    return {name: Var(tensor) for name, tensor in params.named_tensors()}
+def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Var]:
+    return {name: Var(tensor) for name, tensor in params.items()}
 
 
 def _attention_mask(net: HetNet, which: str) -> np.ndarray:
@@ -149,10 +125,7 @@ def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
     w1 = pvars[f"w1.{which}"]                                 # (K, d, |V|)
     # row 0 of each head scores every node as a target, row 1 as a neighbor
     scores = ad.matmul(ad.reshape(pvars[f"attn.{which}"], (k, 2, d)), w1)
-    logits = ad.leaky_relu(
-        ad.add(ad.transpose(ad.index(scores, np.s_[:, :1])), ad.index(scores, np.s_[:, 1:])),
-        LEAKY_SLOPE)                                           # (K, |V|, |V|)
-    alpha = ad.masked_softmax(logits, mask)
+    alpha = ad.attention(scores, mask, LEAKY_SLOPE)           # (K, |V|, |V|)
     heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), ELU_ALPHA)
     return ad.heads_to_columns(heads)
 
@@ -202,7 +175,7 @@ class EmbeddingTable:
     objects: np.ndarray
 
 
-def compute_table(cad: CAD, net: HetNet, params: NecaParams,
+def compute_table(cad: CAD, net: HetNet, params: dict[str, np.ndarray],
                   config: NecaConfig) -> EmbeddingTable:
     fw = forward_fused(net, wrap_params(params), config)
     return EmbeddingTable(

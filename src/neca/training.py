@@ -17,7 +17,6 @@ Gradients for every parameter tensor come from the reverse-mode tape in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .cavnet import HetNet
 from .dataset import CAD
-from .model import (EmbeddingTable, NecaConfig, NecaParams, compute_table,
-                    forward_fused, init_params, wrap_params)
+from .model import (EmbeddingTable, NecaConfig, compute_table, forward_fused, init_params,
+                    wrap_params)
 
 
 ADAM_BETA1 = 0.9       # Adam first-moment decay
@@ -55,10 +54,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if not self.lr > 0:
-            raise TrainingError("lr must be positive")
-        if self.sigma <= 0:
-            raise TrainingError("sigma must be positive")
+        if not 0 < self.lr < np.inf:
+            raise TrainingError("lr must be positive and finite")
+        if not np.isfinite(self.tol):
+            raise TrainingError("tol must be finite")
+        if not 0 < self.sigma < np.inf:
+            raise TrainingError("sigma must be positive and finite")
 
 
 @dataclass
@@ -66,9 +67,6 @@ class TrainReport:
     loss_history: list[float]
     epochs_run: int
     stop_reason: str            # "max_epochs" or "converged"
-    beta_inter: float
-    beta_intra: float
-    wall_time: float
 
 
 def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, int]:
@@ -110,7 +108,7 @@ def neca_loss(net: HetNet, fused: np.ndarray, config: TrainConfig) -> float:
     return float(_loss_var(net, ad.Var(fused), config).value)
 
 
-def forward_loss(net: HetNet, params: NecaParams, model_config: NecaConfig,
+def forward_loss(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConfig,
                  train_config: TrainConfig):
     """One differentiable forward pass; returns (loss Var, forward state, param Vars)."""
     pvars = wrap_params(params)
@@ -118,7 +116,7 @@ def forward_loss(net: HetNet, params: NecaParams, model_config: NecaConfig,
     return _loss_var(net, fw.fused, train_config), fw, pvars
 
 
-def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
+def gradients(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConfig,
               train_config: TrainConfig):
     """One forward and backward pass: (loss, (beta_inter, beta_intra), gradients).
 
@@ -140,46 +138,33 @@ def gradients(net: HetNet, params: NecaParams, model_config: NecaConfig,
     return float(loss.value), (float(fw.beta_inter.value), float(fw.beta_intra.value)), grads
 
 
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: NecaParams) -> "AdamState":
-        state = cls()
-        for name, tensor in params.named_tensors():
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        return state
-
-
-def adam_step(params: NecaParams, grads: dict[str, np.ndarray], state: AdamState,
-              config: TrainConfig, t: int) -> tuple[NecaParams, AdamState]:
-    """Standard bias-corrected Adam update, in place; t counts from 1."""
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+              m: dict[str, np.ndarray], v: dict[str, np.ndarray],
+              config: TrainConfig, t: int) -> None:
+    """Standard bias-corrected Adam update of ``params`` and the moments ``m``
+    and ``v``, in place; t counts from 1."""
     if t < 1:
         raise TrainingError("adam step index starts at 1")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1 ** t)
+        v_hat = v[name] / (1.0 - b2 ** t)
         tensor -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params, state
 
 
 def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainConfig,
-          log_fn=None) -> tuple[NecaParams, EmbeddingTable, TrainReport]:
+          log_fn=None) -> tuple[dict[str, np.ndarray], EmbeddingTable, TrainReport]:
     """Full-batch training until convergence or the epoch cap.
 
     Stops when the relative loss change drops below ``tol``.  ``log_fn``,
     when given, receives (epoch, loss, beta_inter, beta_intra) once per epoch.
     """
-    t0 = time.perf_counter()
     params = init_params(net.node_set.total, model_config)
-    state = AdamState.for_params(params)
+    m = {name: np.zeros_like(tensor) for name, tensor in params.items()}
+    v = {name: np.zeros_like(tensor) for name, tensor in params.items()}
     history: list[float] = []
     prev = None
     stop = "max_epochs"
@@ -191,18 +176,11 @@ def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainCo
         history.append(loss)
         if log_fn is not None:
             log_fn(epoch, loss, *betas)
-        adam_step(params, grads, state, train_config, epoch)
+        adam_step(params, grads, m, v, train_config, epoch)
         if prev is not None and abs(loss - prev) / max(abs(prev), 1e-12) < train_config.tol:
             stop = "converged"
             break
         prev = loss
     table = compute_table(cad, net, params, model_config)
-    report = TrainReport(
-        loss_history=history,
-        epochs_run=len(history),
-        stop_reason=stop,
-        beta_inter=table.beta_inter,
-        beta_intra=table.beta_intra,
-        wall_time=time.perf_counter() - t0,
-    )
+    report = TrainReport(loss_history=history, epochs_run=len(history), stop_reason=stop)
     return params, table, report

@@ -300,8 +300,8 @@ def network_embedding(net, which: str, params, config) -> np.ndarray:
     d = config.head_dim
     heads = []
     for k in range(config.heads):
-        h = params.w1[which][k].T
-        a_vec = params.attn[which][k]
+        h = params[f"w1.{which}"][k].T
+        a_vec = params[f"attn.{which}"][k]
         z = (h @ a_vec[:d])[tgt] + (h @ a_vec[d:])[src]
         alpha = _segment_softmax(np.where(z >= 0, z, LEAKY_SLOPE * z), tgt, num)
         acc = np.zeros((num, d))
@@ -315,8 +315,8 @@ def fused_embedding(net, params, config) -> np.ndarray:
     """Both networks' edge-list embeddings fused by their importance scores."""
     e = network_embedding(net, "inter", params, config)
     a = network_embedding(net, "intra", params, config)
-    betas = fusion_weights(importance_score(e, params.s, params.w2, params.b),
-                           importance_score(a, params.s, params.w2, params.b))
+    betas = fusion_weights(importance_score(e, params["s"], params["w2"], params["b"]),
+                           importance_score(a, params["s"], params["w2"], params["b"]))
     return fuse(e, a, *betas)
 
 

@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness():
             tcfg = TrainConfig()
             params = init_params(10, mcfg)
             _, _, grads = gradients(net, params, mcfg, tcfg)
-            for name, tensor in params.named_tensors():
+            for name, tensor in params.items():
                 flat = tensor.reshape(-1)
                 gflat = grads[name].reshape(-1)
                 for i in range(flat.size):
@@ -117,16 +117,16 @@ def _intra_weights_normalized(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.0, 40.0))
-def _masked_softmax_normalized(seed, spread):
+def _attention_normalized(seed, spread):
     # one mask over every head, as in the attention; each row keeps an entry
     rng = np.random.default_rng(seed)
-    heads, rows, cols = (int(x) for x in rng.integers(1, 9, size=3))
-    mask = rng.random((rows, cols)) < rng.random()
-    mask[np.arange(rows), rng.integers(cols, size=rows)] = True
-    logits = rng.uniform(-spread, spread, size=(heads, rows, cols))
-    alpha = ad.masked_softmax(logits, mask).value
+    heads, num = (int(x) for x in rng.integers(1, 9, size=2))
+    mask = rng.random((num, num)) < rng.random()
+    mask[np.arange(num), rng.integers(num, size=num)] = True
+    scores = rng.uniform(-spread, spread, size=(heads, 2, num))
+    alpha = ad.attention(scores, mask, 0.2).value
     assert np.all(np.abs(alpha.sum(axis=-1) - 1.0) <= 1e-9)
-    assert not alpha[:, ~mask].any()
+    assert np.all(alpha[:, ~mask] == 0.0)
 
 
 def _forward_with_gamma_reaching(seed, reach):
@@ -138,7 +138,7 @@ def _forward_with_gamma_reaching(seed, reach):
     fw = forward_fused(net, wrap_params(params), cfg)
     top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
     if top > 0.0:   # gamma is linear in s
-        params.s *= reach / top
+        params["s"] *= reach / top
     return forward_fused(net, wrap_params(params), cfg)
 
 
@@ -200,7 +200,7 @@ def test_criterion_2_invariant_suite():
         t0 = time.perf_counter()
         _inter_weights_normalized()
         _intra_weights_normalized()
-        _masked_softmax_normalized()
+        _attention_normalized()
         _fusion_weights_normalized()
         _fused_betweenness()
         _silhouette_bounded()

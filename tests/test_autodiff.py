@@ -33,12 +33,18 @@ def check(build, x0, tol=1e-6):
 
 rng = np.random.default_rng(0)
 
+MASK = np.array([[True, True, False, True],
+                 [False, True, False, False],    # a one-neighbor row
+                 [True, False, True, True],
+                 [True, True, False, True]])
+
 
 @pytest.mark.parametrize("build", [
     lambda v: ad.summation(ad.exp(v)),
     lambda v: ad.summation(ad.log(ad.add(ad.mul(v, v), 1.0))),
     lambda v: ad.summation(ad.tanh(v)),
-    lambda v: ad.summation(ad.leaky_relu(v, 0.2)),
+    lambda v: ad.summation(ad.exp(ad.attention(ad.reshape(v, (2, 2, 3)), np.ones((3, 3), bool),
+                                               0.2))),
     lambda v: ad.summation(ad.elu(v, 1.0)),
     lambda v: ad.summation(ad.div(v, ad.add(ad.mul(v, v), 2.0))),
     lambda v: ad.summation(ad.mul(ad.sub(v, 0.5), ad.sub(0.0, v))),
@@ -95,9 +101,17 @@ def test_transpose_reshape_slice():
     assert ad.transpose(ad.Var(w)).shape == (2, 4, 3)
     check(lambda v: ad.summation(ad.mul(ad.transpose(v), w.swapaxes(1, 2))), w.copy())
     check(lambda v: ad.summation(ad.exp(ad.reshape(v, (6,)))), rng.standard_normal((2, 3)))
-    check(lambda v: ad.summation(ad.mul(ad.index(v, np.s_[1:4]), 3.0)), rng.standard_normal(6))
-    check(lambda v: ad.summation(ad.tanh(ad.index(v, np.s_[:, 1:, None]))),
-          rng.standard_normal((2, 3, 4)))
+    # attention slices its (K, 2, n) scores into the target row 0 and the
+    # neighbor row 1.  A target score shifts all of its row's logits
+    # together, so while they keep one sign it leaves the weights alone and
+    # its gradient is 0; only the neighbor row gets one.
+    weights = rng.standard_normal((2, 4, 4))
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)),
+          rng.standard_normal((2, 2, 4)))
+    scores = ad.Var(rng.uniform(1.0, 2.0, size=(2, 2, 4)))
+    ad.backward(ad.summation(ad.mul(ad.attention(scores, MASK, 0.2), weights)))
+    np.testing.assert_allclose(scores.grad[:, 0], 0.0, atol=1e-12)
+    assert np.abs(scores.grad[:, 1]).max() > 1e-3
 
 
 def test_heads_to_columns():
@@ -110,43 +124,84 @@ def test_heads_to_columns():
     check(lambda v: ad.summation(ad.mul(ad.tanh(ad.heads_to_columns(v)), weights)), x.copy())
 
 
-MASK = np.array([[True, True, False, True],
-                 [False, True, False, False],    # a one-neighbor row
-                 [True, False, True, True]])
+def leaky_logits(scores, slope=0.2):
+    """(K, n, n) LeakyReLU logits of (K, 2, n) target and neighbor scores."""
+    z = scores[:, 0, :, None] + scores[:, 1, None, :]
+    return np.where(z >= 0, z, slope * z)
 
 
 def test_masked_softmax_sums_to_one_and_grad():
-    w = ad.masked_softmax(ad.Var(rng.standard_normal((2, 3, 4))), MASK).value
+    w = ad.attention(ad.Var(rng.standard_normal((2, 2, 4))), MASK, 0.2).value
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(w[:, ~MASK] == 0.0)
     assert np.all(w[:, 1, 1] == 1.0)
-    weights = rng.standard_normal((2, 3, 4))
-    check(lambda v: ad.summation(ad.mul(ad.masked_softmax(v, MASK), weights)),
-          rng.standard_normal((2, 3, 4)))
+    weights = rng.standard_normal((2, 4, 4))
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)),
+          rng.standard_normal((2, 2, 4)))
 
 
 def test_masked_softmax_matches_softmax_over_the_kept_entries():
-    logits = rng.standard_normal((3, 4))
-    w = ad.masked_softmax(ad.Var(logits), MASK).value
-    for row, keep in zip(range(3), MASK):
+    scores = rng.standard_normal((1, 2, 4))
+    w = ad.attention(ad.Var(scores), MASK, 0.2).value[0]
+    logits = leaky_logits(scores)[0]
+    for row, keep in enumerate(MASK):
         e = np.exp(logits[row, keep])
         np.testing.assert_allclose(w[row, keep], e / e.sum(), rtol=1e-14)
 
 
 def test_masked_softmax_large_logits_stable():
     # logits near +-700, where exp without the shift overflows or underflows;
-    # masked-out entries far above the kept ones must not set the shift
-    logits = np.array([[700.0, 701.0, -5.0, 702.0],
-                       [700.0, -701.0, 3.0, 9.0],
-                       [-700.0, 700.0, -701.5, -699.0]])
-    w = ad.masked_softmax(ad.Var(logits), MASK).value
+    # the masked-out entry of row 0 (705) must not set that row's shift
+    scores = np.array([[[700.0, 3.0, -3500.0, 10.0],
+                        [0.0, 1.0, 5.0, 2.0]]])
+    w = ad.attention(ad.Var(scores), MASK, 0.2).value[0]
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     e = np.exp([-2.0, -1.0, 0.0])
     np.testing.assert_allclose(w[0, [0, 1, 3]], e / e.sum(), rtol=1e-14)
     assert w[1, 1] == 1.0
-    weights = rng.standard_normal((3, 4))
-    check(lambda v: ad.summation(ad.mul(ad.masked_softmax(v, MASK), weights)), logits)
+    assert leaky_logits(scores)[0, 2].max() == pytest.approx(-699.0)
+    weights = rng.standard_normal((1, 4, 4))
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)), scores)
+
+
+def test_attention_masked_scores_far_above_kept_ones():
+    # a neighbor no row keeps, scored about 1e300 above the rest: its logits
+    # are never exponentiated, so nothing overflows and the weights and the
+    # gradients are exactly those of an ordinary score there
+    mask = MASK.copy()
+    mask[:, 2] = False
+    weights = rng.standard_normal((2, 4, 4))
+    ordinary = rng.standard_normal((2, 2, 4))
+    far = ordinary.copy()
+    far[:, 1, 2] = 1e300
+    runs = []
+    with np.errstate(over="raise", invalid="raise"):
+        for scores in (ordinary, far):
+            v = ad.Var(scores)
+            alpha = ad.attention(v, mask, 0.2)
+            ad.backward(ad.summation(ad.mul(alpha, weights)))
+            runs.append((alpha.value, v.grad))
+    (w0, g0), (w1, g1) = runs
+    assert np.array_equal(w0, w1) and np.array_equal(g0, g1)
+    assert not w1[:, :, 2].any() and not g1[:, 1, 2].any()
+    np.testing.assert_allclose(w1.sum(axis=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attention_gradient_over_random_masks(seed):
+    r = np.random.default_rng(seed)
+    heads, n = int(r.integers(1, 4)), int(r.integers(2, 7))
+    spread = (0.1, 1.0, 3.0, 10.0, 30.0, 60.0)[seed]
+    mask = r.random((n, n)) < r.random()
+    mask[np.arange(n), r.integers(n, size=n)] = True
+    mask[0] = np.arange(n) == r.integers(n)     # a one-neighbor row
+    scores = r.uniform(-spread, spread, size=(heads, 2, n))
+    weights = r.standard_normal((heads, n, n))
+    w = ad.attention(ad.Var(scores), mask, 0.2).value
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+    assert not w[:, ~mask].any() and np.all(w[:, 0, mask[0]] == 1.0)
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, mask, 0.2), weights)), scores)
 
 
 def test_clip_passes_gradient_only_inside():

@@ -205,6 +205,27 @@ class TestConfig:
         assert f"[config] {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "nan"), ("lr", "inf"), ("tol", "nan"), ("tol", "-inf"),
+        ("sigma", "nan"), ("sigma", "inf"), ("beta_connect", "nan"), ("beta_connect", "inf"),
+        ("beta_connect", "0"), ("beta_connect", "-50"),
+    ])
+    def test_non_finite_or_non_positive_value_is_a_config_error(self, toy_csv, tmp_path, capsys,
+                                                                key, value, route):
+        # NaN passes every ordered comparison, so each bound must reject it too
+        out = tmp_path / "e.csv"
+        argv = ["embed", str(toy_csv), "--drop", "Name", "--out", str(out)]
+        if route == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            cfgfile = tmp_path / "run.conf"
+            cfgfile.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfgfile)]
+        assert run(argv) == 1
+        assert f"[config] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncode:
     def test_onehot_width(self, toy_csv, tmp_path):

@@ -24,8 +24,8 @@ def reference_network_embedding(net, which, params, cfg):
     out = np.zeros((total, cfg.heads * d))
     adj = oracles.adjacency(net, which)
     for k in range(cfg.heads):
-        w1 = params.w1[which][k]
-        a_vec = params.attn[which][k]
+        w1 = params[f"w1.{which}"][k]
+        a_vec = params[f"attn.{which}"][k]
         proj = {v: w1[:, v] for v in range(total)}  # one-hot feature selects a column
         for v in range(total):
             neigh = [int(x) for x in adj[v]]
@@ -75,8 +75,8 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
 
     e = reference_network_embedding(net, "inter", params, cfg)
     a = reference_network_embedding(net, "intra", params, cfg)
-    scores_e = [float(params.s @ np.tanh(params.w2 @ row + params.b)) for row in e]
-    scores_a = [float(params.s @ np.tanh(params.w2 @ row + params.b)) for row in a]
+    scores_e = [float(params["s"] @ np.tanh(params["w2"] @ row + params["b"])) for row in e]
+    scores_a = [float(params["s"] @ np.tanh(params["w2"] @ row + params["b"])) for row in a]
     g_e, g_a = np.mean(scores_e), np.mean(scores_a)
     shift = max(g_e, g_a)
     b_e = math.exp(g_e - shift) / (math.exp(g_e - shift) + math.exp(g_a - shift))

@@ -44,17 +44,17 @@ class TestParams:
         cfg = small_config()
         params = init_params(10, cfg)
         for net in ("inter", "intra"):
-            assert params.w1[net].shape == (2, 3, 10)
-            assert params.attn[net].shape == (2, 6)
-        assert params.w2.shape == (4, 6)
-        assert params.b.shape == (4,)
-        assert params.s.shape == (4,)
+            assert params[f"w1.{net}"].shape == (2, 3, 10)
+            assert params[f"attn.{net}"].shape == (2, 6)
+        assert params["w2"].shape == (4, 6)
+        assert params["b"].shape == (4,)
+        assert params["s"].shape == (4,)
 
     def test_bounds_follow_fan_in(self):
         params = init_params(100, small_config())
-        assert np.abs(params.w1["inter"]).max() <= 1 / math.sqrt(100)
-        assert np.abs(params.attn["intra"]).max() <= 1 / math.sqrt(6)
-        assert np.abs(params.s).max() <= 1 / math.sqrt(4)
+        assert np.abs(params["w1.inter"]).max() <= 1 / math.sqrt(100)
+        assert np.abs(params["attn.intra"]).max() <= 1 / math.sqrt(6)
+        assert np.abs(params["s"]).max() <= 1 / math.sqrt(4)
 
     def test_heads_stack_the_per_head_draws(self):
         # one (d, |V|) or (2d,) draw per head, in the order of separate
@@ -69,29 +69,27 @@ class TestParams:
         for group, shape, fan_in in (("w1", (3, 10), 10), ("attn", (6,), 6)):
             for net in ("inter", "intra"):
                 for k in range(2):
-                    assert np.array_equal(getattr(params, group)[net][k], draw(shape, fan_in))
-        assert np.array_equal(params.w2, draw((4, 6), 6))
-        assert np.array_equal(params.b, draw((4,), 6))
-        assert np.array_equal(params.s, draw((4,), 4))
+                    assert np.array_equal(params[f"{group}.{net}"][k], draw(shape, fan_in))
+        assert np.array_equal(params["w2"], draw((4, 6), 6))
+        assert np.array_equal(params["b"], draw((4,), 6))
+        assert np.array_equal(params["s"], draw((4,), 4))
 
     def test_seeded_and_deterministic(self):
         a = init_params(10, small_config(seed=5))
         b = init_params(10, small_config(seed=5))
         c = init_params(10, small_config(seed=6))
-        for (n1, t1), (n2, t2) in zip(a.named_tensors(), b.named_tensors()):
+        for (n1, t1), (n2, t2) in zip(a.items(), b.items()):
             assert n1 == n2 and np.array_equal(t1, t2)
-        assert not np.array_equal(a.w2, c.w2)
+        assert not np.array_equal(a["w2"], c["w2"])
 
     def test_named_tensor_round_trip(self):
         params = init_params(4, small_config())
-        names = [n for n, _ in params.named_tensors()]
-        assert names == ["w1.inter", "w1.intra", "attn.inter", "attn.intra", "w2", "b", "s"]
-        # the named tensors are the stored arrays, so Adam's in-place
-        # updates through named_tensors reach the parameters
-        tensors = dict(params.named_tensors())
-        assert tensors["w1.intra"] is params.w1["intra"]
-        assert tensors["attn.inter"] is params.attn["inter"]
-        assert tensors["b"] is params.b
+        assert list(params) == ["w1.inter", "w1.intra", "attn.inter", "attn.intra", "w2", "b", "s"]
+        # the tape wraps the stored arrays, so Adam's in-place updates of the
+        # dict's arrays reach the next forward pass
+        pvars = wrap_params(params)
+        assert list(pvars) == list(params)
+        assert all(pvars[name].value is tensor for name, tensor in params.items())
 
 
 class TestNodeFeatures:
@@ -200,7 +198,7 @@ class TestEmbedNetwork:
         cad, net = self.path_net()
         cfg = NecaConfig(heads=1, head_dim=2, fusion_dim=2, seed=0)
         params = init_params(3, cfg)
-        w1, a_vec = params.w1["inter"][0], params.attn["inter"][0]
+        w1, a_vec = params["w1.inter"][0], params["attn.inter"][0]
         feats = init_node_features(net.node_set)
         expected = np.zeros((3, 2))
         for t in range(3):
@@ -224,8 +222,8 @@ class TestEmbedNetwork:
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(heads=2)
         params = init_params(10, cfg)
-        params.w1["inter"][1] = params.w1["inter"][0].copy()
-        params.attn["inter"][1] = params.attn["inter"][0].copy()
+        params["w1.inter"][1] = params["w1.inter"][0].copy()
+        params["attn.inter"][1] = params["attn.inter"][0].copy()
         out = embed_network(net, "inter", params, cfg)
         np.testing.assert_allclose(out[:, :3], out[:, 3:], atol=1e-12)
 
@@ -244,7 +242,7 @@ class TestEmbedNetwork:
         cad, net = self.path_net()
         cfg = NecaConfig(heads=1, head_dim=2, fusion_dim=2, seed=1)
         params = init_params(3, cfg)
-        w1, a_vec = params.w1["inter"][0], params.attn["inter"][0]
+        w1, a_vec = params["w1.inter"][0], params["attn.inter"][0]
         feats = init_node_features(net.node_set)
 
         def alpha(target, neighbor):
@@ -412,6 +410,6 @@ class TestComputeTable:
         params = init_params(10, cfg)
         table = compute_table(toy_cad, net, params, cfg)
         assert table.gamma_inter == pytest.approx(
-            importance_score(table.inter, params.s, params.w2, params.b), abs=1e-12)
+            importance_score(table.inter, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert (table.beta_inter, table.beta_intra) == \
             pytest.approx(fusion_weights(table.gamma_inter, table.gamma_intra), abs=1e-12)

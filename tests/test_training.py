@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from neca.cavnet import EdgeSet, HetNet, build_hetnet
 from neca.dataset import make_cad
 from neca.model import NecaConfig, init_params
-from neca.training import (CLAMP_EPS, AdamState, TrainConfig, TrainingError, TrainReport,
-                           adam_step, forward_loss, gradients, loss_targets, neca_loss,
-                           train)
+from neca.training import (CLAMP_EPS, TrainConfig, TrainingError, TrainReport, adam_step,
+                           forward_loss, gradients, loss_targets, neca_loss, train)
 from oracles import adjacency, gaussian_similarity, impacting_strength
 
 
@@ -166,7 +165,7 @@ def fd_check(net, params, mcfg, tcfg, h=1e-4, rel_tol=1e-4, abs_tol=1e-6):
     """Central finite differences vs the tape, every component of every tensor."""
     _, _, grads = gradients(net, params, mcfg, tcfg)
     worst = 0.0
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         flat = tensor.reshape(-1)
         gflat = grads[name].reshape(-1)
         for i in range(flat.size):
@@ -205,9 +204,9 @@ class TestGradients:
         net = build_hetnet(cad, seed=0)
         mcfg = NecaConfig(heads=2, head_dim=2, fusion_dim=3, seed=5)
         params = init_params(2, mcfg)
-        params.w1["intra"] = params.w1["inter"].copy()
-        params.attn["intra"] = params.attn["inter"].copy()
-        params.s = np.zeros_like(params.s)
+        params["w1.intra"] = params["w1.inter"].copy()
+        params["attn.intra"] = params["attn.inter"].copy()
+        params["s"] = np.zeros_like(params["s"])
         _, _, grads = gradients(net, params, mcfg, TrainConfig())
         np.testing.assert_allclose(grads["w1.inter"], grads["w1.intra"], atol=1e-12)
         np.testing.assert_allclose(grads["attn.inter"], grads["attn.intra"], atol=1e-12)
@@ -223,26 +222,31 @@ class TestGradients:
             assert np.array_equal(g1[name], g2[name])
 
 
+def moments(params):
+    """Zero Adam first and second moments for ``params``."""
+    return ({n: np.zeros_like(t) for n, t in params.items()},
+            {n: np.zeros_like(t) for n, t in params.items()})
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         mcfg = small_model()
         params = init_params(5, mcfg)
-        before = {n: t.copy() for n, t in params.named_tensors()}
-        grads = {n: np.zeros_like(t) for n, t in params.named_tensors()}
-        state = AdamState.for_params(params)
-        adam_step(params, grads, state, TrainConfig(), 1)
-        for name, tensor in params.named_tensors():
+        before = {n: t.copy() for n, t in params.items()}
+        grads = {n: np.zeros_like(t) for n, t in params.items()}
+        adam_step(params, grads, *moments(params), TrainConfig(), 1)
+        for name, tensor in params.items():
             np.testing.assert_array_equal(tensor, before[name])
 
     def test_first_step_magnitude_is_learning_rate(self):
         mcfg = small_model()
         params = init_params(5, mcfg)
-        before = {n: t.copy() for n, t in params.named_tensors()}
+        before = {n: t.copy() for n, t in params.items()}
         rng = np.random.default_rng(0)
-        grads = {n: rng.standard_normal(t.shape) for n, t in params.named_tensors()}
+        grads = {n: rng.standard_normal(t.shape) for n, t in params.items()}
         cfg = TrainConfig(lr=0.01)
-        adam_step(params, grads, AdamState.for_params(params), cfg, 1)
-        for name, tensor in params.named_tensors():
+        adam_step(params, grads, *moments(params), cfg, 1)
+        for name, tensor in params.items():
             delta = tensor - before[name]
             # bias correction makes m_hat/sqrt(v_hat) ~ sign(g) on step one
             np.testing.assert_allclose(delta, -cfg.lr * np.sign(grads[name]),
@@ -258,9 +262,9 @@ class TestAdam:
 
     def test_step_index_starts_at_one(self):
         params = init_params(3, small_model())
-        grads = {n: np.zeros_like(t) for n, t in params.named_tensors()}
+        grads = {n: np.zeros_like(t) for n, t in params.items()}
         with pytest.raises(TrainingError):
-            adam_step(params, grads, AdamState.for_params(params), TrainConfig(), 0)
+            adam_step(params, grads, *moments(params), TrainConfig(), 0)
 
 
 class TestTrain:
@@ -284,9 +288,6 @@ class TestTrain:
         assert isinstance(report, TrainReport)
         assert len(report.loss_history) == report.epochs_run
         assert report.stop_reason in ("max_epochs", "converged")
-        assert report.beta_inter + report.beta_intra == pytest.approx(1.0, abs=1e-12)
-        assert report.beta_inter == table.beta_inter
-        assert report.wall_time > 0
         assert all(math.isfinite(x) for x in report.loss_history)
 
     def test_convergence_by_relative_change(self, toy_cad):
@@ -343,7 +344,7 @@ class TestTrain:
         net = build_hetnet(toy_cad, seed=0)
         mcfg = small_model()
         params = init_params(10, mcfg)
-        params.s = np.full_like(params.s, np.inf)
+        params["s"] = np.full_like(params["s"], np.inf)
         with pytest.raises(TrainingError, match="not finite"):
             gradients(net, params, mcfg, TrainConfig())
 
