@@ -12,16 +12,16 @@ from .cavnet import (HetNet, build_hetnet, build_inter_network,
 from .dataset import CAD, DatasetManifest, impute_modes, load_csv, make_cad
 from .encoders import EncodedDataset, encode_frequency, encode_onehot
 from .evaluation import LabeledEmbedding, calinski_harabasz, evaluate_all, silhouette
-from .model import EmbeddingTable, NecaConfig, compute_table, init_params
-from .training import TrainConfig, TrainReport, neca_loss, train
+from .model import EmbeddingTable, RunConfig, compute_table, init_params
+from .training import TrainReport, neca_loss, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CAD", "DatasetManifest", "load_csv", "make_cad", "impute_modes",
     "HetNet", "build_node_set", "build_inter_network", "build_intra_network", "build_hetnet",
-    "NecaConfig", "EmbeddingTable", "init_params", "compute_table",
-    "TrainConfig", "TrainReport", "neca_loss", "train",
+    "RunConfig", "EmbeddingTable", "init_params", "compute_table",
+    "TrainReport", "neca_loss", "train",
     "EncodedDataset", "encode_onehot", "encode_frequency",
     "LabeledEmbedding", "calinski_harabasz", "silhouette", "evaluate_all",
     "__version__",

@@ -19,7 +19,7 @@ import urllib.error
 import urllib.request
 import uuid
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -30,8 +30,8 @@ from .cavnet import build_hetnet, export_edge_list
 from .dataset import CAD, DatasetManifest, impute_modes, load_csv, read_kv_file
 from .encoders import encode_frequency, encode_onehot
 from .evaluation import INDICES, LabeledEmbedding, evaluate_all
-from .model import NecaConfig
-from .training import TrainConfig, train
+from .model import RunConfig
+from .training import train
 
 BUNDLED = ("bc", "ce", "de", "ly", "ma", "mu", "pt", "sb", "sh", "wi", "zo")
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
@@ -48,27 +48,8 @@ class StageError(Exception):
 
 
 class FetchError(StageError):
-    def __init__(self, message: str, retriable: bool = False):
+    def __init__(self, message: str):
         super().__init__("fetch", message)
-        self.retriable = retriable
-
-
-@dataclass
-class RunConfig(TrainConfig, NecaConfig):
-    """Every hyperparameter of a run: the model's, the training's and the graph's.
-
-    A field's name is also its flag (``--name-with-dashes``), its config-file
-    key and its key in the metadata JSON; its ``help`` metadata is the flag's
-    help text.
-    """
-
-    beta_connect: float = field(default=0.01, metadata={"help": "connectivity-edge affinity"})
-
-    def __post_init__(self):
-        NecaConfig.__post_init__(self)
-        TrainConfig.__post_init__(self)
-        if not 0 < self.beta_connect < np.inf:
-            raise ValueError("beta_connect must be positive and finite")
 
 
 def cache_dir() -> Path:
@@ -141,8 +122,7 @@ def fetch_dataset(manifest: DatasetManifest, cache: Path | None = None,
             with urllib.request.urlopen(manifest.source_url, timeout=60) as resp:
                 data = resp.read()
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise FetchError(f"download failed for {manifest.source_url}: {exc}",
-                             retriable=True) from exc
+            raise FetchError(f"download failed for {manifest.source_url}: {exc}") from exc
         origin = manifest.source_url
     with _replacing(target, binary=True) as fh:
         fh.write(data)
@@ -287,10 +267,10 @@ def _stage(name: str, fn, *args, **kwargs):
 def run_pipeline(cad: CAD, config: RunConfig, seed: int | None = None,
                  log_fn=None):
     """graph -> training -> assembled object vectors, for one seed."""
-    seed = config.seed if seed is None else seed
-    net = _stage("graph", build_hetnet, cad, beta=config.beta_connect, seed=seed)
-    params, table, report = _stage(
-        "training", train, cad, net, replace(config, seed=seed), config, log_fn)
+    if seed is not None:
+        config = _stage("config", replace, config, seed=seed)
+    net = _stage("graph", build_hetnet, cad, beta=config.beta_connect, seed=config.seed)
+    params, table, report = _stage("training", train, net, config, log_fn)
     return net, params, table, report
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .cavnet import CavNodeSet, HetNet
-from .dataset import CAD
 
 
 class ModelError(Exception):
@@ -39,28 +38,47 @@ ELU_ALPHA = 1.0     # ELU alpha of the aggregated neighborhood
 
 
 @dataclass
-class NecaConfig:
-    """Architecture hyperparameters; ``seed`` drives parameter initialization.
+class RunConfig:
+    """Every hyperparameter of a run: the model's, the training's and the graph's.
 
-    Each field's ``help`` metadata is the one-line description the command
-    line shows for the flag of the same name.
+    ``seed`` drives parameter initialization; ``cli.run_pipeline`` also
+    draws the graph's connectivity edges with it.  A field's name is also its flag (``--name-with-dashes``),
+    its config-file key and its key in the metadata JSON; its ``help``
+    metadata is the flag's help text.
     """
 
     heads: int = field(default=8, metadata={"help": "attention heads K"})
     head_dim: int = field(default=8, metadata={"help": "width d of each head"})
     fusion_dim: int = field(default=16, metadata={"help": "width of the importance-score layer"})
     seed: int = field(default=0, metadata={"help": "master seed (graph sampling and init)"})
+    lr: float = field(default=0.005, metadata={"help": "Adam learning rate"})
+    epochs: int = field(default=200, metadata={"help": "epoch cap"})
+    tol: float = field(default=1e-5, metadata={"help": "relative loss-change stop"})
+    sigma: float = field(default=1.0, metadata={"help": "Gaussian kernel bandwidth"})
+    beta_connect: float = field(default=0.01, metadata={"help": "connectivity-edge affinity"})
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1 or self.fusion_dim < 1:
-            raise ModelError("heads, head_dim and fusion_dim must be >= 1")
+            raise ValueError("heads, head_dim and fusion_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+        if not np.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0 < self.beta_connect < np.inf:
+            raise ValueError("beta_connect must be positive and finite")
 
     @property
     def cav_dim(self) -> int:
         return self.heads * self.head_dim
 
 
-def init_params(num_nodes: int, config: NecaConfig) -> dict[str, np.ndarray]:
+def init_params(num_nodes: int, config: RunConfig) -> dict[str, np.ndarray]:
     """All trainable tensors by name, uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
     ``w1.<net>`` has shape (heads, head_dim, |V|): head k maps one-hot node
@@ -87,11 +105,10 @@ def init_params(num_nodes: int, config: NecaConfig) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Object assembly
 
-def assemble_objects(cad: CAD, nodes: CavNodeSet, fused: np.ndarray) -> np.ndarray:
+def assemble_objects(nodes: CavNodeSet, fused: np.ndarray) -> np.ndarray:
     """Per-object vectors: fused CAV vectors concatenated in attribute order."""
-    if cad.domains != nodes.domains:
-        raise ModelError("the CAD's attribute domains differ from the node set's")
-    return fused[cad.codes + nodes.offsets[:-1]].reshape(cad.n, cad.m * fused.shape[1])
+    n, m = nodes.ids.shape
+    return fused[nodes.ids].reshape(n, m * fused.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +135,7 @@ def _attention_mask(net: HetNet, which: str) -> np.ndarray:
 
 
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
-                      config: NecaConfig) -> Var:
+                      config: RunConfig) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
     mask = net.derived(_attention_mask, which)
     k, d = config.heads, config.head_dim
@@ -143,7 +160,7 @@ class ForwardVars:
     fused: Var
 
 
-def forward_fused(net: HetNet, pvars: dict[str, Var], config: NecaConfig) -> ForwardVars:
+def forward_fused(net: HetNet, pvars: dict[str, Var], config: RunConfig) -> ForwardVars:
     e = network_embedding(net, "inter", pvars, config)
     a = network_embedding(net, "intra", pvars, config)
     w2t = ad.transpose(pvars["w2"])
@@ -175,8 +192,8 @@ class EmbeddingTable:
     objects: np.ndarray
 
 
-def compute_table(cad: CAD, net: HetNet, params: dict[str, np.ndarray],
-                  config: NecaConfig) -> EmbeddingTable:
+def compute_table(net: HetNet, params: dict[str, np.ndarray],
+                  config: RunConfig) -> EmbeddingTable:
     fw = forward_fused(net, wrap_params(params), config)
     return EmbeddingTable(
         inter=fw.inter.value,
@@ -186,5 +203,5 @@ def compute_table(cad: CAD, net: HetNet, params: dict[str, np.ndarray],
         gamma_intra=float(fw.gamma_intra.value),
         beta_inter=float(fw.beta_inter.value),
         beta_intra=float(fw.beta_intra.value),
-        objects=assemble_objects(cad, net.node_set, fw.fused.value),
+        objects=assemble_objects(net.node_set, fw.fused.value),
     )

@@ -17,14 +17,13 @@ Gradients for every parameter tensor come from the reverse-mode tape in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .cavnet import HetNet
-from .dataset import CAD
-from .model import (EmbeddingTable, NecaConfig, compute_table, forward_fused, init_params,
+from .model import (EmbeddingTable, RunConfig, compute_table, forward_fused, init_params,
                     wrap_params)
 
 
@@ -40,26 +39,6 @@ class TrainingError(Exception):
     def __init__(self, message: str, loss_history: list[float] | None = None):
         super().__init__(message)
         self.loss_history = loss_history or []
-
-
-@dataclass
-class TrainConfig:
-    """Loss and optimizer hyperparameters, each with its command-line ``help``."""
-
-    lr: float = field(default=0.005, metadata={"help": "Adam learning rate"})
-    epochs: int = field(default=200, metadata={"help": "epoch cap"})
-    tol: float = field(default=1e-5, metadata={"help": "relative loss-change stop"})
-    sigma: float = field(default=1.0, metadata={"help": "Gaussian kernel bandwidth"})
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
-        if not 0 < self.lr < np.inf:
-            raise TrainingError("lr must be positive and finite")
-        if not np.isfinite(self.tol):
-            raise TrainingError("tol must be finite")
-        if not 0 < self.sigma < np.inf:
-            raise TrainingError("sigma must be positive and finite")
 
 
 @dataclass
@@ -87,7 +66,7 @@ def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, int]:
     return p, on_pair - p, len(tgt)
 
 
-def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig) -> ad.Var:
+def _loss_var(net: HetNet, fused: ad.Var, config: RunConfig) -> ad.Var:
     p, q, pairs = net.derived(loss_targets)
     num = len(p)
     # squared distances from the Gram matrix: |f_u|^2 + |f_v|^2 - 2 f_u.f_v,
@@ -103,21 +82,19 @@ def _loss_var(net: HetNet, fused: ad.Var, config: TrainConfig) -> ad.Var:
     return ad.mul(ad.summation(terms), -1.0 / pairs)
 
 
-def neca_loss(net: HetNet, fused: np.ndarray, config: TrainConfig) -> float:
+def neca_loss(net: HetNet, fused: np.ndarray, config: RunConfig) -> float:
     """Mean binary cross-entropy between kernel similarities and impacting strengths."""
     return float(_loss_var(net, ad.Var(fused), config).value)
 
 
-def forward_loss(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConfig,
-                 train_config: TrainConfig):
+def forward_loss(net: HetNet, params: dict[str, np.ndarray], config: RunConfig):
     """One differentiable forward pass; returns (loss Var, forward state, param Vars)."""
     pvars = wrap_params(params)
-    fw = forward_fused(net, pvars, model_config)
-    return _loss_var(net, fw.fused, train_config), fw, pvars
+    fw = forward_fused(net, pvars, config)
+    return _loss_var(net, fw.fused, config), fw, pvars
 
 
-def gradients(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConfig,
-              train_config: TrainConfig):
+def gradients(net: HetNet, params: dict[str, np.ndarray], config: RunConfig):
     """One forward and backward pass: (loss, (beta_inter, beta_intra), gradients).
 
     The gradients are exact reverse-mode gradients of the loss for every
@@ -125,7 +102,7 @@ def gradients(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConf
     before the next pass.  A non-finite loss or gradient raises
     ``TrainingError`` naming it.
     """
-    loss, fw, pvars = forward_loss(net, params, model_config, train_config)
+    loss, fw, pvars = forward_loss(net, params, config)
     if not np.isfinite(loss.value):
         raise TrainingError("loss is not finite")
     ad.backward(loss)
@@ -140,7 +117,7 @@ def gradients(net: HetNet, params: dict[str, np.ndarray], model_config: NecaConf
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               m: dict[str, np.ndarray], v: dict[str, np.ndarray],
-              config: TrainConfig, t: int) -> None:
+              config: RunConfig, t: int) -> None:
     """Standard bias-corrected Adam update of ``params`` and the moments ``m``
     and ``v``, in place; t counts from 1."""
     if t < 1:
@@ -155,32 +132,32 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         tensor -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def train(cad: CAD, net: HetNet, model_config: NecaConfig, train_config: TrainConfig,
+def train(net: HetNet, config: RunConfig,
           log_fn=None) -> tuple[dict[str, np.ndarray], EmbeddingTable, TrainReport]:
     """Full-batch training until convergence or the epoch cap.
 
     Stops when the relative loss change drops below ``tol``.  ``log_fn``,
     when given, receives (epoch, loss, beta_inter, beta_intra) once per epoch.
     """
-    params = init_params(net.node_set.total, model_config)
+    params = init_params(net.node_set.total, config)
     m = {name: np.zeros_like(tensor) for name, tensor in params.items()}
     v = {name: np.zeros_like(tensor) for name, tensor in params.items()}
     history: list[float] = []
     prev = None
     stop = "max_epochs"
-    for epoch in range(1, train_config.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         try:
-            loss, betas, grads = gradients(net, params, model_config, train_config)
+            loss, betas, grads = gradients(net, params, config)
         except TrainingError as exc:
             raise TrainingError(f"training diverged at epoch {epoch}: {exc}", history) from exc
         history.append(loss)
         if log_fn is not None:
             log_fn(epoch, loss, *betas)
-        adam_step(params, grads, m, v, train_config, epoch)
-        if prev is not None and abs(loss - prev) / max(abs(prev), 1e-12) < train_config.tol:
+        adam_step(params, grads, m, v, config, epoch)
+        if prev is not None and abs(loss - prev) / max(abs(prev), 1e-12) < config.tol:
             stop = "converged"
             break
         prev = loss
-    table = compute_table(cad, net, params, model_config)
+    table = compute_table(net, params, config)
     report = TrainReport(loss_history=history, epochs_run=len(history), stop_reason=stop)
     return params, table, report

@@ -24,8 +24,8 @@ from neca.cli import FetchError, bundled_manifest, fetch_dataset
 from neca.dataset import impute_modes, load_csv, make_cad
 from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import LabeledEmbedding, calinski_harabasz, silhouette
-from neca.model import NecaConfig, forward_fused, init_params, wrap_params
-from neca.training import TrainConfig, forward_loss, gradients, train
+from neca.model import RunConfig, forward_fused, init_params, wrap_params
+from neca.training import forward_loss, gradients, train
 
 from test_evaluation import brute_ch, brute_silhouette
 
@@ -77,19 +77,18 @@ def test_criterion_1_gradient_correctness():
         assert net.node_set.total == 10
         h = 1e-4
         for seed in (1, 2, 3):
-            mcfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
-            tcfg = TrainConfig()
-            params = init_params(10, mcfg)
-            _, _, grads = gradients(net, params, mcfg, tcfg)
+            cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
+            params = init_params(10, cfg)
+            _, _, grads = gradients(net, params, cfg)
             for name, tensor in params.items():
                 flat = tensor.reshape(-1)
                 gflat = grads[name].reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    hi = float(forward_loss(net, params, mcfg, tcfg)[0].value)
+                    hi = float(forward_loss(net, params, cfg)[0].value)
                     flat[i] = orig - h
-                    lo = float(forward_loss(net, params, mcfg, tcfg)[0].value)
+                    lo = float(forward_loss(net, params, cfg)[0].value)
                     flat[i] = orig
                     numeric = (hi - lo) / (2 * h)
                     err = abs(gflat[i] - numeric)
@@ -133,7 +132,7 @@ def _forward_with_gamma_reaching(seed, reach):
     """``forward_fused`` on a random CAD, ``s`` scaled so the larger |gamma| is ``reach``."""
     cad = random_cad(seed)
     net = build_hetnet(cad, seed=seed)
-    cfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
+    cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
     params = init_params(net.node_set.total, cfg)
     fw = forward_fused(net, wrap_params(params), cfg)
     top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
@@ -246,8 +245,7 @@ def test_criterion_4_training_descent():
         cad = toy_cad()
         for seed in range(5):
             net = build_hetnet(cad, seed=seed)
-            _, _, report = train(cad, net, NecaConfig(seed=seed),
-                                 TrainConfig(epochs=50, tol=0.0))
+            _, _, report = train(net, RunConfig(seed=seed, epochs=50, tol=0.0))
             assert report.epochs_run == 50
             early = statistics.median(report.loss_history[0:10])
             late = statistics.median(report.loss_history[40:50])
@@ -286,7 +284,7 @@ def test_criterion_5_benchmark_direction():
             best_ch = -np.inf
             for seed in range(5):
                 net = build_hetnet(cad, seed=seed)
-                _, table, _ = train(cad, net, NecaConfig(seed=seed), TrainConfig())
+                _, table, _ = train(net, RunConfig(seed=seed))
                 emb = LabeledEmbedding(table.objects, cad.labels)
                 best_s = max(best_s, silhouette(emb))
                 best_ch = max(best_ch, calinski_harabasz(emb))

@@ -116,20 +116,21 @@ class TestEmbed:
         assert cli.read_embedding(again).tobytes() == first.tobytes()
 
 
-HYPERPARAMETERS = {
+HYPERPARAMETERS = (
     "heads", "head_dim", "fusion_dim", "seed", "lr", "epochs", "tol", "sigma", "beta_connect",
-}
+)
 
 
 class TestConfig:
     def test_one_name_per_hyperparameter(self, toy_csv, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run(["embed", "--help"])
-        flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
-        flags -= {"help", "manifest", "label", "drop", "columns", "missing", "no-header",
+        # in order of first appearance: the usage line lists flags as added
+        flags = dict.fromkeys(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+        others = {"help", "manifest", "label", "drop", "columns", "missing", "no-header",
                   "mirror", "config", "out", "meta", "verbose"}
-        assert {f.replace("-", "_") for f in flags} == HYPERPARAMETERS
-        assert set(asdict(cli.RunConfig())) == HYPERPARAMETERS
+        assert tuple(f.replace("-", "_") for f in flags if f not in others) == HYPERPARAMETERS
+        assert tuple(asdict(cli.RunConfig())) == HYPERPARAMETERS
         assert not any(isinstance(f.default, bool) for f in fields(cli.RunConfig))
         # every key is accepted in a config file, under the same name
         cfgfile = tmp_path / "all.conf"
@@ -209,7 +210,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("lr", "nan"), ("lr", "inf"), ("tol", "nan"), ("tol", "-inf"),
         ("sigma", "nan"), ("sigma", "inf"), ("beta_connect", "nan"), ("beta_connect", "inf"),
-        ("beta_connect", "0"), ("beta_connect", "-50"),
+        ("beta_connect", "0"), ("beta_connect", "-50"), ("seed", "-1"),
     ])
     def test_non_finite_or_non_positive_value_is_a_config_error(self, toy_csv, tmp_path, capsys,
                                                                 key, value, route):
@@ -341,6 +342,12 @@ class TestCompare:
             assert row["best"] == max(values)
             assert row["runs"] == 2
 
+    def test_negative_first_seed_is_a_config_error(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",
+                    "--runs", "2", "--seed0", "-1", "--json", str(out)]) == 1
+        assert "[config] seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_rejected_before_any_training(self, labeled_csv, tmp_path,
                                                           monkeypatch, capsys):
@@ -505,12 +512,12 @@ class TestNecaBeatsNothingBaseline:
         # groups apart at least as well as random chance
         manifest = DatasetManifest(name="blob", label_column="group")
         from neca.dataset import load_csv
-        from neca.model import NecaConfig
-        from neca.training import TrainConfig, train
+        from neca.model import RunConfig
+        from neca.training import train
         cad = load_csv(labeled_csv, manifest)
         net = build_hetnet(cad, seed=0)
-        _, table, _ = train(cad, net, NecaConfig(heads=2, head_dim=4, fusion_dim=4, seed=0),
-                            TrainConfig(epochs=40, tol=0.0))
+        _, table, _ = train(net, RunConfig(heads=2, head_dim=4, fusion_dim=4, seed=0,
+                                           epochs=40, tol=0.0))
         from neca.evaluation import LabeledEmbedding
         s = silhouette(LabeledEmbedding(table.objects, cad.labels))
         assert s > 0.0

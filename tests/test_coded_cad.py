@@ -74,7 +74,7 @@ def test_coded_pipeline_matches_per_record_oracles(records, seed, beta):
     same_bytes(encode_onehot(cad).vectors, oracles.onehot(imputed, expected))
     same_bytes(encode_frequency(cad).vectors, oracles.frequency(imputed, expected))
     fused = np.random.default_rng(seed).standard_normal((nodes.total, 3))
-    same_bytes(assemble_objects(cad, nodes, fused), oracles.assemble(imputed, expected, fused))
+    same_bytes(assemble_objects(nodes, fused), oracles.assemble(imputed, expected, fused))
 
 
 def test_codes_are_read_only(toy_cad):

@@ -13,9 +13,9 @@ import pytest
 
 import oracles
 from neca.cavnet import build_hetnet
-from neca.model import (ELU_ALPHA, LEAKY_SLOPE, NecaConfig, assemble_objects, compute_table,
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, RunConfig, assemble_objects, compute_table,
                         init_params)
-from neca.training import CLAMP_EPS, TrainConfig, neca_loss
+from neca.training import CLAMP_EPS, neca_loss
 
 
 def reference_network_embedding(net, which, params, cfg):
@@ -69,9 +69,8 @@ def reference_loss(net, fused, sigma, clamp):
 
 def test_pipeline_matches_first_principles_recomputation(toy_cad):
     net = build_hetnet(toy_cad, seed=3)
-    cfg = NecaConfig(heads=2, head_dim=3, fusion_dim=4, seed=5)
+    cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=5, sigma=1.2)
     params = init_params(net.node_set.total, cfg)
-    tcfg = TrainConfig(sigma=1.2)
 
     e = reference_network_embedding(net, "inter", params, cfg)
     a = reference_network_embedding(net, "intra", params, cfg)
@@ -83,7 +82,7 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     b_a = 1.0 - b_e
     fused = b_e * e + b_a * a
 
-    table = compute_table(toy_cad, net, params, cfg)
+    table = compute_table(net, params, cfg)
     np.testing.assert_allclose(table.inter, e, atol=1e-12)
     np.testing.assert_allclose(table.intra, a, atol=1e-12)
     assert table.gamma_inter == pytest.approx(g_e, abs=1e-12)
@@ -91,24 +90,23 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     assert table.beta_inter == pytest.approx(b_e, abs=1e-12)
     np.testing.assert_allclose(table.fused, fused, atol=1e-12)
     np.testing.assert_allclose(
-        table.objects, assemble_objects(toy_cad, net.node_set, fused), atol=1e-12)
+        table.objects, assemble_objects(net.node_set, fused), atol=1e-12)
 
-    expected = reference_loss(net, fused, tcfg.sigma, CLAMP_EPS)
-    assert neca_loss(net, table.fused, tcfg) == pytest.approx(expected, abs=1e-12)
+    expected = reference_loss(net, fused, cfg.sigma, CLAMP_EPS)
+    assert neca_loss(net, table.fused, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
     for seed, heads, d in ((0, 1, 4), (1, 3, 2), (2, 2, 5)):
         net = build_hetnet(toy_cad, seed=seed)
-        cfg = NecaConfig(heads=heads, head_dim=d, fusion_dim=3, seed=seed)
+        cfg = RunConfig(heads=heads, head_dim=d, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
-        table = compute_table(toy_cad, net, params, cfg)
+        table = compute_table(net, params, cfg)
         e = reference_network_embedding(net, "inter", params, cfg)
         a = reference_network_embedding(net, "intra", params, cfg)
         np.testing.assert_allclose(table.inter, e, atol=1e-12)
         np.testing.assert_allclose(table.intra, a, atol=1e-12)
         fused = table.beta_inter * e + table.beta_intra * a
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
-        tcfg = TrainConfig()
-        assert neca_loss(net, table.fused, tcfg) == pytest.approx(
-            reference_loss(net, fused, tcfg.sigma, CLAMP_EPS), abs=1e-12)
+        assert neca_loss(net, table.fused, cfg) == pytest.approx(
+            reference_loss(net, fused, cfg.sigma, CLAMP_EPS), abs=1e-12)

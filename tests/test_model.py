@@ -8,10 +8,10 @@ from dataclasses import replace
 
 from neca.cavnet import EdgeSet, build_hetnet, build_node_set
 from neca.dataset import make_cad
-from neca.model import (ELU_ALPHA, LEAKY_SLOPE, EmbeddingTable, ModelError, NecaConfig,
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, EmbeddingTable, ModelError, RunConfig,
                         assemble_objects, compute_table, init_params, network_embedding,
                         wrap_params)
-from neca.training import TrainConfig, neca_loss
+from neca.training import neca_loss
 import oracles
 from oracles import (aggregate, attention_logit, fuse, fusion_weights, importance_score,
                      init_node_features, neighbor_weights, project)
@@ -20,7 +20,7 @@ from oracles import (aggregate, attention_logit, fuse, fusion_weights, importanc
 def small_config(**kw):
     defaults = dict(heads=2, head_dim=3, fusion_dim=4, seed=0)
     defaults.update(kw)
-    return NecaConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def embed_network(net, which, params, config):
@@ -30,13 +30,13 @@ def embed_network(net, which, params, config):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = NecaConfig()
+        cfg = RunConfig()
         assert (cfg.heads, cfg.head_dim, cfg.fusion_dim) == (8, 8, 16)
         assert LEAKY_SLOPE == 0.2 and ELU_ALPHA == 1.0
 
     def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ModelError):
-            NecaConfig(heads=0)
+        with pytest.raises(ValueError, match="heads"):
+            RunConfig(heads=0)
 
 
 class TestParams:
@@ -196,7 +196,7 @@ class TestEmbedNetwork:
 
     def test_manual_forward_oracle_on_path(self):
         cad, net = self.path_net()
-        cfg = NecaConfig(heads=1, head_dim=2, fusion_dim=2, seed=0)
+        cfg = RunConfig(heads=1, head_dim=2, fusion_dim=2, seed=0)
         params = init_params(3, cfg)
         w1, a_vec = params["w1.inter"][0], params["attn.inter"][0]
         feats = init_node_features(net.node_set)
@@ -214,7 +214,7 @@ class TestEmbedNetwork:
 
     def test_single_head_width(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        cfg = NecaConfig(heads=1, head_dim=5, fusion_dim=2, seed=1)
+        cfg = RunConfig(heads=1, head_dim=5, fusion_dim=2, seed=1)
         out = embed_network(net, "intra", init_params(10, cfg), cfg)
         assert out.shape == (10, 5)
 
@@ -240,7 +240,7 @@ class TestEmbedNetwork:
         # on the path a1 - b1 - a2 the endpoint weight is 1 while the hub
         # splits its attention, so the pair is asymmetric
         cad, net = self.path_net()
-        cfg = NecaConfig(heads=1, head_dim=2, fusion_dim=2, seed=1)
+        cfg = RunConfig(heads=1, head_dim=2, fusion_dim=2, seed=1)
         params = init_params(3, cfg)
         w1, a_vec = params["w1.inter"][0], params["attn.inter"][0]
         feats = init_node_features(net.node_set)
@@ -285,13 +285,13 @@ class TestDenseMatchesEdgeList:
         records = [tuple(f"v{int(rng.integers(k))}" for k in sizes) for _ in range(n)]
         cad = make_cad(records, tuple(f"a{j}" for j in range(m)))
         net = build_hetnet(cad, seed=seed)
-        cfg = NecaConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
+        cfg = RunConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
-        table = compute_table(cad, net, params, cfg)
+        table = compute_table(net, params, cfg)
         assert_rel_close(table.inter, oracles.network_embedding(net, "inter", params, cfg))
         assert_rel_close(table.intra, oracles.network_embedding(net, "intra", params, cfg))
         assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
-        tcfg = TrainConfig(sigma=float(rng.uniform(0.3, 2.0)))
+        tcfg = replace(cfg, sigma=float(rng.uniform(0.3, 2.0)))
         loss = neca_loss(net, table.fused, tcfg)
         assert abs(loss - oracles.neca_loss(net, table.fused, tcfg)) <= 1e-12 * abs(loss)
 
@@ -365,7 +365,7 @@ class TestAssembleObjects:
         nodes = build_node_set(toy_cad)
         rng = np.random.default_rng(0)
         fused = rng.standard_normal((10, 4))
-        objs = assemble_objects(toy_cad, nodes, fused)
+        objs = assemble_objects(nodes, fused)
         assert objs.shape == (6, 12)
         np.testing.assert_array_equal(objs[0], objs[3])   # John == Ben
         assert not np.array_equal(objs[0], objs[1])       # John != Tony
@@ -374,12 +374,12 @@ class TestAssembleObjects:
         cad = make_cad([("x",), ("y",)], ("A",))
         nodes = build_node_set(cad)
         fused = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(assemble_objects(cad, nodes, fused), fused)
+        np.testing.assert_array_equal(assemble_objects(nodes, fused), fused)
 
     def test_attribute_order_preserved(self, toy_cad):
         nodes = build_node_set(toy_cad)
         fused = np.arange(10, dtype=float).reshape(10, 1)
-        objs = assemble_objects(toy_cad, nodes, fused)
+        objs = assemble_objects(nodes, fused)
         john = [nodes.id_for(0, "M"), nodes.id_for(1, "Engineering"),
                 nodes.id_for(2, "Programmer")]
         np.testing.assert_array_equal(objs[0], np.array(john, dtype=float))
@@ -389,7 +389,7 @@ class TestComputeTable:
     def test_shapes_and_beta_coupling(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config()
-        table = compute_table(toy_cad, net, init_params(10, cfg), cfg)
+        table = compute_table(net, init_params(10, cfg), cfg)
         assert isinstance(table, EmbeddingTable)
         kd = cfg.cav_dim
         assert table.inter.shape == table.intra.shape == table.fused.shape == (10, kd)
@@ -400,7 +400,7 @@ class TestComputeTable:
     def test_fused_is_convex_combination(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(seed=2)
-        table = compute_table(toy_cad, net, init_params(10, cfg), cfg)
+        table = compute_table(net, init_params(10, cfg), cfg)
         expected = table.beta_inter * table.inter + table.beta_intra * table.intra
         np.testing.assert_allclose(table.fused, expected, atol=1e-12)
 
@@ -408,7 +408,7 @@ class TestComputeTable:
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(seed=3)
         params = init_params(10, cfg)
-        table = compute_table(toy_cad, net, params, cfg)
+        table = compute_table(net, params, cfg)
         assert table.gamma_inter == pytest.approx(
             importance_score(table.inter, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert (table.beta_inter, table.beta_intra) == \

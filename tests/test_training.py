@@ -6,20 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from neca.cavnet import EdgeSet, HetNet, build_hetnet
 from neca.dataset import make_cad
-from neca.model import NecaConfig, init_params
-from neca.training import (CLAMP_EPS, TrainConfig, TrainingError, TrainReport, adam_step,
-                           forward_loss, gradients, loss_targets, neca_loss, train)
+from neca.model import RunConfig, init_params
+from neca.training import (CLAMP_EPS, TrainingError, TrainReport, adam_step, forward_loss,
+                           gradients, loss_targets, neca_loss, train)
 from oracles import adjacency, gaussian_similarity, impacting_strength
 
 
 def small_model(**kw):
     defaults = dict(heads=2, head_dim=3, fusion_dim=4, seed=0)
     defaults.update(kw)
-    return NecaConfig(**defaults)
+    return RunConfig(**defaults)
 
 
-def loss_value(net, params, mcfg, tcfg):
-    return float(forward_loss(net, params, mcfg, tcfg)[0].value)
+def loss_value(net, params, config):
+    return float(forward_loss(net, params, config)[0].value)
 
 
 class TestImpactingStrength:
@@ -106,7 +106,7 @@ class TestLoss:
         _, net = four_node_net()
         rng = np.random.default_rng(0)
         fused = rng.standard_normal((4, 3))
-        cfg = TrainConfig(sigma=1.3)
+        cfg = RunConfig(sigma=1.3)
 
         # independent summation: loop every directed pair explicitly
         total = 0.0
@@ -125,7 +125,7 @@ class TestLoss:
         cad = make_cad([("a", "x")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
         fused = np.ones((2, 3))  # identical embeddings -> kernel 1 -> clamped
-        cfg = TrainConfig()
+        cfg = RunConfig()
         expected = -math.log(1.0 - CLAMP_EPS)
         assert neca_loss(net, fused, cfg) == pytest.approx(expected, rel=1e-6)
         assert neca_loss(net, fused, cfg) == pytest.approx(CLAMP_EPS, rel=1e-3)
@@ -137,7 +137,7 @@ class TestLoss:
         pc = np.clip(p[tgt, src], 1e-12, 1 - 1e-12)
         entropy = float(-np.mean(pc * np.log(pc) + (1 - pc) * np.log(1 - pc)))
         rng = np.random.default_rng(1)
-        cfg = TrainConfig()
+        cfg = RunConfig()
         for _ in range(20):
             fused = rng.standard_normal((4, 5))
             assert neca_loss(net, fused, cfg) >= entropy - 1e-9
@@ -150,7 +150,7 @@ class TestLoss:
         _, net = four_node_net()
         rng = np.random.default_rng(seed)
         fused = rng.standard_normal((4, 3)) * scale_factor
-        assert math.isfinite(neca_loss(net, fused, TrainConfig()))
+        assert math.isfinite(neca_loss(net, fused, RunConfig()))
 
     def test_empty_edge_set_rejected(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
@@ -158,12 +158,12 @@ class TestLoss:
                         raw=np.array([]), weight=np.array([]))
         broken = HetNet(net.node_set, empty, net.intra, 0)
         with pytest.raises(TrainingError, match="empty"):
-            neca_loss(broken, np.zeros((10, 3)), TrainConfig())
+            neca_loss(broken, np.zeros((10, 3)), RunConfig())
 
 
-def fd_check(net, params, mcfg, tcfg, h=1e-4, rel_tol=1e-4, abs_tol=1e-6):
+def fd_check(net, params, config, h=1e-4, rel_tol=1e-4, abs_tol=1e-6):
     """Central finite differences vs the tape, every component of every tensor."""
-    _, _, grads = gradients(net, params, mcfg, tcfg)
+    _, _, grads = gradients(net, params, config)
     worst = 0.0
     for name, tensor in params.items():
         flat = tensor.reshape(-1)
@@ -171,9 +171,9 @@ def fd_check(net, params, mcfg, tcfg, h=1e-4, rel_tol=1e-4, abs_tol=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = loss_value(net, params, mcfg, tcfg)
+            hi = loss_value(net, params, config)
             flat[i] = orig - h
-            lo = loss_value(net, params, mcfg, tcfg)
+            lo = loss_value(net, params, config)
             flat[i] = orig
             numeric = (hi - lo) / (2 * h)
             err = abs(gflat[i] - numeric)
@@ -189,25 +189,25 @@ class TestGradients:
         net = build_hetnet(toy_cad, seed=0)
         mcfg = small_model(seed=1)
         params = init_params(net.node_set.total, mcfg)
-        fd_check(net, params, mcfg, TrainConfig())
+        fd_check(net, params, mcfg)
 
     def test_finite_differences_on_tiny_net(self):
         _, net = four_node_net()
-        mcfg = NecaConfig(heads=1, head_dim=2, fusion_dim=3, seed=4)
+        mcfg = RunConfig(heads=1, head_dim=2, fusion_dim=3, seed=4, sigma=0.8)
         params = init_params(4, mcfg)
-        fd_check(net, params, mcfg, TrainConfig(sigma=0.8))
+        fd_check(net, params, mcfg)
 
     def test_symmetric_networks_give_symmetric_gradients(self):
         # single-value attributes: both networks are the same single edge, so
         # with shared projection parameters and s = 0 the two sides are twins
         cad = make_cad([("x", "y")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
-        mcfg = NecaConfig(heads=2, head_dim=2, fusion_dim=3, seed=5)
+        mcfg = RunConfig(heads=2, head_dim=2, fusion_dim=3, seed=5)
         params = init_params(2, mcfg)
         params["w1.intra"] = params["w1.inter"].copy()
         params["attn.intra"] = params["attn.inter"].copy()
         params["s"] = np.zeros_like(params["s"])
-        _, _, grads = gradients(net, params, mcfg, TrainConfig())
+        _, _, grads = gradients(net, params, mcfg)
         np.testing.assert_allclose(grads["w1.inter"], grads["w1.intra"], atol=1e-12)
         np.testing.assert_allclose(grads["attn.inter"], grads["attn.intra"], atol=1e-12)
         np.testing.assert_allclose(grads["s"], 0.0, atol=1e-12)
@@ -216,8 +216,8 @@ class TestGradients:
         net = build_hetnet(toy_cad, seed=0)
         mcfg = small_model(seed=3)
         params = init_params(10, mcfg)
-        _, _, g1 = gradients(net, params, mcfg, TrainConfig())
-        _, _, g2 = gradients(net, params, mcfg, TrainConfig())
+        _, _, g1 = gradients(net, params, mcfg)
+        _, _, g2 = gradients(net, params, mcfg)
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -234,7 +234,7 @@ class TestAdam:
         params = init_params(5, mcfg)
         before = {n: t.copy() for n, t in params.items()}
         grads = {n: np.zeros_like(t) for n, t in params.items()}
-        adam_step(params, grads, *moments(params), TrainConfig(), 1)
+        adam_step(params, grads, *moments(params), RunConfig(), 1)
         for name, tensor in params.items():
             np.testing.assert_array_equal(tensor, before[name])
 
@@ -244,7 +244,7 @@ class TestAdam:
         before = {n: t.copy() for n, t in params.items()}
         rng = np.random.default_rng(0)
         grads = {n: rng.standard_normal(t.shape) for n, t in params.items()}
-        cfg = TrainConfig(lr=0.01)
+        cfg = RunConfig(lr=0.01)
         adam_step(params, grads, *moments(params), cfg, 1)
         for name, tensor in params.items():
             delta = tensor - before[name]
@@ -254,37 +254,34 @@ class TestAdam:
 
     def test_identical_inputs_identical_trajectories(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        mcfg = small_model(seed=7)
-        tcfg = TrainConfig(epochs=5, tol=0.0)
-        _, _, r1 = train(toy_cad, net, mcfg, tcfg)
-        _, _, r2 = train(toy_cad, net, mcfg, tcfg)
+        cfg = small_model(seed=7, epochs=5, tol=0.0)
+        _, _, r1 = train(net, cfg)
+        _, _, r2 = train(net, cfg)
         assert r1.loss_history == r2.loss_history
 
     def test_step_index_starts_at_one(self):
         params = init_params(3, small_model())
         grads = {n: np.zeros_like(t) for n, t in params.items()}
         with pytest.raises(TrainingError):
-            adam_step(params, grads, *moments(params), TrainConfig(), 0)
+            adam_step(params, grads, *moments(params), RunConfig(), 0)
 
 
 class TestTrain:
     def test_max_epochs_one_records_one_loss(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        _, _, report = train(toy_cad, net, small_model(), TrainConfig(epochs=1))
+        _, _, report = train(net, small_model(epochs=1))
         assert report.epochs_run == 1
         assert len(report.loss_history) == 1
         assert report.stop_reason == "max_epochs"
 
     def test_loss_descends_on_toy(self, toy_cad):
         net = build_hetnet(toy_cad, seed=42)
-        mcfg = small_model(seed=42)
-        tcfg = TrainConfig(epochs=50, tol=0.0)
-        _, _, report = train(toy_cad, net, mcfg, tcfg)
+        _, _, report = train(net, small_model(seed=42, epochs=50, tol=0.0))
         assert report.loss_history[49] < report.loss_history[0]
 
     def test_report_invariants(self, toy_cad):
         net = build_hetnet(toy_cad, seed=1)
-        _, table, report = train(toy_cad, net, small_model(), TrainConfig(epochs=3))
+        _, table, report = train(net, small_model(epochs=3))
         assert isinstance(report, TrainReport)
         assert len(report.loss_history) == report.epochs_run
         assert report.stop_reason in ("max_epochs", "converged")
@@ -292,7 +289,7 @@ class TestTrain:
 
     def test_convergence_by_relative_change(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        _, _, report = train(toy_cad, net, small_model(), TrainConfig(epochs=500, tol=1e-3))
+        _, _, report = train(net, small_model(epochs=500, tol=1e-3))
         assert report.stop_reason == "converged"
         assert report.epochs_run < 500
         a, b = report.loss_history[-2], report.loss_history[-1]
@@ -301,8 +298,7 @@ class TestTrain:
     def test_log_fn_receives_epoch_lines(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         lines = []
-        train(toy_cad, net, small_model(), TrainConfig(epochs=4, tol=0.0),
-              log_fn=lambda *args: lines.append(args))
+        train(net, small_model(epochs=4, tol=0.0), log_fn=lambda *args: lines.append(args))
         assert len(lines) == 4
         epoch, loss, bi, ba = lines[0]
         assert epoch == 1 and math.isfinite(loss)
@@ -311,10 +307,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_partial_history(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        mcfg = small_model()
         with pytest.raises(TrainingError, match="diverged") as exc:
-            train(toy_cad, net, mcfg,
-                  TrainConfig(lr=1e200, epochs=10, tol=0.0))
+            train(net, small_model(lr=1e200, epochs=10, tol=0.0))
         assert len(exc.value.loss_history) >= 1
         assert all(math.isfinite(x) for x in exc.value.loss_history)
 
@@ -336,7 +330,7 @@ class TestTrain:
         monkeypatch.setattr(autodiff, "backward", poisoned_backward)
         net = build_hetnet(toy_cad, seed=0)
         with pytest.raises(TrainingError, match="diverged at epoch 1: .*'w2'") as exc:
-            train(toy_cad, net, small_model(), TrainConfig(epochs=5, tol=0.0))
+            train(net, small_model(epochs=5, tol=0.0))
         assert exc.value.loss_history == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -346,14 +340,13 @@ class TestTrain:
         params = init_params(10, mcfg)
         params["s"] = np.full_like(params["s"], np.inf)
         with pytest.raises(TrainingError, match="not finite"):
-            gradients(net, params, mcfg, TrainConfig())
+            gradients(net, params, mcfg)
 
     def test_embeddings_reproducible_bitwise(self, toy_cad):
         net1 = build_hetnet(toy_cad, seed=9)
         net2 = build_hetnet(toy_cad, seed=9)
-        mcfg = small_model(seed=9)
-        tcfg = TrainConfig(epochs=10, tol=0.0)
-        _, t1, r1 = train(toy_cad, net1, mcfg, tcfg)
-        _, t2, r2 = train(toy_cad, net2, mcfg, tcfg)
+        cfg = small_model(seed=9, epochs=10, tol=0.0)
+        _, t1, r1 = train(net1, cfg)
+        _, t2, r2 = train(net2, cfg)
         assert r1.loss_history == r2.loss_history
         assert np.array_equal(t1.objects, t2.objects)
