@@ -29,7 +29,7 @@ import numpy as np
 from .cavnet import build_hetnet, export_edge_list
 from .dataset import CAD, DatasetManifest, impute_modes, load_csv, read_kv_file
 from .encoders import encode_frequency, encode_onehot
-from .evaluation import INDICES, LabeledEmbedding, evaluate_all
+from .evaluation import INDICES, LabeledEmbedding, evaluate_all, factor_columns
 from .model import RunConfig
 from .training import train
 
@@ -175,29 +175,56 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _format_rows(block: np.ndarray, first_id: int) -> str:
-    """CSV lines of ``block``, formatting each distinct float64 bit pattern once.
+def _format_segments(rows: np.ndarray) -> list[str]:
+    """Comma-joined tokens of each row, formatting each distinct float64 bit pattern once.
 
     The key is the bit pattern, not the value: 0.0 == -0.0 but the two print
     differently, and nan != nan.
     """
-    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
     tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    rows = tokens[inverse].reshape(block.shape).tolist()
-    return "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows, first_id))
+    return [",".join(row) for row in tokens[inverse].reshape(rows.shape).tolist()]
+
+
+def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> str:
+    """CSV lines of the ``_CHUNK_ROWS`` rows of ``matrix`` from ``first_id``.
+
+    A line joins one segment per column run of ``factor_columns``; a run's
+    segment is formatted once per distinct code and kept in that run's dict
+    of ``cache``.  The cache is emptied once it holds as many tokens as a
+    chunk has, so it never outgrows the chunk's own text.
+    """
+    count = min(_CHUNK_ROWS, matrix.shape[0] - first_id)
+    if sum(len(segments) * (hi - lo) for segments, (lo, hi, _, _) in zip(cache, runs)) \
+            >= _CHUNK_ROWS * matrix.shape[1]:
+        for segments in cache:
+            segments.clear()
+    columns = []
+    for (lo, hi, codes, first), segments in zip(runs, cache):
+        chunk = codes[first_id:first_id + count].tolist()
+        missing = sorted(set(chunk).difference(segments))
+        if missing:
+            segments.update(zip(missing, _format_segments(matrix[first[missing], lo:hi])))
+        columns.append([segments[c] for c in chunk])
+    return "".join(f"{i},{','.join(row)}\n"
+                   for i, *row in zip(range(first_id, first_id + count), *columns))
 
 
 def write_embedding(path, matrix: np.ndarray) -> None:
     """CSV with an object_id column; repr floats round-trip exactly.
 
     Rows go out in chunks of ``_CHUNK_ROWS``, and the file replaces ``path``
-    only once it is complete.
+    only once it is complete.  Each line is built from the column runs of
+    ``factor_columns``, so an assembled embedding formats each attribute
+    value's row once rather than once per object.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
+    runs = factor_columns(matrix)
+    cache = [{} for _ in runs]
     with _replacing(path) as fh:
         fh.write("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1])) + "\n")
         for lo in range(0, matrix.shape[0], _CHUNK_ROWS):
-            fh.write(_format_rows(matrix[lo:lo + _CHUNK_ROWS], lo))
+            fh.write(_format_rows(matrix, runs, lo, cache))
 
 
 def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
@@ -326,8 +353,8 @@ def cmd_eval(args) -> int:
     if vectors.shape[0] != cad.n:
         raise StageError("eval", f"embedding has {vectors.shape[0]} rows, dataset has {cad.n}")
     indices = tuple(s.strip() for s in args.indices.split(","))
-    rows = _stage("eval", evaluate_all, {"embedding": [LabeledEmbedding(vectors, cad.labels)]},
-                  indices)
+    emb = _stage("eval", LabeledEmbedding, vectors, cad.labels)
+    rows = _stage("eval", evaluate_all, {"embedding": [emb]}, indices)
     results = {row.index: row.best for row in rows}
     for index, value in results.items():
         print(f"{index} = {value!r}")
@@ -338,6 +365,8 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_run_config(args)
+    if args.runs < 1:
+        raise StageError("config", f"runs must be >= 1, got {args.runs}")
     methods = [m.strip() for m in args.methods.split(",")]
     unknown = [m for m in methods if m != "neca" and m not in ENCODERS]
     if unknown:

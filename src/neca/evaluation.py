@@ -4,6 +4,13 @@ Both indices use Euclidean distance.  The silhouette index is the macro
 average (mean over classes of the per-class mean of s(x)).  Singleton-class
 objects get s(x) = 0, and when an object's a and b are both 0 (coincident
 points) s(x) = 0 as well.
+
+As the indices see only distances, they run on a compaction of the matrix
+that keeps every distance: ``factor_columns`` splits the columns
+into runs, and a run of width w whose rows take k < w distinct values is
+replaced by those rows rotated into a k-dimensional basis.  An assembled
+embedding, one w-wide row per attribute value, then costs |V| columns
+instead of m * w.
 """
 
 from __future__ import annotations
@@ -14,15 +21,86 @@ from typing import Iterable, Mapping
 import numpy as np
 
 _SILHOUETTE_BLOCK = 256   # distance-matrix rows held at a time
+_FACTOR_ROWS = 1024       # rows factor_columns screens, and checks at a time
 
 
 class EvaluationError(Exception):
     """Undefined index or inconsistent inputs."""
 
 
+def factor_columns(x: np.ndarray) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Runs ``(lo, hi, codes, first)`` of consecutive columns that cover ``x``.
+
+    Each run is exact, bit for bit: ``x[:, lo:hi]`` equals
+    ``x[first][codes, lo:hi]``, and ``codes`` takes every value below
+    ``k = len(first)``.  Bits are compared, not values, so -0.0 and NaN payloads
+    survive.  A run starts with the distinct values of its first column and
+    takes in each next column that is a function of them; windows of columns
+    are checked at once, starting one wider than the previous run.  Columns
+    whose successor is provably not a function of them (an adjacent pair of
+    leading rows agrees on one and not on the other) could only form runs of
+    width 1; a stretch of them is one run with a code per row.  Rows are
+    checked ``_FACTOR_ROWS`` at a time, so beside a run's O(n) codes the
+    check holds no more than that many rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, width = x.shape
+    bits = x.view(np.int64)
+    head = bits[:_FACTOR_ROWS]
+    same = head[1:] == head[:-1]
+    isolated = np.append(np.any(same[:, :-1] > same[:, 1:], axis=0), True)
+    rows = np.arange(n)
+    runs = []
+    lo, step = 0, 1
+    while lo < width:
+        if isolated[lo]:
+            hi = lo + 1
+            while hi < width and isolated[hi]:
+                hi += 1
+            runs.append((lo, hi, rows, rows))
+            lo = hi
+            continue
+        _, first, codes = np.unique(bits[:, lo], return_index=True, return_inverse=True)
+        rep = first[codes]
+        hi = lo + 1
+        while hi < width:
+            end = min(hi + step, width)
+            bad = np.zeros(end - hi, dtype=bool)
+            for r in range(0, n, _FACTOR_ROWS):
+                block = slice(r, r + _FACTOR_ROWS)
+                bad |= (bits[rep[block], hi:end] != bits[block, hi:end]).any(axis=0)
+            if bad.any():
+                hi += int(np.argmax(bad))
+                break
+            hi, step = end, 2 * step
+        runs.append((lo, hi, codes, first))
+        lo, step = hi, hi - lo + 1
+    return runs
+
+
+def _compact(x: np.ndarray) -> np.ndarray:
+    """``x`` with every pairwise and centroid distance kept, at inner dimension
+    the sum over its column runs of min(k, w); ``x`` itself unless that is
+    smaller than its width.
+
+    A run with k < w distinct rows ``t`` becomes the k-wide rows of R^T from
+    ``t^T = QR``: each row's coordinates in an orthonormal basis of the rows.
+    """
+    runs = factor_columns(x)
+    if sum(min(len(first), hi - lo) for lo, hi, _, first in runs) >= x.shape[1]:
+        return x
+    return np.hstack([np.linalg.qr(x[first, lo:hi].T, mode="r").T[codes]
+                      if len(first) < hi - lo else x[:, lo:hi]
+                      for lo, hi, codes, first in runs])
+
+
 @dataclass
 class LabeledEmbedding:
-    """An n-by-width real matrix with one class token per row."""
+    """An n-by-width finite real matrix with one class token per row.
+
+    ``points`` is the matrix the indices run on: ``vectors`` compacted with
+    every distance kept (``_compact``), built once here.
+    """
 
     vectors: np.ndarray
     labels: tuple[str, ...]
@@ -34,6 +112,10 @@ class LabeledEmbedding:
             raise EvaluationError("vectors must be a 2-d matrix")
         if len(self.labels) != self.vectors.shape[0]:
             raise EvaluationError("one label required per row")
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            raise EvaluationError(f"row {int(np.argmin(finite))} has a non-finite value")
+        self.points = _compact(self.vectors)
         code = {c: k for k, c in enumerate(dict.fromkeys(self.labels))}
         self.classes = tuple(code)
         self.label_idx = np.array([code[lab] for lab in self.labels], dtype=np.int64)
@@ -56,11 +138,11 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
     """
     if emb.t < 2 or emb.n <= emb.t:
         raise EvaluationError("CH undefined: requires 2 <= T < n")
-    center = emb.vectors.mean(axis=0)
+    center = emb.points.mean(axis=0)
     between = 0.0
     within = 0.0
     for idx in emb.members:
-        pts = emb.vectors[idx]
+        pts = emb.points[idx]
         centroid = pts.mean(axis=0)
         between += len(idx) * float(np.sum((centroid - center) ** 2))
         within += float(np.sum((pts - centroid) ** 2))
@@ -79,7 +161,7 @@ def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
     the n-by-T class indicator matrix, so memory is O(block * n + n * T)
     rather than O(n^2) and each distance is computed once.
     """
-    x = emb.vectors
+    x = emb.points
     blocks = [(lo, min(lo + _SILHOUETTE_BLOCK, emb.n))
               for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
     sq = np.concatenate([np.sum(x[lo:hi] * x[lo:hi], axis=1) for lo, hi in blocks])

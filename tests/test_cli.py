@@ -304,6 +304,19 @@ class TestEval:
         assert "[output]" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_non_finite_embedding_rejected(self, labeled_csv, tmp_path, capsys):
+        emb = tmp_path / "nan.csv"
+        vectors = np.zeros((12, 2))
+        vectors[7, 1] = np.nan
+        vectors[9, 0] = np.inf
+        cli.write_embedding(emb, vectors)
+        out = tmp_path / "r.json"
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(emb),
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "[eval] row 7 has a non-finite value" in captured.err
+        assert "ch =" not in captured.out and not out.exists()
+
     def test_missing_labels_rejected(self, toy_csv, tmp_path, capsys):
         emb = tmp_path / "e.csv"
         cli.write_embedding(emb, np.zeros((6, 2)))
@@ -348,6 +361,17 @@ class TestCompare:
                     "--runs", "2", "--seed0", "-1", "--json", str(out)]) == 1
         assert "[config] seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_is_a_config_error(self, labeled_csv, tmp_path, monkeypatch,
+                                              capsys, runs):
+        loaded = []
+        monkeypatch.setattr(cli, "resolve_dataset", lambda args: loaded.append(args))
+        out = tmp_path / "c.json"
+        assert run(["compare", str(labeled_csv), "--label", "group", "--runs", runs,
+                    "--methods", "neca,onehot", "--json", str(out)]) == 1
+        assert f"[config] runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert loaded == [] and not out.exists()
 
     def test_unknown_method_rejected_before_any_training(self, labeled_csv, tmp_path,
                                                           monkeypatch, capsys):

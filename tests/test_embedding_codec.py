@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,36 @@ class TestBytes:
         path = assert_same_bytes(tmp_path, matrix)
         assert read_embedding(path).tobytes() == matrix.tobytes()
 
+    def test_factored_blocks_across_chunks(self, tmp_path):
+        # an assembled embedding: one 16-wide table row per attribute value,
+        # with special values in the tables, over five chunks of rows
+        rng = np.random.default_rng(5)
+        tables = [rng.standard_normal((k, 16)) for k in (3, 1, 7, 2, 5, 4)]
+        tables[0][1, :4] = [0.0, -0.0, np.nan, np.inf]
+        tables[2][3, 5:8] = [5e-324, -np.inf, 1.7976931348623157e308]
+        matrix = np.hstack([t[rng.integers(0, len(t), size=600)] for t in tables])
+        # the one-row table is constant, a function of any codes: it joins the run before it
+        assert [(lo, hi, len(first)) for lo, hi, _, first in cli.factor_columns(matrix)] == [
+            (0, 32, 3), (32, 48, 7), (48, 64, 2), (64, 80, 5), (80, 96, 4)]
+        path = assert_same_bytes(tmp_path, matrix)
+        back = read_embedding(path)
+        nan = np.isnan(matrix)
+        assert np.array_equal(np.isnan(back), nan)
+        assert back[~nan].tobytes() == matrix[~nan].tobytes()
+
+    def test_memory_bounded_by_chunks(self, tmp_path):
+        # every row distinct: no segment recurs, so caching them would hold the file
+        matrix = np.random.default_rng(6).standard_normal((20_000, 64))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_embedding(path, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = path.stat().st_size * cli._CHUNK_ROWS / matrix.shape[0]
+        assert peak < 12 * chunk_bytes   # the file is 157 chunks
+
     @given(hnp.arrays(np.float64,
                       hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
                       .filter(lambda s: s[1] > 0),
@@ -148,11 +179,11 @@ class TestAtomicWrites:
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
         real_format, calls = cli._format_rows, []
 
-        def failing_format(block, first_id):
+        def failing_format(matrix, runs, first_id, cache):
             calls.append(first_id)
             if len(calls) == 3:
                 raise OSError("disk full")
-            return real_format(block, first_id)
+            return real_format(matrix, runs, first_id, cache)
 
         monkeypatch.setattr(cli, "_format_rows", failing_format)
         with pytest.raises(OSError, match="disk full"):
@@ -162,7 +193,7 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_format_rows", lambda block, first_id: 1 / 0)
+        monkeypatch.setattr(cli, "_format_rows", lambda matrix, runs, first_id, cache: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             write_embedding(tmp_path / "emb.csv", np.ones((3, 3)))
         assert list(tmp_path.iterdir()) == []

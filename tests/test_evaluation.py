@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import (INDICES, ComparisonRow, EvaluationError, LabeledEmbedding,
-                             calinski_harabasz, evaluate_all, silhouette, silhouette_samples)
+                             calinski_harabasz, evaluate_all, factor_columns, silhouette,
+                             silhouette_samples)
 
 
 def brute_ch(x, labels):
@@ -212,6 +215,107 @@ class TestSilhouette:
         assert np.all(s >= -1.0 - 1e-12) and np.all(s <= 1.0 + 1e-12)
         idx = silhouette(LabeledEmbedding(vectors, labels))
         assert -1.0 - 1e-12 <= idx <= 1.0 + 1e-12
+
+
+# a quiet NaN with a payload other than np.nan's
+NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(np.float64)[0]
+POOL = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -1.5, 2.0, 5e-324]
+
+
+def assert_exact_runs(x, runs):
+    """The runs rebuild ``x`` bit for bit, in order, over every column."""
+    n, width = x.shape
+    assert [lo for lo, *_ in runs] == [0] + [hi for _, hi, *_ in runs[:-1]]
+    assert (runs[-1][1] if runs else 0) == width
+    for lo, hi, codes, first in runs:
+        assert lo < hi and codes.shape == (n,)
+        assert np.array_equal(np.unique(codes), np.arange(len(first)))   # k == len(first)
+        assert x[first][codes, lo:hi].tobytes() == np.ascontiguousarray(x[:, lo:hi]).tobytes()
+
+
+@st.composite
+def block_matrices(draw):
+    """[T_1[c_1], ..., T_m[c_m]]: each block a k-row table gathered by codes."""
+    n = draw(st.integers(0, 30))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        k, w = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        table = draw(hnp.arrays(np.float64, (k, w), elements=st.sampled_from(POOL)
+                                | st.floats(-4, 4, width=64)))
+        codes = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        blocks.append(table[codes])
+    return np.hstack(blocks)
+
+
+class TestFactorColumns:
+    @given(block_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_block_matrices_rebuilt_exactly(self, x):
+        assert_exact_runs(x, factor_columns(x))
+
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+                      .filter(lambda s: s[1] > 0),
+                      elements=st.sampled_from(POOL)))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_special_values_rebuilt_exactly(self, x):
+        # few distinct cells: signed zeros, NaN payloads, constant columns, repeated rows
+        assert_exact_runs(x, factor_columns(x))
+
+    @pytest.mark.parametrize("x", [np.zeros((0, 5)), np.full((1, 7), -0.0),
+                                   np.array([[np.nan, 0.0, -0.0]] * 4),
+                                   np.random.default_rng(0).standard_normal((3000, 5))])
+    def test_edge_shapes(self, x):
+        assert_exact_runs(x, factor_columns(x))
+
+    def test_a_late_row_splits_the_run(self):
+        # past the rows screened and checked in one block, one cell breaks the table
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 8))[rng.integers(0, 3, size=3000)]
+        x[2999, 5] = 7.0
+        runs = factor_columns(x)
+        assert_exact_runs(x, runs)
+        assert [(lo, hi) for lo, hi, *_ in runs][0] == (0, 5)
+
+    def test_blocks_become_runs(self):
+        rng = np.random.default_rng(1)
+        tables = [rng.standard_normal((k, 16)) for k in (3, 5, 2, 6, 4, 2)]
+        x = np.hstack([t[rng.integers(0, len(t), size=600)] for t in tables])
+        runs = factor_columns(x)
+        assert [(lo, hi, len(first)) for lo, hi, _, first in runs] == [
+            (16 * j, 16 * j + 16, len(t)) for j, t in enumerate(tables)]
+
+    def test_indices_on_factored_matrix_match_dense_references(self):
+        # 600 x (6 * 16) from six tables: the indices run at inner dimension 22.
+        # The objects are distinct value combinations: a coincident pair's distance
+        # is rounding noise of the quadratic expansion, in any basis.
+        rng = np.random.default_rng(2)
+        sizes = (3, 5, 2, 6, 4, 2)
+        ids = np.unravel_index(rng.choice(np.prod(sizes), size=600, replace=False), sizes)
+        classes = np.where(rng.random(600) < 0.8, (ids[0] + ids[3]) % 3, rng.integers(0, 3, 600))
+        labels = [f"c{k}" for k in classes]
+        tables = [rng.standard_normal((k, 16)) for k in sizes]
+        x = np.hstack([t[c] for t, c in zip(tables, ids)])
+        emb = LabeledEmbedding(x, labels)
+        assert emb.points.shape == (600, 22)
+        np.testing.assert_allclose(silhouette_samples(emb), dense_silhouette_samples(x, labels),
+                                   rtol=0, atol=1e-12)
+        assert calinski_harabasz(emb) == pytest.approx(brute_ch(x.tolist(), labels), rel=1e-12)
+
+    @pytest.mark.parametrize("encoder", [encode_onehot, encode_frequency])
+    def test_encodings_pass_through(self, toy_cad, encoder):
+        emb = LabeledEmbedding(encoder(toy_cad).vectors, ("A", "B", "A", "B", "A", "B"))
+        assert emb.points is emb.vectors
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_row_named(self, value):
+        x = np.zeros((6, 3))
+        x[4, 2] = value
+        x[5, 0] = np.nan
+        with pytest.raises(EvaluationError, match=r"^row 4 has a non-finite value$"):
+            LabeledEmbedding(x, ("A", "B") * 3)
 
 
 class TestInvariances:
