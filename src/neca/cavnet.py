@@ -48,9 +48,6 @@ class CavNodeSet:
     def total(self) -> int:
         return int(self.offsets[-1])
 
-    def id_for(self, attr: int, token: str) -> int:
-        return int(self.offsets[attr]) + self.domains[attr].index(token)
-
     def qualified(self, node_id: int) -> str:
         j = int(self.attr_of[node_id])
         return f"{self.attribute_names[j]}={self.domains[j][node_id - self.offsets[j]]}"

@@ -88,14 +88,13 @@ def sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def fetch_dataset(manifest: DatasetManifest, cache: Path | None = None,
-                  mirror: Path | None = None, quiet: bool = False) -> Path:
-    """Return a verified local copy, downloading or copying only on cache miss.
+def fetch_dataset(manifest: DatasetManifest, mirror: Path | None = None) -> Path:
+    """Return a verified copy in ``cache_dir()``, downloading or copying only on a miss.
 
     A new copy is written beside the cache file and verified before it
     replaces it, so a failed or mismatched fetch leaves nothing cached.
     """
-    cache = cache or cache_dir()
+    cache = cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     target = cache / f"{manifest.name.lower()}.data"
 
@@ -104,7 +103,7 @@ def fetch_dataset(manifest: DatasetManifest, cache: Path | None = None,
         if manifest.checksum and digest != manifest.checksum:
             raise FetchError(
                 f"checksum mismatch for {origin}: expected {manifest.checksum}, got {digest}")
-        if not manifest.checksum and not quiet:
+        if not manifest.checksum:
             print(f"note: {manifest.name} checksum unpinned; sha256 {digest}", file=sys.stderr)
         return path
 
@@ -319,7 +318,7 @@ def cmd_embed(args) -> int:
         "config": asdict(config),
         "seeds": {"graph": net.rng_seed, "model": config.seed},
         "loss_history": report.loss_history,
-        "epochs_run": report.epochs_run,
+        "epochs_run": len(report.loss_history),
         "stop_reason": report.stop_reason,
         "beta_inter": table.beta_inter,
         "beta_intra": table.beta_intra,
@@ -374,7 +373,7 @@ def cmd_compare(args) -> int:
     cad, manifest, _ = _stage("dataset", resolve_dataset, args)
     if cad.labels is None:
         raise StageError("compare", "dataset has no label column; comparison needs labels")
-    seeds = {m: [args.seed0 + i for i in range(args.runs)] if m == "neca" else [None]
+    seeds = {m: [config.seed + i for i in range(args.runs)] if m == "neca" else [None]
              for m in methods}
 
     def embeddings(method):
@@ -411,9 +410,7 @@ def cmd_fetch(args) -> int:
     else:
         raise StageError("fetch", f"unknown dataset {args.dataset!r}; "
                                   f"bundled names: {', '.join(n.upper() for n in BUNDLED)}")
-    path = fetch_dataset(manifest,
-                         cache=Path(args.cache) if args.cache else None,
-                         mirror=Path(args.mirror) if args.mirror else None)
+    path = fetch_dataset(manifest, mirror=Path(args.mirror) if args.mirror else None)
     print(path)
     return 0
 
@@ -457,12 +454,13 @@ def add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mirror", help="local directory with pre-downloaded dataset files")
 
 
-def add_config_args(p: argparse.ArgumentParser) -> None:
+def add_config_args(p: argparse.ArgumentParser, names) -> None:
+    """``--config`` and one flag for each ``RunConfig`` field in ``names``."""
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default),
-                       help=f"{f.metadata['help']} (default {f.default})")
+        if f.name in names:
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           help=f"{f.metadata['help']} (default {f.default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,17 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="neca",
         description="categorical data embeddings via attention over value networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    every = [f.name for f in fields(RunConfig)]
 
     p = sub.add_parser("fetch", help="download a dataset into the cache")
     p.add_argument("dataset", help="bundled dataset name (e.g. ZO)")
     p.add_argument("--manifest", help="manifest file for a non-bundled dataset")
-    p.add_argument("--cache", help="cache directory (default $NECA_CACHE or ~/.cache/neca)")
     p.add_argument("--mirror", help="local directory with pre-downloaded files")
     p.set_defaults(fn=cmd_fetch)
 
     p = sub.add_parser("embed", help="train and write per-object embeddings")
     add_dataset_args(p)
-    add_config_args(p)
+    add_config_args(p, every)
     p.add_argument("--out", required=True, help="embedding CSV output path")
     p.add_argument("--meta", help="metadata JSON path (default: alongside --out)")
     p.add_argument("--verbose", action="store_true", help="per-epoch loss lines")
@@ -501,17 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="multi-run method comparison table")
     add_dataset_args(p)
-    add_config_args(p)
+    add_config_args(p, every)
     p.add_argument("--methods", default="neca,onehot,frequency",
                    help="comma-separated subset of neca,onehot,frequency")
-    p.add_argument("--runs", type=int, default=5, help="stochastic-method repetitions")
-    p.add_argument("--seed0", type=int, default=0, help="first seed; run i uses seed0+i")
+    p.add_argument("--runs", type=int, default=5,
+                   help="stochastic-method repetitions; run i uses seed + i")
     p.add_argument("--json", help="optional structured results path")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("export-graph", help="write a network edge list")
     add_dataset_args(p)
-    add_config_args(p)
+    add_config_args(p, ("seed", "beta_connect"))
     p.add_argument("--which", required=True, choices=("inter", "intra"))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export_graph)

@@ -59,13 +59,6 @@ class CAD:
         if self.labels is not None and len(self.labels) != self.n:
             raise DatasetError(f"{len(self.labels)} labels for {self.n} records")
 
-    @property
-    def records(self) -> tuple[tuple[str, ...], ...]:
-        """The code matrix decoded to one tuple of tokens per record."""
-        columns = [np.array(d, dtype=object)[self.codes[:, j]]
-                   for j, d in enumerate(self.domains)]
-        return tuple(zip(*columns)) if columns else ((),) * self.n
-
 
 def _columns(rows: Sequence[Sequence[str]], width: int, describe) -> list[tuple[str, ...]]:
     """The columns of ``rows``; row i of another length k raises ``describe(i, k)``."""
@@ -117,7 +110,6 @@ class DatasetManifest:
     missing_token: str = "?"
     has_header: bool = True
     column_names: tuple[str, ...] | None = None
-    delimiter: str = ","
     notes: str = ""
 
     def column_roles(self, columns: Sequence[str]) -> dict[str, str]:
@@ -129,8 +121,6 @@ class DatasetManifest:
                 roles[c] = "identifier-drop"
             else:
                 roles[c] = "feature"
-        if sum(1 for r in roles.values() if r == "label") > 1:
-            raise DatasetError("more than one label column")
         return roles
 
     @classmethod
@@ -138,7 +128,7 @@ class DatasetManifest:
         entries = read_kv_file(path)
         known = {
             "name", "source_url", "checksum", "label", "drop", "missing_token",
-            "header", "columns", "delimiter", "notes",
+            "header", "columns", "notes",
         }
         unknown = set(entries) - known
         if unknown:
@@ -157,7 +147,6 @@ class DatasetManifest:
             missing_token=entries.get("missing_token", "?"),
             has_header=header == "true",
             column_names=tuple(t for t in entries.get("columns", "").split(",") if t) or None,
-            delimiter=entries.get("delimiter", ","),
             notes=entries.get("notes", ""),
         )
 
@@ -187,13 +176,16 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
 
     Identifier columns are dropped, the label column is split out, and
     domains are computed in first-appearance order.  A byte-order mark
-    before the header is ignored, and a label or drop column missing from
-    the header is an error.
+    before the header is ignored.  A label or drop column missing from the
+    header, a column named twice, and column names given for a file with a
+    header row are errors.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(filter(None, csv.reader(fh, delimiter=manifest.delimiter)))
+        rows = list(filter(None, csv.reader(fh)))
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
+    if manifest.has_header and manifest.column_names is not None:
+        raise DatasetError(f"{path}: column names given for a file with a header row")
     if manifest.has_header:
         header, rows = [c.strip() for c in rows[0]], rows[1:]
     elif manifest.column_names is not None:
@@ -202,6 +194,9 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
         header = [f"col_{j}" for j in range(len(rows[0]))]
     if not rows:
         raise DatasetError(f"{path}: no data rows")
+    repeated = next((c for j, c in enumerate(header) if c in header[:j]), None)
+    if repeated is not None:
+        raise DatasetError(f"{path}: column {repeated!r} is named twice")
     columns = _columns(rows, len(header), lambda i, k: (
         f"{path}: row {i + 1} has {k} fields, expected {len(header)}"))
 

@@ -182,11 +182,7 @@ def forward_fused(net: HetNet, pvars: dict[str, Var], config: RunConfig) -> Forw
 class EmbeddingTable:
     """Learned per-CAV vectors and assembled per-object vectors."""
 
-    inter: np.ndarray
-    intra: np.ndarray
     fused: np.ndarray
-    gamma_inter: float
-    gamma_intra: float
     beta_inter: float
     beta_intra: float
     objects: np.ndarray
@@ -196,11 +192,7 @@ def compute_table(net: HetNet, params: dict[str, np.ndarray],
                   config: RunConfig) -> EmbeddingTable:
     fw = forward_fused(net, wrap_params(params), config)
     return EmbeddingTable(
-        inter=fw.inter.value,
-        intra=fw.intra.value,
         fused=fw.fused.value,
-        gamma_inter=float(fw.gamma_inter.value),
-        gamma_intra=float(fw.gamma_intra.value),
         beta_inter=float(fw.beta_inter.value),
         beta_intra=float(fw.beta_intra.value),
         objects=assemble_objects(net.node_set, fw.fused.value),

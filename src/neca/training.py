@@ -34,17 +34,12 @@ CLAMP_EPS = 1e-7       # kernel values are clipped to [CLAMP_EPS, 1 - CLAMP_EPS]
 
 
 class TrainingError(Exception):
-    """Non-finite loss or gradient; carries the partial history when training."""
-
-    def __init__(self, message: str, loss_history: list[float] | None = None):
-        super().__init__(message)
-        self.loss_history = loss_history or []
+    """Non-finite loss or gradient, or another contract violation in training."""
 
 
 @dataclass
 class TrainReport:
-    loss_history: list[float]
-    epochs_run: int
+    loss_history: list[float]   # one loss per epoch run
     stop_reason: str            # "max_epochs" or "converged"
 
 
@@ -149,7 +144,7 @@ def train(net: HetNet, config: RunConfig,
         try:
             loss, betas, grads = gradients(net, params, config)
         except TrainingError as exc:
-            raise TrainingError(f"training diverged at epoch {epoch}: {exc}", history) from exc
+            raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
         history.append(loss)
         if log_fn is not None:
             log_fn(epoch, loss, *betas)
@@ -159,5 +154,4 @@ def train(net: HetNet, config: RunConfig,
             break
         prev = loss
     table = compute_table(net, params, config)
-    report = TrainReport(loss_history=history, epochs_run=len(history), stop_reason=stop)
-    return params, table, report
+    return params, table, TrainReport(loss_history=history, stop_reason=stop)

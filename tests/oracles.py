@@ -30,6 +30,17 @@ from neca.model import ELU_ALPHA, LEAKY_SLOPE, ModelError
 from neca.training import CLAMP_EPS, TrainingError
 
 
+def records(cad) -> tuple[tuple[str, ...], ...]:
+    """The code matrix of ``cad`` decoded to one tuple of tokens per record."""
+    columns = [np.array(d, dtype=object)[cad.codes[:, j]] for j, d in enumerate(cad.domains)]
+    return tuple(zip(*columns)) if columns else ((),) * cad.n
+
+
+def id_for(nodes, attr: int, token: str) -> int:
+    """Node id of ``token`` in attribute ``attr`` of a ``CavNodeSet``."""
+    return int(nodes.offsets[attr]) + nodes.domains[attr].index(token)
+
+
 def observed_domains(records, m: int) -> tuple[tuple[str, ...], ...]:
     domains = [dict() for _ in range(m)]  # dict preserves first-appearance order
     for rec in records:
@@ -171,10 +182,10 @@ def save_csv(cad, path, label_name: str = "label") -> None:
         writer = csv.writer(fh)
         if cad.labels is None:
             writer.writerow(cad.attribute_names)
-            writer.writerows(cad.records)
+            writer.writerows(records(cad))
         else:
             writer.writerow(cad.attribute_names + (label_name,))
-            writer.writerows(rec + (label,) for rec, label in zip(cad.records, cad.labels))
+            writer.writerows(rec + (label,) for rec, label in zip(records(cad), cad.labels))
 
 
 # ---------------------------------------------------------------------------

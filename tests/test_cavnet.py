@@ -16,9 +16,9 @@ from oracles import adjacency, read_edge_list
 def co_occurrence(cad, u, v):
     """The oracle's count for (attr, token) nodes u and v, after checking the
     inter network's raw count (0 when there is no edge) against it."""
-    count = oracles.co_occurrence(cad.records, u, v)
+    count = oracles.co_occurrence(oracles.records(cad), u, v)
     nodes = build_node_set(cad)
-    a, b = sorted((nodes.id_for(*u), nodes.id_for(*v)))
+    a, b = sorted((oracles.id_for(nodes, *u), oracles.id_for(nodes, *v)))
     edges = build_inter_network(cad, nodes)
     assert edges.raw[(edges.u == a) & (edges.v == b)].sum() == count
     return count
@@ -31,10 +31,10 @@ class TestNodeSet:
 
     def test_counts_match_column_tallies(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        assert nodes.counts[nodes.id_for(0, "M")] == 4
-        assert nodes.counts[nodes.id_for(0, "F")] == 2
-        assert nodes.counts[nodes.id_for(1, "Engineering")] == 3
-        assert nodes.counts[nodes.id_for(1, "Science")] == 1
+        assert nodes.counts[oracles.id_for(nodes, 0, "M")] == 4
+        assert nodes.counts[oracles.id_for(nodes, 0, "F")] == 2
+        assert nodes.counts[oracles.id_for(nodes, 1, "Engineering")] == 3
+        assert nodes.counts[oracles.id_for(nodes, 1, "Science")] == 1
 
     def test_per_attribute_counts_sum_to_n(self, toy_cad):
         nodes = build_node_set(toy_cad)
@@ -49,7 +49,7 @@ class TestNodeSet:
 
     def test_independent_distinct_count_oracle(self, toy_cad):
         # |V| cross-checked against a second pass using plain set arithmetic
-        distinct = sum(len({rec[j] for rec in toy_cad.records}) for j in range(toy_cad.m))
+        distinct = sum(len({rec[j] for rec in oracles.records(toy_cad)}) for j in range(toy_cad.m))
         assert build_node_set(toy_cad).total == distinct
 
 
@@ -103,7 +103,8 @@ class TestInterNetwork:
         sp_mask = (attr[edges.u] != attr[edges.v]) & \
                   (np.minimum(attr[edges.u], attr[edges.v]) == 1) & \
                   (np.maximum(attr[edges.u], attr[edges.v]) == 2)
-        eng_prog = {nodes.id_for(1, "Engineering"), nodes.id_for(2, "Programmer")}
+        eng_prog = {oracles.id_for(nodes, 1, "Engineering"),
+                    oracles.id_for(nodes, 2, "Programmer")}
         target = [i for i in np.nonzero(sp_mask)[0]
                   if {int(edges.u[i]), int(edges.v[i])} == eng_prog]
         others = [i for i in np.nonzero(sp_mask)[0] if i not in target]
@@ -133,25 +134,25 @@ class TestInterNetwork:
 class TestIntraAffinity:
     def test_gender_pair(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.id_for(0, "M")
-        v = nodes.id_for(0, "F")
+        u = oracles.id_for(nodes, 0, "M")
+        v = oracles.id_for(nodes, 0, "F")
         assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.0)
 
     def test_specialty_pair(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.id_for(1, "Engineering")
-        v = nodes.id_for(1, "Science")
+        u = oracles.id_for(nodes, 1, "Engineering")
+        v = oracles.id_for(nodes, 1, "Science")
         assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == pytest.approx(1.5)
 
     def test_cross_attribute_returns_beta(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u = nodes.id_for(0, "M")
-        v = nodes.id_for(1, "Science")
+        u = oracles.id_for(nodes, 0, "M")
+        v = oracles.id_for(nodes, 1, "Science")
         assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == 0.01
 
     def test_symmetric(self, toy_cad):
         nodes = build_node_set(toy_cad)
-        u, v = nodes.id_for(2, "Lawyer"), nodes.id_for(2, "Analyst")
+        u, v = oracles.id_for(nodes, 2, "Lawyer"), oracles.id_for(nodes, 2, "Analyst")
         assert oracles.intra_affinity(nodes, toy_cad.n, u, v, 0.01) == \
             oracles.intra_affinity(nodes, toy_cad.n, v, u, 0.01)
 
@@ -217,7 +218,7 @@ class TestIntraNetwork:
     def test_single_value_attribute_allowed(self):
         cad = make_cad([("x", "p"), ("x", "q")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
-        lone = net.node_set.id_for(0, "x")
+        lone = oracles.id_for(net.node_set, 0, "x")
         assert len(adjacency(net, "intra")[lone]) >= 1
 
     def test_mutual_connectivity_draws_collapse_to_one_edge(self):
@@ -293,7 +294,7 @@ class TestExport:
         path.write_text(export_edge_list(net, "inter"), encoding="utf-8")
         # distinct co-occurring cross-attribute pairs, counted independently
         pairs = set()
-        for rec in toy_cad.records:
+        for rec in oracles.records(toy_cad):
             for j in range(toy_cad.m):
                 for jj in range(j + 1, toy_cad.m):
                     pairs.add(((j, rec[j]), (jj, rec[jj])))

@@ -345,7 +345,7 @@ class TestCompare:
 
     def test_stochastic_method_runs_recorded(self, labeled_csv, tmp_path):
         run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",
-             "--runs", "2", "--seed0", "3", "--epochs", "3", "--heads", "2",
+             "--runs", "2", "--seed", "3", "--epochs", "3", "--heads", "2",
              "--head-dim", "2", "--json", str(tmp_path / "c.json")])
         payload = json.loads((tmp_path / "c.json").read_text())
         seeds = [r["seed"] for r in payload["runs"]]
@@ -355,10 +355,19 @@ class TestCompare:
             assert row["best"] == max(values)
             assert row["runs"] == 2
 
+    def test_config_file_seed_is_the_first_seed(self, labeled_csv, tmp_path):
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("seed = 3\nepochs = 3\nheads = 2\nhead_dim = 2\n")
+        assert run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",
+                    "--runs", "2", "--config", str(cfgfile),
+                    "--json", str(tmp_path / "c.json")]) == 0
+        payload = json.loads((tmp_path / "c.json").read_text())
+        assert [r["seed"] for r in payload["runs"]] == [3, 4]
+
     def test_negative_first_seed_is_a_config_error(self, labeled_csv, tmp_path, capsys):
         out = tmp_path / "c.json"
         assert run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",
-                    "--runs", "2", "--seed0", "-1", "--json", str(out)]) == 1
+                    "--runs", "2", "--seed", "-1", "--json", str(out)]) == 1
         assert "[config] seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -407,40 +416,37 @@ class TestFetchAndGraph:
             f"name = blob\nchecksum = {digest}\nlabel = group\n")
         return mirror, manifest
 
-    def test_fetch_from_mirror_then_cache(self, tmp_path, labeled_csv, capsys):
-        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
-        cache = tmp_path / "cache"
-        assert run(["fetch", "blob", "--manifest", str(manifest),
-                    "--cache", str(cache), "--mirror", str(mirror)]) == 0
-        (mirror / "blob.data").unlink()  # second call must not need the mirror
-        assert run(["fetch", "blob", "--manifest", str(manifest),
-                    "--cache", str(cache), "--mirror", str(mirror)]) == 0
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NECA_CACHE", str(tmp_path / "cache"))
+        return tmp_path / "cache"
 
-    def test_corrupted_cache_detected(self, tmp_path, labeled_csv, capsys):
+    def test_fetch_from_mirror_then_cache(self, tmp_path, labeled_csv, cache, capsys):
         mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
-        cache = tmp_path / "cache"
-        run(["fetch", "blob", "--manifest", str(manifest),
-             "--cache", str(cache), "--mirror", str(mirror)])
+        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
+        assert (cache / "blob.data").read_bytes() == labeled_csv.read_bytes()
+        (mirror / "blob.data").unlink()  # second call must not need the mirror
+        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
+
+    def test_corrupted_cache_detected(self, tmp_path, labeled_csv, cache, capsys):
+        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
+        run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)])
         (cache / "blob.data").write_text("corrupted")
-        code = run(["fetch", "blob", "--manifest", str(manifest),
-                    "--cache", str(cache), "--mirror", str(mirror)])
+        code = run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)])
         assert code == 1
         err = capsys.readouterr().err
         assert "checksum mismatch" in err and "expected" in err
 
-    def test_checksum_mismatch_caches_nothing(self, tmp_path, labeled_csv, capsys):
+    def test_checksum_mismatch_caches_nothing(self, tmp_path, labeled_csv, cache, capsys):
         mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
         bad = tmp_path / "bad-mirror"
         bad.mkdir()
         (bad / "blob.data").write_text("truncated")
-        cache = tmp_path / "cache"
-        code = run(["fetch", "blob", "--manifest", str(manifest),
-                    "--cache", str(cache), "--mirror", str(bad)])
+        code = run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(bad)])
         assert code == 1
         assert "checksum mismatch" in capsys.readouterr().err
         assert list(cache.iterdir()) == []
-        assert run(["fetch", "blob", "--manifest", str(manifest),
-                    "--cache", str(cache), "--mirror", str(mirror)]) == 0
+        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
         assert (cache / "blob.data").read_bytes() == labeled_csv.read_bytes()
         assert [p.name for p in cache.iterdir()] == ["blob.data"]
 
@@ -448,11 +454,10 @@ class TestFetchAndGraph:
         assert run(["fetch", "nosuch"]) == 1
         assert "bundled names" in capsys.readouterr().err
 
-    def test_download_failure_reported(self, tmp_path, capsys):
+    def test_download_failure_reported(self, tmp_path, cache, capsys):
         manifest = tmp_path / "x.manifest"
         manifest.write_text("name = xably\nsource_url = https://no.such.host.invalid/x.data\n")
-        code = run(["fetch", "xably", "--manifest", str(manifest),
-                    "--cache", str(tmp_path / "cache")])
+        code = run(["fetch", "xably", "--manifest", str(manifest)])
         assert code == 1
         assert "download failed" in capsys.readouterr().err
 
@@ -488,6 +493,37 @@ class TestFetchAndGraph:
              "--out", str(b), "--seed", "5"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_export_graph_reads_the_graph_keys_of_a_full_config(self, toy_csv, tmp_path):
+        # the config file may hold all nine keys; only seed and beta_connect shape the graph
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("heads = 2\nhead_dim = 3\nfusion_dim = 4\nseed = 5\nlr = 0.01\n"
+                           "epochs = 2\ntol = 0.0\nsigma = 1.5\nbeta_connect = 0.02\n")
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert run(["export-graph", str(toy_csv), "--drop", "Name", "--which", "intra",
+                    "--out", str(a), "--config", str(cfgfile)]) == 0
+        assert run(["export-graph", str(toy_csv), "--drop", "Name", "--which", "intra",
+                    "--out", str(b), "--seed", "5", "--beta-connect", "0.02"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestDatasetErrors:
+    def test_column_named_twice(self, tmp_path, capsys):
+        data = tmp_path / "twice.csv"
+        data.write_text("a,a,class,class\nx,y,p,q\nx,z,p,q\n")
+        assert run(["export-graph", str(data), "--label", "class", "--which", "inter",
+                    "--out", str(tmp_path / "g.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [dataset]") and "column 'a' is named twice" in err
+        assert not (tmp_path / "g.tsv").exists()
+
+    def test_columns_on_a_file_with_a_header(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "g.tsv"
+        assert run(["export-graph", str(toy_csv), "--drop", "Name", "--columns", "p,q,r,s",
+                    "--which", "inter", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [dataset]") and "header row" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_dataset_is_runtime_error(self, capsys):
@@ -496,6 +532,18 @@ class TestExitCodes:
     def test_bad_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
+        assert exc.value.code == 2
+
+    # the first seed of compare is --seed, the cache is $NECA_CACHE, and
+    # export-graph takes only the hyperparameters that shape the graph
+    @pytest.mark.parametrize("argv", [
+        ["compare", "DATA", "--seed0", "3"],
+        ["fetch", "ZO", "--cache", "x"],
+        ["export-graph", "DATA", "--which", "intra", "--out", "g.tsv", "--heads", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_flag_is_a_usage_error(self, toy_csv, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([str(toy_csv) if a == "DATA" else a for a in argv])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [

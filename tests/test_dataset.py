@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from neca.dataset import (CAD, DatasetError, DatasetManifest, impute_modes, load_csv,
                           make_cad, read_kv_file)
-from oracles import save_csv
+from oracles import records, save_csv
 
 
 def toy_manifest():
@@ -71,6 +71,19 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="drop column 'nosuch' not found"):
             load_csv(toy_csv, DatasetManifest(name="toy", drop_columns=("Name", "nosuch")))
 
+    @pytest.mark.parametrize("header, twice", [("a,a,class", "a"), ("a,class,class", "class")])
+    def test_column_named_twice_rejected(self, tmp_path, header, twice):
+        p = tmp_path / "twice.csv"
+        p.write_text(header + "\nx,y,z\n")
+        with pytest.raises(DatasetError, match=f"column {twice!r} is named twice"):
+            load_csv(p, DatasetManifest(name="twice", label_column="class"))
+
+    def test_column_names_for_a_file_with_a_header_rejected(self, tmp_path, toy_csv):
+        manifest = tmp_path / "toy.manifest"
+        manifest.write_text("name = toy\ncolumns = p,q,r,s\n")
+        with pytest.raises(DatasetError, match="column names given for a file with a header"):
+            load_csv(toy_csv, DatasetManifest.from_file(manifest))
+
     def test_byte_order_mark_and_crlf_header(self, tmp_path, toy_csv):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes().replace(b"\n", b"\r\n"))
@@ -88,20 +101,20 @@ class TestLoadCsv:
         m = DatasetManifest(name="raw", has_header=False, column_names=("num", "tok"))
         cad = load_csv(p, m)
         assert cad.attribute_names == ("num", "tok")
-        assert cad.records[0] == ("1", "x")
+        assert records(cad)[0] == ("1", "x")
 
     def test_quoted_fields(self, tmp_path):
         p = tmp_path / "quoted.csv"
         p.write_text('a,b\n"x,1",y\n')
         cad = load_csv(p, DatasetManifest(name="q"))
-        assert cad.records[0] == ("x,1", "y")
+        assert records(cad)[0] == ("x,1", "y")
 
     def test_round_trip_preserves_everything(self, tmp_path, toy_csv):
         cad = load_csv(toy_csv, toy_manifest())
         out = tmp_path / "again.csv"
         save_csv(cad, out)
         again = load_csv(out, DatasetManifest(name="again"))
-        assert again.records == cad.records
+        assert records(again) == records(cad)
         assert again.domains == cad.domains
         assert again.labels == cad.labels
 
@@ -110,7 +123,7 @@ class TestLoadCsv:
         out = tmp_path / "lab.csv"
         save_csv(cad, out)
         again = load_csv(out, DatasetManifest(name="lab", label_column="label"))
-        assert again.records == cad.records
+        assert records(again) == records(cad)
         assert again.labels == ("p", "q")
 
 
@@ -180,27 +193,27 @@ class TestCadInvariants:
 class TestImputeModes:
     def test_unique_mode(self):
         cad = make_cad([("a",), ("a",), ("?",), ("b",)], ("c",))
-        assert [r[0] for r in impute_modes(cad).records] == ["a", "a", "a", "b"]
+        assert [r[0] for r in records(impute_modes(cad))] == ["a", "a", "a", "b"]
 
     def test_tie_breaks_to_first_appearance(self):
         cad = make_cad([("a",), ("b",), ("?",)], ("c",))
-        assert [r[0] for r in impute_modes(cad).records] == ["a", "b", "a"]
+        assert [r[0] for r in records(impute_modes(cad))] == ["a", "b", "a"]
 
     def test_tie_break_enumerated_over_two_token_columns(self):
         # For every 2-token tied column, the mode is the first-appearing token.
         for perm in itertools.permutations(["a", "a", "b", "b"]):
             cad = make_cad([(t,) for t in perm] + [("?",)], ("c",))
             imputed = impute_modes(cad)
-            assert imputed.records[-1][0] == perm[0]
+            assert records(imputed)[-1][0] == perm[0]
 
     def test_no_missing_is_identity(self, toy_cad):
-        assert impute_modes(toy_cad).records == toy_cad.records
+        assert records(impute_modes(toy_cad)) == records(toy_cad)
 
     def test_idempotent(self):
         cad = make_cad([("a",), ("?",), ("b",), ("a",)], ("c",))
         once = impute_modes(cad)
         twice = impute_modes(once)
-        assert once.records == twice.records
+        assert records(once) == records(twice)
         assert once.domains == twice.domains
 
     def test_all_missing_column_rejected(self):
@@ -216,7 +229,7 @@ class TestImputeModes:
     def test_custom_missing_token(self):
         cad = make_cad([("NA",), ("x",)], ("c",))
         imputed = impute_modes(cad, missing_token="NA")
-        assert imputed.records == (("x",), ("x",))
+        assert records(imputed) == (("x",), ("x",))
 
 
 class TestManifest:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from neca.dataset import make_cad
 from neca.encoders import encode_frequency, encode_onehot
+from oracles import records
 
 
 class TestOneHot:
@@ -73,7 +74,7 @@ class TestFrequency:
 
 class TestDeterminism:
     def test_encoders_label_blind_and_deterministic(self, toy_cad):
-        labeled = make_cad([r for r in toy_cad.records], toy_cad.attribute_names,
+        labeled = make_cad(list(records(toy_cad)), toy_cad.attribute_names,
                            labels=("p", "q", "p", "q", "p", "q"))
         np.testing.assert_array_equal(encode_onehot(toy_cad).vectors,
                                       encode_onehot(labeled).vectors)

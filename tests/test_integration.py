@@ -14,7 +14,7 @@ import pytest
 import oracles
 from neca.cavnet import build_hetnet
 from neca.model import (ELU_ALPHA, LEAKY_SLOPE, RunConfig, assemble_objects, compute_table,
-                        init_params)
+                        forward_fused, init_params, wrap_params)
 from neca.training import CLAMP_EPS, neca_loss
 
 
@@ -82,11 +82,12 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     b_a = 1.0 - b_e
     fused = b_e * e + b_a * a
 
+    fw = forward_fused(net, wrap_params(params), cfg)
+    np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
+    np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
+    assert float(fw.gamma_inter.value) == pytest.approx(g_e, abs=1e-12)
+    assert float(fw.gamma_intra.value) == pytest.approx(g_a, abs=1e-12)
     table = compute_table(net, params, cfg)
-    np.testing.assert_allclose(table.inter, e, atol=1e-12)
-    np.testing.assert_allclose(table.intra, a, atol=1e-12)
-    assert table.gamma_inter == pytest.approx(g_e, abs=1e-12)
-    assert table.gamma_intra == pytest.approx(g_a, abs=1e-12)
     assert table.beta_inter == pytest.approx(b_e, abs=1e-12)
     np.testing.assert_allclose(table.fused, fused, atol=1e-12)
     np.testing.assert_allclose(
@@ -102,10 +103,11 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         cfg = RunConfig(heads=heads, head_dim=d, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(net, params, cfg)
+        fw = forward_fused(net, wrap_params(params), cfg)
         e = reference_network_embedding(net, "inter", params, cfg)
         a = reference_network_embedding(net, "intra", params, cfg)
-        np.testing.assert_allclose(table.inter, e, atol=1e-12)
-        np.testing.assert_allclose(table.intra, a, atol=1e-12)
+        np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
+        np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
         fused = table.beta_inter * e + table.beta_intra * a
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
         assert neca_loss(net, table.fused, cfg) == pytest.approx(

@@ -9,8 +9,8 @@ from dataclasses import replace
 from neca.cavnet import EdgeSet, build_hetnet, build_node_set
 from neca.dataset import make_cad
 from neca.model import (ELU_ALPHA, LEAKY_SLOPE, EmbeddingTable, ModelError, RunConfig,
-                        assemble_objects, compute_table, init_params, network_embedding,
-                        wrap_params)
+                        assemble_objects, compute_table, forward_fused, init_params,
+                        network_embedding, wrap_params)
 from neca.training import neca_loss
 import oracles
 from oracles import (aggregate, attention_logit, fuse, fusion_weights, importance_score,
@@ -252,8 +252,8 @@ class TestEmbedNetwork:
                       for nb in oracles.adjacency(net, "inter")[target]}
             return neighbor_weights(logits)[neighbor]
 
-        a1 = net.node_set.id_for(0, "a1")
-        b1 = net.node_set.id_for(1, "b1")
+        a1 = oracles.id_for(net.node_set, 0, "a1")
+        b1 = oracles.id_for(net.node_set, 1, "b1")
         assert alpha(a1, b1) == pytest.approx(1.0)
         assert alpha(b1, a1) != pytest.approx(1.0)
 
@@ -288,8 +288,9 @@ class TestDenseMatchesEdgeList:
         cfg = RunConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(net, params, cfg)
-        assert_rel_close(table.inter, oracles.network_embedding(net, "inter", params, cfg))
-        assert_rel_close(table.intra, oracles.network_embedding(net, "intra", params, cfg))
+        fw = forward_fused(net, wrap_params(params), cfg)
+        assert_rel_close(fw.inter.value, oracles.network_embedding(net, "inter", params, cfg))
+        assert_rel_close(fw.intra.value, oracles.network_embedding(net, "intra", params, cfg))
         assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
         tcfg = replace(cfg, sigma=float(rng.uniform(0.3, 2.0)))
         loss = neca_loss(net, table.fused, tcfg)
@@ -380,8 +381,8 @@ class TestAssembleObjects:
         nodes = build_node_set(toy_cad)
         fused = np.arange(10, dtype=float).reshape(10, 1)
         objs = assemble_objects(nodes, fused)
-        john = [nodes.id_for(0, "M"), nodes.id_for(1, "Engineering"),
-                nodes.id_for(2, "Programmer")]
+        john = [oracles.id_for(nodes, 0, "M"), oracles.id_for(nodes, 1, "Engineering"),
+                oracles.id_for(nodes, 2, "Programmer")]
         np.testing.assert_array_equal(objs[0], np.array(john, dtype=float))
 
 
@@ -389,10 +390,12 @@ class TestComputeTable:
     def test_shapes_and_beta_coupling(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config()
-        table = compute_table(net, init_params(10, cfg), cfg)
+        params = init_params(10, cfg)
+        table = compute_table(net, params, cfg)
+        fw = forward_fused(net, wrap_params(params), cfg)
         assert isinstance(table, EmbeddingTable)
         kd = cfg.cav_dim
-        assert table.inter.shape == table.intra.shape == table.fused.shape == (10, kd)
+        assert fw.inter.value.shape == fw.intra.value.shape == table.fused.shape == (10, kd)
         assert table.objects.shape == (6, 3 * kd)
         assert table.beta_inter + table.beta_intra == pytest.approx(1.0, abs=1e-12)
         assert 0 < table.beta_inter < 1
@@ -400,8 +403,10 @@ class TestComputeTable:
     def test_fused_is_convex_combination(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(seed=2)
-        table = compute_table(net, init_params(10, cfg), cfg)
-        expected = table.beta_inter * table.inter + table.beta_intra * table.intra
+        params = init_params(10, cfg)
+        table = compute_table(net, params, cfg)
+        fw = forward_fused(net, wrap_params(params), cfg)
+        expected = table.beta_inter * fw.inter.value + table.beta_intra * fw.intra.value
         np.testing.assert_allclose(table.fused, expected, atol=1e-12)
 
     def test_importance_scores_match_standalone_op(self, toy_cad):
@@ -409,7 +414,11 @@ class TestComputeTable:
         cfg = small_config(seed=3)
         params = init_params(10, cfg)
         table = compute_table(net, params, cfg)
-        assert table.gamma_inter == pytest.approx(
-            importance_score(table.inter, params["s"], params["w2"], params["b"]), abs=1e-12)
+        fw = forward_fused(net, wrap_params(params), cfg)
+        gammas = float(fw.gamma_inter.value), float(fw.gamma_intra.value)
+        assert gammas[0] == pytest.approx(
+            importance_score(fw.inter.value, params["s"], params["w2"], params["b"]), abs=1e-12)
+        assert gammas[1] == pytest.approx(
+            importance_score(fw.intra.value, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert (table.beta_inter, table.beta_intra) == \
-            pytest.approx(fusion_weights(table.gamma_inter, table.gamma_intra), abs=1e-12)
+            pytest.approx(fusion_weights(*gammas), abs=1e-12)

@@ -9,7 +9,7 @@ from neca.dataset import make_cad
 from neca.model import RunConfig, init_params
 from neca.training import (CLAMP_EPS, TrainingError, TrainReport, adam_step, forward_loss,
                            gradients, loss_targets, neca_loss, train)
-from oracles import adjacency, gaussian_similarity, impacting_strength
+from oracles import adjacency, gaussian_similarity, id_for, impacting_strength
 
 
 def small_model(**kw):
@@ -31,8 +31,8 @@ class TestImpactingStrength:
     def test_two_equal_neighbors_split(self):
         cad = make_cad([("a", "x"), ("a", "y")], ("A", "B"))
         net = build_hetnet(cad, seed=0)
-        x = net.node_set.id_for(1, "x")
-        a = net.node_set.id_for(0, "a")
+        x = id_for(net.node_set, 1, "x")
+        a = id_for(net.node_set, 0, "a")
         assert impacting_strength(net, a, x) == pytest.approx(0.5)
 
     def test_toy_female_neighborhood_oracle(self, toy_cad):
@@ -40,10 +40,10 @@ class TestImpactingStrength:
         # p = softmax of the raw counts over that neighborhood.
         net = build_hetnet(toy_cad, seed=0)
         ns = net.node_set
-        f = ns.id_for(0, "F")
-        la = ns.id_for(1, "Liberal Arts")
-        law = ns.id_for(2, "Lawyer")
-        mkt = ns.id_for(2, "Marketing")
+        f = id_for(ns, 0, "F")
+        la = id_for(ns, 1, "Liberal Arts")
+        law = id_for(ns, 2, "Lawyer")
+        mkt = id_for(ns, 2, "Marketing")
         z = math.exp(2) + 2 * math.exp(1)
         assert impacting_strength(net, f, la) == pytest.approx(math.exp(2) / z, abs=1e-12)
         assert impacting_strength(net, f, law) == pytest.approx(math.exp(1) / z, abs=1e-12)
@@ -59,8 +59,8 @@ class TestImpactingStrength:
     def test_non_neighbor_rejected(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         ns = net.node_set
-        f = ns.id_for(0, "F")
-        eng = ns.id_for(1, "Engineering")  # F never co-occurs with Engineering
+        f = id_for(ns, 0, "F")
+        eng = id_for(ns, 1, "Engineering")  # F never co-occurs with Engineering
         with pytest.raises(TrainingError, match="not a cross-attribute neighbor"):
             impacting_strength(net, f, eng)
 
@@ -270,7 +270,6 @@ class TestTrain:
     def test_max_epochs_one_records_one_loss(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         _, _, report = train(net, small_model(epochs=1))
-        assert report.epochs_run == 1
         assert len(report.loss_history) == 1
         assert report.stop_reason == "max_epochs"
 
@@ -283,7 +282,7 @@ class TestTrain:
         net = build_hetnet(toy_cad, seed=1)
         _, table, report = train(net, small_model(epochs=3))
         assert isinstance(report, TrainReport)
-        assert len(report.loss_history) == report.epochs_run
+        assert len(report.loss_history) == 3
         assert report.stop_reason in ("max_epochs", "converged")
         assert all(math.isfinite(x) for x in report.loss_history)
 
@@ -291,7 +290,7 @@ class TestTrain:
         net = build_hetnet(toy_cad, seed=0)
         _, _, report = train(net, small_model(epochs=500, tol=1e-3))
         assert report.stop_reason == "converged"
-        assert report.epochs_run < 500
+        assert len(report.loss_history) < 500
         a, b = report.loss_history[-2], report.loss_history[-1]
         assert abs(b - a) / max(abs(a), 1e-12) < 1e-3
 
@@ -305,12 +304,10 @@ class TestTrain:
         assert bi + ba == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_partial_history(self, toy_cad):
+    def test_divergence_aborts_naming_the_epoch(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        with pytest.raises(TrainingError, match="diverged") as exc:
+        with pytest.raises(TrainingError, match=r"diverged at epoch \d+: "):
             train(net, small_model(lr=1e200, epochs=10, tol=0.0))
-        assert len(exc.value.loss_history) >= 1
-        assert all(math.isfinite(x) for x in exc.value.loss_history)
 
     def test_nan_gradient_stops_training_in_its_epoch(self, toy_cad, monkeypatch):
         # a NaN in one gradient, with a finite loss, must not reach Adam
@@ -329,9 +326,8 @@ class TestTrain:
         monkeypatch.setattr(training, "forward_loss", forward_loss)
         monkeypatch.setattr(autodiff, "backward", poisoned_backward)
         net = build_hetnet(toy_cad, seed=0)
-        with pytest.raises(TrainingError, match="diverged at epoch 1: .*'w2'") as exc:
+        with pytest.raises(TrainingError, match="diverged at epoch 1: .*'w2'"):
             train(net, small_model(epochs=5, tol=0.0))
-        assert exc.value.loss_history == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameters_rejected(self, toy_cad):
