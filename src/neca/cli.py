@@ -34,6 +34,9 @@ from .model import RunConfig
 from .training import train
 
 BUNDLED = ("bc", "ce", "de", "ly", "ma", "mu", "pt", "sb", "sh", "wi", "zo")
+# the manifest key each dataset flag sets for a dataset given as a file
+DATASET_FLAGS = {"label": "label", "drop": "drop", "columns": "columns",
+                 "missing": "missing_token"}
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
 _CHUNK_ROWS = 128       # embedding CSV rows formatted or parsed at a time
 _TOKEN_CACHE = 1 << 16  # parsed tokens kept across chunks by read_embedding
@@ -63,21 +66,29 @@ def bundled_manifest(name: str) -> DatasetManifest:
         return DatasetManifest.from_file(path)
 
 
-def resolve_manifest(args) -> DatasetManifest:
-    if getattr(args, "manifest", None):
-        return DatasetManifest.from_file(args.manifest)
-    name = str(args.dataset)
-    if name.lower() in BUNDLED and not Path(name).exists():
-        return bundled_manifest(name)
-    columns = tuple(args.columns.split(",")) if getattr(args, "columns", None) else None
-    return DatasetManifest(
-        name=Path(name).stem,
-        label_column=getattr(args, "label", None),
-        drop_columns=tuple(args.drop.split(",")) if getattr(args, "drop", None) else (),
-        missing_token=getattr(args, "missing", "?"),
-        has_header=not getattr(args, "no_header", False),
-        column_names=columns,
-    )
+def resolve_source(dataset: str, manifest_file=None,
+                   **flags) -> tuple[DatasetManifest, Path | None]:
+    """The manifest of ``dataset`` and its local path, or None where it must be fetched.
+
+    ``flags`` are the values of the ``DATASET_FLAGS`` given on the command
+    line, None where not given.  An existing file without ``manifest_file``
+    is described by them; beside a manifest file or a bundled name, whose
+    manifest describes the file, any of them is an error.
+    """
+    given = {flag: value for flag, value in flags.items() if value is not None}
+    path = Path(dataset)
+    if manifest_file is None and path.is_file():
+        keys = {DATASET_FLAGS[flag]: value for flag, value in given.items()}
+        return DatasetManifest.from_entries({"name": path.stem, **keys}, dataset), path
+    if manifest_file is None and dataset.lower() not in BUNDLED:
+        raise StageError("dataset", f"{dataset!r} is neither a file nor a bundled dataset name; "
+                                    f"bundled names: {', '.join(n.upper() for n in BUNDLED)}")
+    if given:
+        raise StageError("dataset", f"{', '.join('--' + flag for flag in given)} cannot be "
+                                    f"given with a manifest, which describes {dataset!r}")
+    manifest = (DatasetManifest.from_file(manifest_file) if manifest_file is not None
+                else bundled_manifest(dataset))
+    return manifest, path if path.is_file() else None
 
 
 def sha256_of(path: Path) -> str:
@@ -88,8 +99,11 @@ def sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def fetch_dataset(manifest: DatasetManifest, mirror: Path | None = None) -> Path:
+def fetch_dataset(manifest: DatasetManifest) -> Path:
     """Return a verified copy in ``cache_dir()``, downloading or copying only on a miss.
+
+    On a miss the copy comes from the ``NECA_MIRROR`` directory if it holds
+    the file, else from the manifest's ``source_url``.
 
     A new copy is written beside the cache file and verified before it
     replaces it, so a failed or mismatched fetch leaves nothing cached.
@@ -109,9 +123,8 @@ def fetch_dataset(manifest: DatasetManifest, mirror: Path | None = None) -> Path
 
     if target.exists():
         return verify(target, target)
-    if mirror is None and os.environ.get("NECA_MIRROR"):
-        mirror = Path(os.environ["NECA_MIRROR"])
-    origin = mirror / f"{manifest.name.lower()}.data" if mirror is not None else None
+    mirror = os.environ.get("NECA_MIRROR")
+    origin = Path(mirror) / f"{manifest.name.lower()}.data" if mirror else None
     if origin is not None and origin.exists():
         data = origin.read_bytes()
     elif not manifest.source_url:
@@ -131,16 +144,11 @@ def fetch_dataset(manifest: DatasetManifest, mirror: Path | None = None) -> Path
 
 
 def resolve_dataset(args) -> tuple[CAD, DatasetManifest, str]:
-    """Turn a path-or-bundled-name argument into a loaded, imputed CAD."""
-    manifest = resolve_manifest(args)
-    name = str(args.dataset)
-    if Path(name).exists():
-        path = Path(name)
-    elif name.lower() in BUNDLED or getattr(args, "manifest", None):
-        path = fetch_dataset(manifest,
-                             mirror=Path(args.mirror) if getattr(args, "mirror", None) else None)
-    else:
-        raise StageError("dataset", f"{name!r} is neither a file nor a bundled dataset name")
+    """The dataset the arguments name, fetched if need be, loaded and imputed."""
+    manifest, path = resolve_source(args.dataset, args.manifest,
+                                    **{flag: getattr(args, flag) for flag in DATASET_FLAGS})
+    if path is None:
+        path = fetch_dataset(manifest)
     cad = load_csv(path, manifest)
     cad = impute_modes(cad, manifest.missing_token)
     return cad, manifest, str(path)
@@ -403,15 +411,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    if str(args.dataset).lower() in BUNDLED and not args.manifest:
-        manifest = bundled_manifest(args.dataset)
-    elif args.manifest:
-        manifest = DatasetManifest.from_file(args.manifest)
-    else:
-        raise StageError("fetch", f"unknown dataset {args.dataset!r}; "
-                                  f"bundled names: {', '.join(n.upper() for n in BUNDLED)}")
-    path = fetch_dataset(manifest, mirror=Path(args.mirror) if args.mirror else None)
-    print(path)
+    manifest, path = _stage("dataset", resolve_source, args.dataset, args.manifest)
+    if path is not None:
+        raise FetchError(f"{path} is a local file; fetch takes a bundled name or a --manifest")
+    print(fetch_dataset(manifest))
     return 0
 
 
@@ -429,7 +432,7 @@ def load_run_config(args) -> RunConfig:
     """Defaults, then the ``--config`` file's keys, then the flags given."""
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
-    path = getattr(args, "config", None)
+    path = args.config
     for key, raw in (_stage("config", read_kv_file, path) if path else {}).items():
         if key not in kinds:
             raise StageError("config", f"{path}: unknown key {key!r}")
@@ -448,10 +451,9 @@ def add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="manifest file describing the dataset")
     p.add_argument("--label", help="label column name (path datasets)")
     p.add_argument("--drop", help="comma-separated identifier columns to drop")
-    p.add_argument("--columns", help="comma-separated column names for headerless files")
-    p.add_argument("--missing", default="?", help="missing-value token (default '?')")
-    p.add_argument("--no-header", action="store_true", help="file has no header row")
-    p.add_argument("--mirror", help="local directory with pre-downloaded dataset files")
+    p.add_argument("--columns", help="comma-separated column names of a headerless file")
+    p.add_argument("--missing", help=f"missing-value token (default "
+                                     f"{DatasetManifest.missing_token!r})")
 
 
 def add_config_args(p: argparse.ArgumentParser, names) -> None:
@@ -473,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", help="download a dataset into the cache")
     p.add_argument("dataset", help="bundled dataset name (e.g. ZO)")
     p.add_argument("--manifest", help="manifest file for a non-bundled dataset")
-    p.add_argument("--mirror", help="local directory with pre-downloaded files")
     p.set_defaults(fn=cmd_fetch)
 
     p = sub.add_parser("embed", help="train and write per-object embeddings")

@@ -97,9 +97,10 @@ class DatasetManifest:
     """Per-dataset loading instructions: column roles, source, integrity pin.
 
     ``checksum`` is a sha256 hex digest; empty means unpinned (no integrity
-    check on fetch).  For headerless files ``column_names`` supplies the
-    schema.  Roles: exactly zero or one column is the label, ``drop_columns``
-    are identifiers excluded from modeling, everything else is a feature.
+    check on fetch).  A file is headerless exactly when ``column_names``
+    supplies its schema.  Roles: exactly zero or one column is the label,
+    ``drop_columns`` are identifiers excluded from modeling, everything else
+    is a feature.
     """
 
     name: str
@@ -108,46 +109,30 @@ class DatasetManifest:
     label_column: str | None = None
     drop_columns: tuple[str, ...] = ()
     missing_token: str = "?"
-    has_header: bool = True
     column_names: tuple[str, ...] | None = None
-    notes: str = ""
-
-    def column_roles(self, columns: Sequence[str]) -> dict[str, str]:
-        roles = {}
-        for c in columns:
-            if c == self.label_column:
-                roles[c] = "label"
-            elif c in self.drop_columns:
-                roles[c] = "identifier-drop"
-            else:
-                roles[c] = "feature"
-        return roles
 
     @classmethod
     def from_file(cls, path) -> "DatasetManifest":
-        entries = read_kv_file(path)
-        known = {
-            "name", "source_url", "checksum", "label", "drop", "missing_token",
-            "header", "columns", "notes",
+        return cls.from_entries(read_kv_file(path), f"manifest {path}")
+
+    @classmethod
+    def from_entries(cls, entries: dict[str, str], where: str) -> "DatasetManifest":
+        """The manifest of ``key = value`` entries; ``where`` names their source in errors."""
+        unknown = set(entries) - {
+            "name", "source_url", "checksum", "label", "drop", "missing_token", "columns",
         }
-        unknown = set(entries) - known
         if unknown:
             raise DatasetError(f"unknown manifest keys: {sorted(unknown)}")
         if "name" not in entries:
-            raise DatasetError(f"manifest {path} missing 'name'")
-        header = entries.get("header", "true").lower()
-        if header not in ("true", "false"):
-            raise DatasetError(f"manifest {path}: header = {header!r} is not true or false")
+            raise DatasetError(f"{where} missing 'name'")
         return cls(
             name=entries["name"],
-            source_url=entries.get("source_url", ""),
-            checksum=entries.get("checksum", ""),
+            source_url=entries.get("source_url", cls.source_url),
+            checksum=entries.get("checksum", cls.checksum),
             label_column=entries.get("label") or None,
             drop_columns=tuple(t for t in entries.get("drop", "").split(",") if t),
-            missing_token=entries.get("missing_token", "?"),
-            has_header=header == "true",
+            missing_token=entries.get("missing_token", cls.missing_token),
             column_names=tuple(t for t in entries.get("columns", "").split(",") if t) or None,
-            notes=entries.get("notes", ""),
         )
 
 
@@ -175,23 +160,19 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     """Load a comma-separated file into a CAD per the manifest's column roles.
 
     Identifier columns are dropped, the label column is split out, and
-    domains are computed in first-appearance order.  A byte-order mark
+    domains are computed in first-appearance order.  The first row is the
+    header unless the manifest gives column names.  A byte-order mark
     before the header is ignored.  A label or drop column missing from the
-    header, a column named twice, and column names given for a file with a
-    header row are errors.
+    header and a column named twice are errors.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(filter(None, csv.reader(fh)))
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
-    if manifest.has_header and manifest.column_names is not None:
-        raise DatasetError(f"{path}: column names given for a file with a header row")
-    if manifest.has_header:
+    if manifest.column_names is None:
         header, rows = [c.strip() for c in rows[0]], rows[1:]
-    elif manifest.column_names is not None:
-        header = list(manifest.column_names)
     else:
-        header = [f"col_{j}" for j in range(len(rows[0]))]
+        header = list(manifest.column_names)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     repeated = next((c for j, c in enumerate(header) if c in header[:j]), None)
@@ -200,14 +181,14 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     columns = _columns(rows, len(header), lambda i, k: (
         f"{path}: row {i + 1} has {k} fields, expected {len(header)}"))
 
-    roles = manifest.column_roles(header)
     named = [("label", manifest.label_column)] + [("drop", c) for c in manifest.drop_columns]
     for role, column in named:
         if column is not None and column not in header:
             raise DatasetError(f"{path}: {role} column {column!r} not found")
 
-    feature_idx = [j for j, c in enumerate(header) if roles[c] == "feature"]
-    label_idx = next((j for j, c in enumerate(header) if roles[c] == "label"), None)
+    label = manifest.label_column
+    feature_idx = [j for j, c in enumerate(header) if c != label and c not in manifest.drop_columns]
+    label_idx = header.index(label) if label is not None else None
     codes, domains = _strip_domains(*_encode_columns([columns[j] for j in feature_idx], len(rows)))
     labels = None
     if label_idx is not None:

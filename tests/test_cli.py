@@ -2,6 +2,8 @@ import hashlib
 import json
 import re
 import shutil
+import urllib.error
+import urllib.request
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -15,6 +17,15 @@ from neca.evaluation import silhouette
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """A command that would download fails at once instead of reaching a host."""
+    def refuse(request, timeout):
+        raise urllib.error.URLError("no network in the CLI tests")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
 
 
 @pytest.fixture
@@ -127,8 +138,8 @@ class TestConfig:
             run(["embed", "--help"])
         # in order of first appearance: the usage line lists flags as added
         flags = dict.fromkeys(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
-        others = {"help", "manifest", "label", "drop", "columns", "missing", "no-header",
-                  "mirror", "config", "out", "meta", "verbose"}
+        others = {"help", "manifest", "label", "drop", "columns", "missing", "config", "out",
+                  "meta", "verbose"}
         assert tuple(f.replace("-", "_") for f in flags if f not in others) == HYPERPARAMETERS
         assert tuple(asdict(cli.RunConfig())) == HYPERPARAMETERS
         assert not any(isinstance(f.default, bool) for f in fields(cli.RunConfig))
@@ -405,48 +416,57 @@ class TestCompare:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "labeled.csv"]
 
 
+def make_mirror(tmp_path, labeled_csv, monkeypatch):
+    """A ``NECA_MIRROR`` directory holding ``blob.data`` and a manifest pinning it."""
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    shutil.copyfile(labeled_csv, mirror / "blob.data")
+    digest = hashlib.sha256((mirror / "blob.data").read_bytes()).hexdigest()
+    manifest = tmp_path / "blob.manifest"
+    manifest.write_text(
+        f"name = blob\nchecksum = {digest}\nlabel = group\n")
+    monkeypatch.setenv("NECA_MIRROR", str(mirror))
+    return mirror, manifest
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("NECA_CACHE", str(tmp_path / "cache"))
+    monkeypatch.delenv("NECA_MIRROR", raising=False)
+    return tmp_path / "cache"
+
+
 class TestFetchAndGraph:
-    def make_mirror(self, tmp_path, labeled_csv):
-        mirror = tmp_path / "mirror"
-        mirror.mkdir()
-        shutil.copyfile(labeled_csv, mirror / "blob.data")
-        digest = hashlib.sha256((mirror / "blob.data").read_bytes()).hexdigest()
-        manifest = tmp_path / "blob.manifest"
-        manifest.write_text(
-            f"name = blob\nchecksum = {digest}\nlabel = group\n")
-        return mirror, manifest
-
-    @pytest.fixture
-    def cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NECA_CACHE", str(tmp_path / "cache"))
-        return tmp_path / "cache"
-
-    def test_fetch_from_mirror_then_cache(self, tmp_path, labeled_csv, cache, capsys):
-        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
-        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
+    def test_fetch_from_mirror_then_cache(self, tmp_path, labeled_csv, cache, monkeypatch,
+                                          capsys):
+        mirror, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
+        assert run(["fetch", "blob", "--manifest", str(manifest)]) == 0
         assert (cache / "blob.data").read_bytes() == labeled_csv.read_bytes()
         (mirror / "blob.data").unlink()  # second call must not need the mirror
-        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
+        assert run(["fetch", "blob", "--manifest", str(manifest)]) == 0
 
-    def test_corrupted_cache_detected(self, tmp_path, labeled_csv, cache, capsys):
-        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
-        run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)])
+    def test_corrupted_cache_detected(self, tmp_path, labeled_csv, cache, monkeypatch, capsys):
+        _, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
+        run(["fetch", "blob", "--manifest", str(manifest)])
         (cache / "blob.data").write_text("corrupted")
-        code = run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)])
+        code = run(["fetch", "blob", "--manifest", str(manifest)])
         assert code == 1
         err = capsys.readouterr().err
         assert "checksum mismatch" in err and "expected" in err
 
-    def test_checksum_mismatch_caches_nothing(self, tmp_path, labeled_csv, cache, capsys):
-        mirror, manifest = self.make_mirror(tmp_path, labeled_csv)
+    def test_checksum_mismatch_caches_nothing(self, tmp_path, labeled_csv, cache, monkeypatch,
+                                              capsys):
+        mirror, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
         bad = tmp_path / "bad-mirror"
         bad.mkdir()
         (bad / "blob.data").write_text("truncated")
-        code = run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(bad)])
+        monkeypatch.setenv("NECA_MIRROR", str(bad))
+        code = run(["fetch", "blob", "--manifest", str(manifest)])
         assert code == 1
         assert "checksum mismatch" in capsys.readouterr().err
         assert list(cache.iterdir()) == []
-        assert run(["fetch", "blob", "--manifest", str(manifest), "--mirror", str(mirror)]) == 0
+        monkeypatch.setenv("NECA_MIRROR", str(mirror))
+        assert run(["fetch", "blob", "--manifest", str(manifest)]) == 0
         assert (cache / "blob.data").read_bytes() == labeled_csv.read_bytes()
         assert [p.name for p in cache.iterdir()] == ["blob.data"]
 
@@ -455,11 +475,14 @@ class TestFetchAndGraph:
         assert "bundled names" in capsys.readouterr().err
 
     def test_download_failure_reported(self, tmp_path, cache, capsys):
+        # the autouse no_network fixture makes urlopen raise URLError
+        url = "https://example.invalid/x.data"
         manifest = tmp_path / "x.manifest"
-        manifest.write_text("name = xably\nsource_url = https://no.such.host.invalid/x.data\n")
+        manifest.write_text(f"name = xably\nsource_url = {url}\n")
         code = run(["fetch", "xably", "--manifest", str(manifest)])
         assert code == 1
-        assert "download failed" in capsys.readouterr().err
+        assert f"[fetch] download failed for {url}: " in capsys.readouterr().err
+        assert list(cache.iterdir()) == []
 
     def test_bundled_manifests_parse(self):
         for name in cli.BUNDLED:
@@ -516,13 +539,91 @@ class TestDatasetErrors:
         assert err.startswith("error: [dataset]") and "column 'a' is named twice" in err
         assert not (tmp_path / "g.tsv").exists()
 
-    def test_columns_on_a_file_with_a_header(self, toy_csv, tmp_path, capsys):
+
+class TestDatasetSource:
+    """A dataset is a file plus one manifest: a manifest file, a bundled one, or the flags."""
+
+    @pytest.fixture
+    def fetches(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fetch_dataset", lambda manifest: calls.append(manifest))
+        return calls
+
+    @pytest.mark.parametrize("flag", ["--label", "--drop", "--columns", "--missing"])
+    @pytest.mark.parametrize("source", ["manifest", "bundled"])
+    def test_flag_beside_a_manifest_is_an_error_before_any_fetch(self, tmp_path, labeled_csv,
+                                                                  monkeypatch, fetches,
+                                                                  capsys, flag, source):
+        _, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
+        dataset = ["blob", "--manifest", str(manifest)] if source == "manifest" else ["ZO"]
         out = tmp_path / "g.tsv"
-        assert run(["export-graph", str(toy_csv), "--drop", "Name", "--columns", "p,q,r,s",
-                    "--which", "inter", "--out", str(out)]) == 1
+        assert run(["export-graph", *dataset, flag, "x", "--which", "inter",
+                    "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [dataset]") and "header row" in err
-        assert not out.exists()
+        assert err.startswith("error: [dataset]") and flag in err
+        assert fetches == [] and not out.exists()
+
+    def test_every_flag_given_is_named(self, tmp_path, labeled_csv, monkeypatch, fetches,
+                                       capsys):
+        # the repro of the silently ignored flags: a dropped column and a missing label
+        _, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
+        out = tmp_path / "g.tsv"
+        assert run(["export-graph", "blob", "--manifest", str(manifest), "--drop", "color",
+                    "--label", "nosuch", "--which", "inter", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[dataset] --label, --drop" in err
+        assert fetches == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--out", "e.csv"],
+        ["encode", "--method", "onehot", "--out", "e.csv"],
+        ["eval", "--embedding", "e.csv"],
+        ["compare", "--methods", "onehot"],
+        ["export-graph", "--which", "inter", "--out", "g.tsv"],
+    ], ids=lambda argv: argv[0])
+    def test_every_loading_command_resolves_the_same_way(self, fetches, capsys, argv):
+        assert run([argv[0], "ZO", "--missing", "NA", *argv[1:]]) == 1
+        assert "error: [dataset] --missing cannot be given" in capsys.readouterr().err
+        assert fetches == []
+
+    def test_manifest_describes_a_local_file(self, tmp_path, fetches):
+        data = tmp_path / "raw.data"
+        data.write_text("red,square,A\nred,round,A\nblue,round,B\nblue,square,B\n")
+        manifest = tmp_path / "raw.manifest"
+        manifest.write_text("name = raw\ncolumns = color,shape,group\nlabel = group\n")
+        out = tmp_path / "oh.csv"
+        assert run(["encode", str(data), "--manifest", str(manifest), "--method", "onehot",
+                    "--out", str(out)]) == 0
+        assert cli.read_embedding(out).shape == (4, 4) and fetches == []
+
+    def test_columns_load_a_headerless_file(self, tmp_path):
+        data = tmp_path / "raw.data"
+        data.write_text("red,square,A\nred,round,A\nblue,round,B\n")
+        out = tmp_path / "oh.csv"
+        assert run(["encode", str(data), "--columns", "color,shape,group", "--label", "group",
+                    "--method", "onehot", "--out", str(out)]) == 0
+        assert cli.read_embedding(out).shape == (3, 4)
+
+    def test_missing_flag_sets_the_token(self, tmp_path):
+        data = tmp_path / "na.csv"
+        data.write_text("a,b\nx,u\nNA,u\nx,v\n")
+        out = tmp_path / "oh.csv"
+        # NA is imputed with the mode x, leaving one value of a and two of b
+        assert run(["encode", str(data), "--missing", "NA", "--method", "onehot",
+                    "--out", str(out)]) == 0
+        assert cli.read_embedding(out).shape == (3, 3)
+
+    def test_fetch_of_a_local_file_is_a_fetch_error(self, toy_csv, fetches, capsys):
+        assert run(["fetch", str(toy_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [fetch]") and str(toy_csv) in err
+        assert fetches == []
+
+    def test_unknown_name_lists_the_bundled_names(self, fetches, capsys):
+        assert run(["embed", "nosuch", "--out", "e.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [dataset]") and "bundled names: BC, CE" in err
+        assert fetches == []
 
 
 class TestExitCodes:
@@ -542,6 +643,18 @@ class TestExitCodes:
         ["export-graph", "DATA", "--which", "intra", "--out", "g.tsv", "--heads", "2"],
     ], ids=lambda argv: argv[0])
     def test_removed_flag_is_a_usage_error(self, toy_csv, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([str(toy_csv) if a == "DATA" else a for a in argv])
+        assert exc.value.code == 2
+
+    # a file is headerless exactly when --columns names its columns, and the
+    # mirror is $NECA_MIRROR
+    @pytest.mark.parametrize("argv", [
+        ["embed", "DATA", "--drop", "Name", "--out", "e.csv", "--no-header"],
+        ["embed", "DATA", "--drop", "Name", "--out", "e.csv", "--mirror", "m"],
+        ["fetch", "ZO", "--mirror", "m"],
+    ], ids=["no-header", "mirror", "fetch-mirror"])
+    def test_removed_dataset_flag_is_a_usage_error(self, toy_csv, argv):
         with pytest.raises(SystemExit) as exc:
             run([str(toy_csv) if a == "DATA" else a for a in argv])
         assert exc.value.code == 2

@@ -78,12 +78,6 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=f"column {twice!r} is named twice"):
             load_csv(p, DatasetManifest(name="twice", label_column="class"))
 
-    def test_column_names_for_a_file_with_a_header_rejected(self, tmp_path, toy_csv):
-        manifest = tmp_path / "toy.manifest"
-        manifest.write_text("name = toy\ncolumns = p,q,r,s\n")
-        with pytest.raises(DatasetError, match="column names given for a file with a header"):
-            load_csv(toy_csv, DatasetManifest.from_file(manifest))
-
     def test_byte_order_mark_and_crlf_header(self, tmp_path, toy_csv):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes().replace(b"\n", b"\r\n"))
@@ -98,7 +92,7 @@ class TestLoadCsv:
     def test_headerless_with_column_names(self, tmp_path):
         p = tmp_path / "raw.data"
         p.write_text("1,x\n2,y\n")
-        m = DatasetManifest(name="raw", has_header=False, column_names=("num", "tok"))
+        m = DatasetManifest(name="raw", column_names=("num", "tok"))
         cad = load_csv(p, m)
         assert cad.attribute_names == ("num", "tok")
         assert records(cad)[0] == ("1", "x")
@@ -235,12 +229,11 @@ class TestImputeModes:
 class TestManifest:
     def test_kv_file_parsing(self, tmp_path):
         p = tmp_path / "m.manifest"
-        p.write_text("# comment\nname = zoo\nlabel = type\ndrop = animal\nheader = false\n")
+        p.write_text("# comment\nname = zoo\nlabel = type\ndrop = animal\n")
         m = DatasetManifest.from_file(p)
         assert m.name == "zoo"
         assert m.label_column == "type"
         assert m.drop_columns == ("animal",)
-        assert not m.has_header
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.manifest"
@@ -254,17 +247,21 @@ class TestManifest:
         with pytest.raises(DatasetError, match=r"dup\.manifest:4: key 'name' repeats line 1"):
             read_kv_file(p)
 
-    @pytest.mark.parametrize("raw, expected", [("true", True), ("FALSE", False),
-                                               ("True", True), ("flase", None),
-                                               ("yes", None), ("", None)])
-    def test_header_is_true_or_false(self, tmp_path, raw, expected):
+    @pytest.mark.parametrize("key, value", [("header", "false"), ("notes", "unpinned")])
+    def test_removed_keys_are_unknown(self, tmp_path, key, value):
+        # a file is headerless exactly when `columns` names its columns, and notes are comments
         p = tmp_path / "m.manifest"
-        p.write_text(f"name = x\nheader = {raw}\n")
-        if expected is None:
-            with pytest.raises(DatasetError, match=f"header = {raw.lower()!r}"):
-                DatasetManifest.from_file(p)
-        else:
-            assert DatasetManifest.from_file(p).has_header is expected
+        p.write_text(f"name = x\ncolumns = a,b\n{key} = {value}\n")
+        with pytest.raises(DatasetError, match=rf"unknown manifest keys: \['{key}'\]"):
+            DatasetManifest.from_file(p)
+
+    def test_comment_lines_anywhere(self, tmp_path):
+        p = tmp_path / "m.manifest"
+        p.write_text("# Zoo: 101 animals\nname = zoo\n  # indented\ncolumns = animal,type\n"
+                     "label = type\n# checksum unpinned\n")
+        m = DatasetManifest.from_file(p)
+        assert (m.name, m.column_names, m.label_column) == ("zoo", ("animal", "type"), "type")
+        assert m.missing_token == "?" and m.source_url == "" and m.drop_columns == ()
 
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "bad.manifest"
@@ -272,7 +269,9 @@ class TestManifest:
         with pytest.raises(DatasetError, match=":1"):
             read_kv_file(p)
 
-    def test_at_most_one_label_role(self):
-        m = DatasetManifest(name="x", label_column="a")
-        roles = m.column_roles(["a", "b"])
-        assert roles == {"a": "label", "b": "feature"}
+    def test_at_most_one_label_role(self, tmp_path):
+        p = tmp_path / "ab.csv"
+        p.write_text("a,b,c\nx,u,p\ny,v,q\n")
+        cad = load_csv(p, DatasetManifest(name="x", label_column="a"))
+        assert cad.labels == ("x", "y")
+        assert cad.attribute_names == ("b", "c") and cad.domains == (("u", "v"), ("p", "q"))
