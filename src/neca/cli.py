@@ -39,7 +39,6 @@ DATASET_FLAGS = {"label": "label", "drop": "drop", "columns": "columns",
                  "missing": "missing_token"}
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
 _CHUNK_ROWS = 128       # embedding CSV rows formatted or parsed at a time
-_TOKEN_CACHE = 1 << 16  # parsed tokens kept across chunks by read_embedding
 
 
 class StageError(Exception):
@@ -73,7 +72,8 @@ def resolve_source(dataset: str, manifest_file=None,
     ``flags`` are the values of the ``DATASET_FLAGS`` given on the command
     line, None where not given.  An existing file without ``manifest_file``
     is described by them; beside a manifest file or a bundled name, whose
-    manifest describes the file, any of them is an error.
+    manifest describes the file, any of them is an error.  Beside a manifest
+    file, ``dataset`` is an existing file or the manifest's name.
     """
     given = {flag: value for flag, value in flags.items() if value is not None}
     path = Path(dataset)
@@ -88,7 +88,12 @@ def resolve_source(dataset: str, manifest_file=None,
                                     f"given with a manifest, which describes {dataset!r}")
     manifest = (DatasetManifest.from_file(manifest_file) if manifest_file is not None
                 else bundled_manifest(dataset))
-    return manifest, path if path.is_file() else None
+    if path.is_file():
+        return manifest, path
+    if dataset.lower() != manifest.name.lower():
+        raise StageError("dataset", f"{dataset!r} is neither a file nor the manifest's "
+                                    f"dataset name, {manifest.name!r}")
+    return manifest, None
 
 
 def sha256_of(path: Path) -> str:
@@ -237,56 +242,177 @@ def write_embedding(path, matrix: np.ndarray) -> None:
 def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
     """Float64 array of ``tokens``, calling ``float`` only on tokens not in ``cache``.
 
-    A token that is not a number raises ``ValueError(token)``.
+    A token that is not a number raises ``float``'s ``ValueError``.  A cache
+    that holds as many tokens as ``tokens`` has is emptied first, so it stays
+    below two calls' worth.
     """
     try:
         return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
     except KeyError:
         pass
-    if len(cache) > _TOKEN_CACHE:
+    if len(cache) >= len(tokens):
         cache.clear()
-    for token in set(tokens).difference(cache):
-        try:
-            cache[token] = float(token)
-        except ValueError:
-            raise ValueError(token) from None
+    new = set(tokens)
+    new.difference_update(cache)
+    cache.update(zip(new, map(float, new)))
     return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
+
+
+def _raise_first_bad_line(path, numbered, width: int) -> None:
+    """Raise the ``StageError`` of the first line that is not ``width`` numbers, if any."""
+    for k, line in numbered:
+        tokens = line.split(",")[1:]
+        if len(tokens) != width:
+            raise StageError("eval", f"{path}, line {k}: {len(tokens)} values, header has {width}")
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") \
+                    from None
+
+
+def _parse_lines(path, numbered, width: int, cache: dict[str, float]) -> np.ndarray:
+    """Rows of the ``(line number, stripped line)`` pairs ``numbered``, token by token.
+
+    The first line that is not ``width`` numbers raises its ``StageError``.
+    """
+    if {line.count(",") for _, line in numbered} != {width}:
+        _raise_first_bad_line(path, numbered, width)
+    tokens = ",".join(line for _, line in numbered).split(",")
+    del tokens[::width + 1]   # the object_id column
+    try:
+        return _parse_tokens(tokens, cache).reshape(len(numbered), width)
+    except ValueError:
+        _raise_first_bad_line(path, numbered, width)
+        raise
+
+
+class _Segments:
+    """The text of the column runs' rows read so far, keyed by each run's first token.
+
+    A line is an object id, then one segment per run of ``factor_columns``,
+    each segment a comma and the run's tokens.  A line matches when, run
+    after run, the token after the comma is a known first token and the text
+    from the comma on is the segment learned with it.  Its values are then
+    the learned rows: equal text is equal tokens, so a match is exact.
+    """
+
+    def __init__(self, spans: list[tuple[int, int]]):
+        self.spans = spans
+        self.index: list[dict[str, tuple[int, str, int]]] = [{} for _ in spans]
+        self.rows: list[list[np.ndarray]] = [[] for _ in spans]
+        self.tables: list[np.ndarray] = []
+
+    def learn(self, line: str, row: np.ndarray) -> None:
+        """Keep each run's segment of a parsed line whose first token is new."""
+        tokens = line.split(",")
+        for (lo, hi), index, rows in zip(self.spans, self.index, self.rows):
+            if tokens[lo + 1] not in index:
+                segment = "," + ",".join(tokens[lo + 1:hi + 1])
+                index[tokens[lo + 1]] = len(rows), segment, len(segment)
+                rows.append(row[lo:hi].copy())
+                self.tables = []
+
+    def size(self) -> int:
+        """The number of tokens learned."""
+        return sum(len(rows) * (hi - lo) for (lo, hi), rows in zip(self.spans, self.rows))
+
+    def match(self, line: str) -> list[int] | None:
+        """The learned code of each run's segment of ``line``, or None unless all match."""
+        find, startswith = line.find, line.startswith
+        pos = find(",")
+        if pos < 0:
+            return None
+        codes = []
+        for index in self.index:
+            # up to the next comma, or with none up to the last character, the newline
+            hit = index.get(line[pos + 1:find(",", pos + 1)])
+            if hit is None or not startswith(hit[1], pos):
+                return None
+            codes.append(hit[0])
+            pos += hit[2]
+        return codes if line[pos:] in ("\n", "") else None
+
+    def fill(self, out: np.ndarray, rows: list[int], codes: list[list[int]]) -> None:
+        """Write the learned rows of each line's ``codes`` into its row of ``out``."""
+        if not self.tables:
+            self.tables = [np.array(learned) for learned in self.rows]
+        rows, codes = np.array(rows), np.array(codes)
+        for (lo, hi), table, column in zip(self.spans, self.tables, codes.T):
+            out[rows, lo:hi] = table[column]
 
 
 def read_embedding(path) -> np.ndarray:
     """The matrix ``write_embedding`` wrote, bit for bit (NaN payloads aside).
 
-    ``float`` runs once per distinct token.  A row whose width differs from
-    the header's, or a token that is not a number, raises a ``StageError``
-    naming the path and the 1-based line.
+    Any CSV of numbers with the header's width reads as ``float`` parses each
+    token.  The first ``_CHUNK_ROWS`` lines are parsed token by token, and
+    the column runs of their rows are learned as text (``_Segments``).  A
+    later line made of learned segments takes their rows without being split;
+    any other line is parsed token by token, and each run's segment with a
+    new first token is learned from it.  If the first lines' rows do not
+    repeat in some run, every line is parsed token by token.  The learned
+    text starts over once it holds as many tokens as a chunk of lines, and
+    rows go straight into the one array returned.
+
+    A row whose width differs from the header's, or a token that is not a
+    number, raises a ``StageError`` naming the path and the 1-based line of
+    the first such row.
     """
     cache: dict[str, float] = {}
+    segments = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "object_id":
             raise StageError("eval", f"{path} is not an embedding file")
         width = len(header) - 1
-        blocks = [np.empty((0, width))]
-        lineno = 1
+        size = os.fstat(fh.fileno()).st_size
+        out = np.empty((0, width))
+        n, lineno = 0, 1
         while lines := list(islice(fh, _CHUNK_ROWS)):
-            numbered = [(k, line.strip()) for k, line in enumerate(lines, lineno + 1)
-                        if not line.isspace()]
+            if lineno == 1:
+                # the row count the first lines' lengths suggest
+                out = np.empty((size * len(lines) // sum(map(len, lines)) + 1, width))
+            elif n + len(lines) > len(out):
+                # realloc: a large array grows in place, not by a copy
+                out.resize((max(n + len(lines), len(out) + len(out) // 8), width),
+                           refcheck=False)
+            hits, codes, numbered, parsed = [], [], [], []
+            if segments is None:
+                numbered = [(k, line.strip()) for k, line in enumerate(lines, lineno + 1)
+                            if not line.isspace()]
+                parsed = slice(n, n + len(numbered))
+                n += len(numbered)
+            else:
+                for k, line in enumerate(lines, lineno + 1):
+                    found = segments.match(line)
+                    if found is not None:
+                        hits.append(n)
+                        codes.append(found)
+                    elif line.isspace():
+                        continue
+                    else:
+                        numbered.append((k, line.strip()))
+                        parsed.append(n)
+                    n += 1
+            if numbered:
+                block = _parse_lines(path, numbered, width, cache)
+                out[parsed] = block
+                if lineno == 1:
+                    runs = factor_columns(block)
+                    if all(len(first) < len(block) for _, _, _, first in runs):
+                        segments = _Segments([(lo, hi) for lo, hi, _, _ in runs])
+                if segments is not None:
+                    for (_, line), row in zip(numbered, block):
+                        segments.learn(line, row)
+            if hits:
+                segments.fill(out, hits, codes)
+            if segments is not None and segments.size() >= _CHUNK_ROWS * width:
+                segments = _Segments(segments.spans)
             lineno += len(lines)
-            for k, line in numbered:
-                if line.count(",") != width:
-                    raise StageError("eval", f"{path}, line {k}: {line.count(',')} values, "
-                                             f"header has {width}")
-            tokens = ",".join(line for _, line in numbered).split(",")
-            del tokens[::width + 1]   # the object_id column
-            try:
-                block = _parse_tokens(tokens, cache)
-            except ValueError as exc:
-                token = exc.args[0]
-                k = numbered[tokens.index(token) // width][0]
-                raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") \
-                    from None
-            blocks.append(block.reshape(len(numbered), width))
-    return np.concatenate(blocks)
+    out.resize((n, width), refcheck=False)
+    return out
 
 
 def _stage(name: str, fn, *args, **kwargs):

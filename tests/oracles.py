@@ -13,6 +13,9 @@ compare against them to a relative tolerance.
 
 Graph I/O: the sorted neighbor lists of each node, a parser for the
 exported edge list and a CSV writer for a CAD.
+
+The embedding file: a reader that calls ``float`` on every token of every
+line, in file order, that the run-matching reader is compared against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
+from neca.cli import StageError
 from neca.dataset import DatasetError
 from neca.model import ELU_ALPHA, LEAKY_SLOPE, ModelError
 from neca.training import CLAMP_EPS, TrainingError
@@ -208,6 +212,38 @@ def read_edge_list(path) -> list[tuple[str, str, float, float, str]]:
         u, v, raw, weight, kind = line.split("\t")
         rows.append((u, v, float(raw), float(weight), kind))
     return rows
+
+
+def read_embedding(path) -> np.ndarray:
+    """The embedding file's matrix, one ``float`` per token, one line at a time.
+
+    Blank lines are skipped.  The first line that is not the header's width
+    of numbers raises the ``StageError`` that ``neca.cli.read_embedding``
+    raises for it.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[0] != "object_id":
+            raise StageError("eval", f"{path} is not an embedding file")
+        width = len(header) - 1
+        for k, line in enumerate(fh, 2):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split(",")[1:]
+            if len(tokens) != width:
+                raise StageError("eval", f"{path}, line {k}: {len(tokens)} values, "
+                                         f"header has {width}")
+            row = []
+            for token in tokens:
+                try:
+                    row.append(float(token))
+                except ValueError:
+                    raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") \
+                        from None
+            rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,22 @@ class TestDatasetSource:
         assert "error: [dataset] --missing cannot be given" in capsys.readouterr().err
         assert fetches == []
 
+    @pytest.mark.parametrize("argv", [
+        ["fetch"],
+        ["encode", "--method", "onehot", "--out", "e.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_dataset_beside_a_manifest_is_its_name_or_a_file(self, tmp_path, labeled_csv,
+                                                             monkeypatch, fetches, capsys,
+                                                             argv):
+        _, manifest = make_mirror(tmp_path, labeled_csv, monkeypatch)
+        assert run([argv[0], "anything", "--manifest", str(manifest), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [dataset] 'anything' is neither a file") and "'blob'" in err
+        assert fetches == []
+        # the name is compared case-insensitively
+        assert run(["fetch", "BLOB", "--manifest", str(manifest)]) == 0
+        assert [m.name for m in fetches] == ["blob"]
+
     def test_manifest_describes_a_local_file(self, tmp_path, fetches):
         data = tmp_path / "raw.data"
         data.write_text("red,square,A\nred,round,A\nblue,round,B\nblue,square,B\n")

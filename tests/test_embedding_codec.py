@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from neca import cli
 from neca.cli import StageError, read_embedding, write_embedding
 
@@ -109,6 +110,29 @@ class TestBytes:
         chunk_bytes = path.stat().st_size * cli._CHUNK_ROWS / matrix.shape[0]
         assert peak < 12 * chunk_bytes   # the file is 157 chunks
 
+    @pytest.mark.parametrize("kind", ["factorable", "dense"])
+    def test_read_holds_one_copy(self, tmp_path, kind):
+        # no second copy of the result, which would be 157 chunks more
+        rng = np.random.default_rng(7)
+        n = 20_000
+        if kind == "dense":
+            matrix = rng.standard_normal((n, 64))
+        else:
+            matrix = np.hstack([t[rng.integers(0, 5, size=n)]
+                                for t in rng.standard_normal((4, 5, 16))])
+        path = tmp_path / "big.csv"
+        write_embedding(path, matrix)
+        chunk_bytes = path.stat().st_size * cli._CHUNK_ROWS / n
+        tracemalloc.start()
+        try:
+            back = read_embedding(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == matrix.tobytes()
+        # one chunk's lines, tokens, token set and token cache
+        assert peak < matrix.nbytes + 16 * chunk_bytes
+
     @given(hnp.arrays(np.float64,
                       hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
                       .filter(lambda s: s[1] > 0),
@@ -120,6 +144,124 @@ class TestBytes:
         back = read_embedding(path)
         assert back.shape == matrix.shape
         assert back.tobytes() == matrix.tobytes()
+
+
+@st.composite
+def assembled_matrices(draw):
+    """130-400 rows, each joining one row of each of a few small tables.
+
+    Rows in the first chunk use only the first rows of each table, so the
+    others first appear past it; some cases also change cells past it, which
+    puts a different tail after a known first token or brings a new one.
+    """
+    n = draw(st.integers(130, 400))
+    cells = st.floats(allow_nan=False, width=64)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 5))
+        table = draw(hnp.arrays(np.float64, (k, draw(st.integers(2, 4))), elements=cells))
+        codes = draw(hnp.arrays(np.intp, n, elements=st.integers(0, k - 1)))
+        codes[:cli._CHUNK_ROWS] %= draw(st.integers(1, k))
+        blocks.append(table[codes])
+    matrix = np.hstack(blocks)
+    for _ in range(draw(st.integers(0, 3))):
+        matrix[draw(st.integers(cli._CHUNK_ROWS, n - 1)),
+               draw(st.integers(0, matrix.shape[1] - 1))] = draw(cells)
+    return matrix
+
+
+def retoken(line, old, new):
+    return ",".join(new if token == old else token for token in line.split(","))
+
+
+def edit_line(k, edit):
+    """The file text with its 1-based line ``k`` replaced by ``edit(line)``."""
+    def edited(lines):
+        lines[k - 1] = edit(lines[k - 1])
+        return "\n".join(lines) + "\n"
+    return edited
+
+
+# name -> (the edited text of the 200-row file's lines, and how many lines
+# past the first chunk must be parsed token by token)
+HAND_EDITS = {
+    "spaces around tokens": (edit_line(142, lambda line: f"  {' , '.join(line.split(','))} "), 1),
+    "1.00 for 1.0": (edit_line(152, lambda line: retoken(line, "1.0", "1.00")), 1),
+    "-0.0 for 0.0": (edit_line(162, lambda line: retoken(line, "0.0", "-0.0")), 1),
+    "crlf endings": (lambda lines: "\r\n".join(lines) + "\r\n", 0),
+    "blank lines": (lambda lines: "\n".join(lines[:136] + ["", "   ", "\t"] + lines[136:-1]
+                                            + [""] + lines[-1:]) + "\n", 0),
+    "no final newline": (lambda lines: "\n".join(lines), 0),
+    "extra token after a match": (edit_line(172, lambda line: line + ",1.0"), 1),
+    "bad token in a matching line": (edit_line(182, lambda line: line[:line.rindex(",")] + ",x"),
+                                     1),
+}
+
+
+class TestRunMatching:
+    """Lines past the first chunk that are made of learned column-run segments."""
+
+    @staticmethod
+    def hand_matrix():
+        # three runs, each from a table whose tokens include 1.0 and 0.0
+        tables = (np.array([[1.0, 0.0, 1.0], [0.5, -2.25, 3.0], [0.0, 1.0, 0.0]]),
+                  np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[1.0, 2.0, 0.0, -1.0], [0.25, 0.0, 1.0, 7.5]]))
+        i = np.arange(200)
+        return np.hstack([tables[0][i % 3], tables[1][i % 2], tables[2][i // 2 % 2]])
+
+    @given(assembled_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_property_assembled_rows_read_back(self, tmp_path_factory, matrix):
+        path = assert_same_bytes(tmp_path_factory.mktemp("runs"), matrix)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(HAND_EDITS))
+    def test_hand_edited_file_reads_as_the_oracle_reads_it(self, tmp_path, monkeypatch, name):
+        edit, token_lines = HAND_EDITS[name]
+        written = tmp_path / "written.csv"
+        write_embedding(written, self.hand_matrix())
+        path = tmp_path / "edited.csv"
+        path.write_bytes(edit(written.read_text(encoding="utf-8").splitlines()).encode())
+        parsed = []
+        real_parse = cli._parse_lines
+
+        def spy(path, numbered, width, cache):
+            parsed.append(len(numbered))
+            return real_parse(path, numbered, width, cache)
+
+        monkeypatch.setattr(cli, "_parse_lines", spy)
+        try:
+            expected = oracles.read_embedding(path)
+        except StageError as exc:
+            with pytest.raises(StageError) as raised:
+                read_embedding(path)
+            assert str(raised.value) == str(exc) and raised.value.stage == "eval"
+        else:
+            assert read_embedding(path).tobytes() == expected.tobytes()
+        assert parsed[0] == cli._CHUNK_ROWS and sum(parsed[1:]) == token_lines
+
+    def test_learned_text_is_bounded(self, tmp_path, monkeypatch):
+        # past the first chunk every line starts with a new first token, so
+        # every line brings a new segment: the learned text starts over at a
+        # chunk's worth of tokens rather than growing with the rows
+        rng = np.random.default_rng(8)
+        tail = rng.choice([-1.0, 1.0], size=(2000, 6))
+        tail[:, 0] = np.arange(2000)
+        matrix = np.vstack([np.repeat(rng.standard_normal((4, 6)), 32, axis=0), tail])
+        path = tmp_path / "emb.csv"
+        write_embedding(path, matrix)
+        sizes = []
+        real_size = cli._Segments.size
+
+        def size(segments):
+            sizes.append(real_size(segments))
+            return sizes[-1]
+
+        monkeypatch.setattr(cli._Segments, "size", size)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+        cap = cli._CHUNK_ROWS * matrix.shape[1]
+        assert sum(size >= cap for size in sizes) >= 10 and max(sizes) < 2 * cap
 
 
 class TestReadFailures:
