@@ -29,7 +29,8 @@ import numpy as np
 from .cavnet import build_hetnet, export_edge_list
 from .dataset import CAD, DatasetManifest, impute_modes, load_csv, read_kv_file
 from .encoders import encode_frequency, encode_onehot
-from .evaluation import INDICES, LabeledEmbedding, evaluate_all, factor_columns
+from .evaluation import (INDICES, LabeledEmbedding, check_indices, evaluate_all,
+                         factor_columns)
 from .model import RunConfig
 from .training import train
 
@@ -479,13 +480,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    indices = tuple(s.strip() for s in args.indices.split(","))
+    _stage("eval", check_indices, indices)
     cad, _, _ = _stage("dataset", resolve_dataset, args)
     if cad.labels is None:
         raise StageError("eval", "dataset has no label column; evaluation needs labels")
     vectors = _stage("eval", read_embedding, args.embedding)
     if vectors.shape[0] != cad.n:
         raise StageError("eval", f"embedding has {vectors.shape[0]} rows, dataset has {cad.n}")
-    indices = tuple(s.strip() for s in args.indices.split(","))
     emb = _stage("eval", LabeledEmbedding, vectors, cad.labels)
     rows = _stage("eval", evaluate_all, {"embedding": [emb]}, indices)
     results = {row.index: row.best for row in rows}

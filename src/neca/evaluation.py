@@ -11,6 +11,11 @@ into runs, and a run of width w whose rows take k < w distinct values is
 replaced by those rows rotated into a k-dimensional basis.  An assembled
 embedding, one w-wide row per attribute value, then costs |V| columns
 instead of m * w.
+
+The silhouette never holds the n-by-n distance matrix.  It walks the upper
+triangle in square tiles small enough to stay in cache; one BLAS product of
+rows augmented with their squared norms gives each tile its squared
+distances, so memory is O(n * d + block^2) beside the (n, T) class sums.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-_SILHOUETTE_BLOCK = 256   # distance-matrix rows held at a time
+_SILHOUETTE_BLOCK = 256   # rows and columns of a distance-matrix tile
 _FACTOR_ROWS = 1024       # rows factor_columns screens, and checks at a time
 
 
@@ -156,28 +161,34 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
 def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
     """(n, T) sums of Euclidean distances from each object to each class.
 
-    Streams row blocks of the upper triangle of the distance matrix
-    (quadratic expansion) and multiplies each block, and its transpose, by
-    the n-by-T class indicator matrix, so memory is O(block * n + n * T)
-    rather than O(n^2) and each distance is computed once.
+    Walks the upper triangle of the distance matrix in square tiles of
+    ``_SILHOUETTE_BLOCK`` rows and columns, small enough to stay in cache.
+    One product of the augmented rows ``[x, |x|^2, 1]`` and
+    ``[-2x, 1, |x|^2]`` gives a tile its squared distances (quadratic
+    expansion); the tile, and its transpose, are then multiplied by the
+    n-by-T class indicator matrix.  Each distance is computed once, and
+    memory is O(n * d + block^2 + n * T) rather than O(n^2).
     """
     x = emb.points
-    blocks = [(lo, min(lo + _SILHOUETTE_BLOCK, emb.n))
-              for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
-    sq = np.concatenate([np.sum(x[lo:hi] * x[lo:hi], axis=1) for lo, hi in blocks])
+    sq = np.sum(x * x, axis=1, keepdims=True)
+    one = np.ones_like(sq)
+    left = np.hstack([x, sq, one])
+    right = np.hstack([-2.0 * x, one, sq])
     indicator = np.zeros((emb.n, emb.t))
     indicator[np.arange(emb.n), emb.label_idx] = 1.0
     sums = np.zeros((emb.n, emb.t))
-    for lo, hi in blocks:
-        gram = x[lo:hi] @ x[lo:].T
-        gram *= 2.0
-        d2 = sq[lo:hi, None] + sq[None, lo:]
-        d2 -= gram
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2, out=d2)
-        dist[np.arange(hi - lo), np.arange(hi - lo)] = 0.0
-        sums[lo:hi] += dist @ indicator[lo:]
-        sums[hi:] += dist[:, hi - lo:].T @ indicator[lo:hi]
+    blocks = [slice(lo, lo + _SILHOUETTE_BLOCK) for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            dist = left[rows] @ right[cols].T
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+            if cols is rows:   # a diagonal tile holds both halves
+                np.fill_diagonal(dist, 0.0)
+                sums[rows] += dist @ indicator[rows]
+            else:
+                sums[rows] += dist @ indicator[cols]
+                sums[cols] += dist.T @ indicator[rows]
     return sums
 
 
@@ -211,6 +222,13 @@ def silhouette(emb: LabeledEmbedding) -> float:
 INDICES = {"ch": calinski_harabasz, "s": silhouette}
 
 
+def check_indices(indices: Iterable[str]) -> None:
+    """Raise unless every name is a key of INDICES."""
+    unknown = [index for index in indices if index not in INDICES]
+    if unknown:
+        raise EvaluationError(f"unknown index {unknown[0]!r} (choose from {', '.join(INDICES)})")
+
+
 @dataclass
 class ComparisonRow:
     """One method's scores on one index, over all of the method's runs."""
@@ -234,9 +252,7 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
     """
     if not runs:
         raise EvaluationError("no embeddings to evaluate")
-    unknown = [index for index in indices if index not in INDICES]
-    if unknown:
-        raise EvaluationError(f"unknown index {unknown[0]!r} (choose from {', '.join(INDICES)})")
+    check_indices(indices)
     labels = None
     rows: list[ComparisonRow] = []
     for method, embeddings in runs.items():

@@ -299,6 +299,14 @@ class TestEval:
         assert "unknown index 'bogus'" in captured.err and "s =" not in captured.out
         assert not out.exists()
 
+    def test_unknown_index_rejected_before_the_embedding_is_read(self, labeled_csv, tmp_path,
+                                                                 capsys):
+        missing = tmp_path / "missing.csv"
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(missing),
+                    "--indices", "s,bogus"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: [eval] unknown index 'bogus' (choose from ch, s)")
+
     def test_row_mismatch_rejected(self, labeled_csv, tmp_path, capsys):
         emb = tmp_path / "bad.csv"
         cli.write_embedding(emb, np.zeros((3, 2)))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from neca.encoders import encode_frequency, encode_onehot
-from neca.evaluation import (INDICES, ComparisonRow, EvaluationError, LabeledEmbedding,
-                             calinski_harabasz, evaluate_all, factor_columns, silhouette,
-                             silhouette_samples)
+from neca.evaluation import (_SILHOUETTE_BLOCK, INDICES, ComparisonRow, EvaluationError,
+                             LabeledEmbedding, calinski_harabasz, evaluate_all, factor_columns,
+                             silhouette, silhouette_samples)
 
 
 def brute_ch(x, labels):
@@ -190,6 +190,28 @@ class TestSilhouette:
                                    rtol=0, atol=1e-12)
         assert fast[0] == 0.0
 
+    def test_tiles_match_dense_formula_across_tile_boundaries(self):
+        # three full tiles and a partial one; a coincident pair straddles the
+        # first tile boundary and a singleton class sits in the partial tile
+        n = 3 * _SILHOUETTE_BLOCK + 37
+        rng = np.random.default_rng(14)
+        labels = [f"c{k}" for k in rng.integers(0, 5, size=n)]
+        labels[n - 5] = "solo"
+        offset = np.array([0.0 if lab == "solo" else float(lab[1:]) for lab in labels])
+        vectors = rng.standard_normal((n, 9)) + offset[:, None]
+        edge = _SILHOUETTE_BLOCK
+        vectors[edge] = vectors[edge - 1]
+        fast = silhouette_samples(LabeledEmbedding(vectors, labels))
+        np.testing.assert_allclose(fast, dense_silhouette_samples(vectors, labels),
+                                   rtol=0, atol=1e-12)
+        assert fast[n - 5] == 0.0
+        # the brute force is slow: a cut that still crosses the first boundary
+        # and keeps the partial tile with its singleton
+        cut = np.r_[0:edge + 24, 3 * edge:n]
+        sub_vectors, sub_labels = vectors[cut], [labels[i] for i in cut]
+        assert silhouette(LabeledEmbedding(sub_vectors, sub_labels)) == pytest.approx(
+            brute_silhouette(sub_vectors.tolist(), sub_labels), abs=1e-9)
+
     def test_memory_bounded_by_blocks(self):
         # the n-by-n distance matrix alone would be 1.1 GB here
         rng = np.random.default_rng(13)
@@ -203,7 +225,7 @@ class TestSilhouette:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**20
+        assert peak < 16 * 2**20
         assert 0.0 < value < 1.0
 
     @given(st.integers(0, 10_000))
