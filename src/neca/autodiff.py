@@ -7,13 +7,22 @@ dense nodes), so there is no parameter registry and no in-place reuse:
 reachable ``Var`` in ``.grad``.
 
 All ops operate on float64 arrays and are deterministic for a given shape.
-Matrix products go through BLAS, which can round differently when it splits
-a large product across threads; ``gram`` avoids BLAS for that reason.
+Every matrix product goes through ``_product``, which hands BLAS products
+of a fixed, small size: BLAS can round differently when it splits a large
+product across threads, and products that small it runs on one thread, so
+the bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+# Output rows and columns, and inner terms, per BLAS call in ``_product``.
+# Part of the numerics: other sizes change the bytes of some products.
+CHUNK = 32
+INNER_CHUNK = 256
 
 
 class Var:
@@ -131,6 +140,27 @@ def clip(a, lo: float, hi: float) -> Var:
     return Var(np.clip(a.value, lo, hi), (a,), back)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for operands of two or more axes, in fixed pieces.
+
+    Each BLAS call computes one CHUNK x CHUNK tile of the output over at most
+    INNER_CHUNK inner terms, and a longer inner axis is summed piece by piece
+    in order.  On OpenBLAS 0.3.31 a call that size runs on one thread; with
+    whole inner axes, one and two threads gave different Gram backward bytes
+    from |V| = 995.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    for i in range(0, a.shape[-2], CHUNK):
+        rows = a[..., i:i + CHUNK, :]
+        for j in range(0, b.shape[-1], CHUNK):
+            cols = b[..., j:j + CHUNK]
+            tile = out[..., i:i + CHUNK, j:j + CHUNK]
+            np.matmul(rows[..., :INNER_CHUNK], cols[..., :INNER_CHUNK, :], out=tile)
+            for k in range(INNER_CHUNK, a.shape[-1], INNER_CHUNK):
+                tile += rows[..., k:k + INNER_CHUNK] @ cols[..., k:k + INNER_CHUNK, :]
+    return out
+
+
 def matmul(a, b) -> Var:
     """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes
     and (m, k) @ (k,) operands."""
@@ -140,31 +170,30 @@ def matmul(a, b) -> Var:
         raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
     if not batched and (a.value.ndim, b.value.ndim) != (2, 1):
         raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
-    out = a.value @ b.value
+    if batched:
+        out = _product(a.value, b.value)
+    else:
+        out = _product(a.value, b.value[:, None])[:, 0]
 
     def back(g):
         if batched:
-            _acc(a, g @ np.swapaxes(b.value, -1, -2))
-            _acc(b, np.swapaxes(a.value, -1, -2) @ g)
+            _acc(a, _product(g, np.swapaxes(b.value, -1, -2)))
+            _acc(b, _product(np.swapaxes(a.value, -1, -2), g))
         else:
             _acc(a, np.outer(g, b.value))
-            _acc(b, a.value.T @ g)
+            _acc(b, _product(a.value.T, g[:, None])[:, 0])
 
     return Var(out, (a, b), back)
 
 
 def gram(a) -> Var:
-    """Row inner products ``a @ a.T`` of a 2-d operand.
-
-    Summed by numpy's own einsum loops, not BLAS: at a few hundred rows a
-    threaded BLAS product rounds differently from a single-threaded one.
-    """
+    """Row inner products ``a @ a.T`` of a 2-d operand."""
     a = as_var(a)
 
     def back(g):
-        _acc(a, np.einsum("ij,jk->ik", g + g.T, a.value))
+        _acc(a, _product(g + g.T, a.value))
 
-    return Var(np.einsum("ik,jk->ij", a.value, a.value), (a,), back)
+    return Var(_product(a.value, a.value.T), (a,), back)
 
 
 def transpose(a) -> Var:
@@ -189,41 +218,88 @@ def heads_to_columns(a) -> Var:
     return Var(np.swapaxes(a.value, 0, 1).reshape(n, k * d), (a,), back)
 
 
-def attention(scores, mask: np.ndarray, slope: float) -> Var:
+class Neighborhoods(NamedTuple):
+    """The directed (target, source) pairs of a graph, sorted by (target, source)."""
+
+    src: np.ndarray          # (E,) source of each pair
+    counts: np.ndarray       # (|V|,) pairs of each target, all at least 1
+    starts: np.ndarray       # (|V|,) first pair of each target
+    flat: np.ndarray         # (E,) target * |V| + source, the pair in a (|V|, |V|) array
+    by_src: np.ndarray       # (E,) the pairs in source-major order
+    src_starts: np.ndarray   # first entry of each source in ``by_src``
+    sources: np.ndarray      # the sources that have a pair, ascending
+
+
+def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
+    """The ``Neighborhoods`` of directed pairs given in any order.
+
+    Every node must be the target of a pair, and no pair may repeat.
+    """
+    order = np.lexsort((src, tgt))
+    tgt, src = tgt[order], src[order]
+    counts = np.bincount(tgt, minlength=num)
+    if not counts.all():
+        raise ValueError(f"node {int(np.argmin(counts))} is the target of no pair")
+    flat = tgt * num + src
+    if (np.diff(flat) == 0).any():
+        raise ValueError("a directed pair repeats")
+    by_src = np.argsort(src, kind="stable")
+    sources, src_starts = np.unique(src[by_src], return_index=True)
+    return Neighborhoods(src, counts, np.cumsum(counts) - counts, flat, by_src, src_starts,
+                         sources)
+
+
+def attention(scores, nbhd: Neighborhoods, slope: float) -> Var:
     """Attention weights from (K, 2, n) target and neighbor scores.
 
-    Head k's logit for target i and neighbor j is the LeakyReLU of
-    ``scores[k, 0, i] + scores[k, 1, j]``; the (K, n, n) output is its
-    softmax over j among the entries where ``mask[i, j]`` is true.
-    Masked-out entries get weight 0 and are never exponentiated; each row
-    must keep at least one entry.  The row-max shift is a constant, and
-    softmax is shift-invariant, so the gradient is exact.
+    Head k's logit for the pair of target i and neighbor j is the LeakyReLU
+    of ``scores[k, 0, i] + scores[k, 1, j]``; the (K, n, n) output is its
+    softmax over i's pairs in ``nbhd``.  Only the pairs are computed, and
+    every other entry of the output is 0.  The segment-max shift is a
+    constant, and softmax is shift-invariant, so the gradient is exact.
     """
     a = as_var(scores)
-    # masked-out pairs start at -inf, so the plain row max is the max over
-    # the kept entries; slope * z <= z exactly when z >= 0, so the
+    k, n = a.value.shape[0], len(nbhd.counts)
+
+    def per_target(seg):
+        # a (K, |V|) value of each target, repeated over its pairs
+        return np.repeat(seg, nbhd.counts, axis=1)
+
+    def gather(x, index, out):
+        # the indices are in range; in its default mode take would buffer out
+        return np.take(x, index, axis=1, out=out, mode="clip")
+
+    # (K, E) logits in pair order; slope * z <= z exactly when z >= 0, so the
     # elementwise maximum is the LeakyReLU
-    z = a.value[:, 0, :, None] + np.where(mask, 0.0, -np.inf)
-    z += a.value[:, 1, None, :]
+    z = per_target(a.value[:, 0])
+    z += a.value[:, 1, nbhd.src]
     np.maximum(z, slope * z, out=z)
     pos = z >= 0
-    z -= z.max(axis=-1, keepdims=True)
-    out = np.exp(z, out=np.zeros_like(z), where=mask)
-    out /= out.sum(axis=-1, keepdims=True)
+    z -= per_target(np.maximum.reduceat(z, nbhd.starts, axis=1))
+    w = np.exp(z, out=z)
+    w /= per_target(np.add.reduceat(w, nbhd.starts, axis=1))
+    out = np.zeros((k, n * n))
+    out[:, nbhd.flat] = w
 
     def back(g):
         # softmax backward, then the LeakyReLU derivative: slope below 0 and
         # 1 elsewhere (slope + (1 - slope) rounds to exactly 1 for any slope
-        # in (0, 1)); on large arrays this arithmetic is faster than np.where.
-        # Sums over the neighbor and the target axis give the two score rows.
-        gz = g - np.einsum("...j,...j->...", g, out)[..., None]
-        gz *= out
-        dz = pos * (1.0 - slope)
-        dz += slope
-        gz *= dz
-        _acc(a, np.stack([gz.sum(axis=-1), gz.sum(axis=-2)], axis=1))
+        # in (0, 1)).  Segment sums over each target's pairs and over each
+        # source's pairs give the two score rows.
+        gz = gather(g.reshape(k, n * n), nbhd.flat, np.empty_like(w))
+        gz *= w
+        buf = per_target(np.add.reduceat(gz, nbhd.starts, axis=1))
+        gz -= np.multiply(buf, w, out=buf)
+        np.multiply(pos, 1.0 - slope, out=buf)
+        buf += slope
+        gz *= buf
+        grad = np.zeros((k, 2, n))
+        grad[:, 0] = np.add.reduceat(gz, nbhd.starts, axis=1)
+        grad[:, 1, nbhd.sources] = np.add.reduceat(gather(gz, nbhd.by_src, buf),
+                                                   nbhd.src_starts, axis=1)
+        _acc(a, grad)
 
-    return Var(out, (a,), back)
+    return Var(out.reshape(k, n, n), (a,), back)
 
 
 def summation(a, axis=None) -> Var:

@@ -166,8 +166,9 @@ class HetNet:
     def derived(self, fn, *args):
         """``fn(self, *args)``, computed on the first call and kept with the graph.
 
-        For dense structures that depend only on the graph, such as attention
-        masks and loss targets; the graph must not change after the first call.
+        For structures that depend only on the graph, such as the attention
+        neighborhoods and the loss targets; the graph must not change after
+        the first call.
         """
         key = (fn, args)
         if key not in self._derived:

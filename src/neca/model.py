@@ -9,12 +9,12 @@ two-way softmax over dataset-level importance scores, and per-object vectors
 are the in-order concatenation of the fused vectors of the object's values.
 
 The differentiable forward pass (see ``autodiff``) computes every head at
-once, densely: one ``autodiff.attention`` op turns each node's target and
-neighbor scores into the (K, |V|, |V|) weights of all node pairs, a softmax
-over the pairs the network's adjacency matrix keeps.  CAD
-neighborhoods are nearly complete, so this costs few more operations than
-visiting the edges one by one.  The trainable tensors are one dict from
-name to array, the form the tape, Adam and the gradients all use.
+once: one ``autodiff.attention`` op turns each node's target and neighbor
+scores into a softmax over the network's directed pairs, computed on the
+pairs alone, and returns the weights as a (K, |V|, |V|) array that is zero
+off the pairs, so the aggregation is one batched matrix product.  The
+trainable tensors are one dict from name to array, the form the tape, Adam
+and the gradients all use.
 """
 
 from __future__ import annotations
@@ -112,14 +112,14 @@ def assemble_objects(nodes: CavNodeSet, fused: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense differentiable forward pass
+# Differentiable forward pass
 
 def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Var]:
     return {name: Var(tensor) for name, tensor in params.items()}
 
 
-def _attention_mask(net: HetNet, which: str) -> np.ndarray:
-    """(|V|, |V|) neighborhood mask of one network.
+def _neighborhoods(net: HetNet, which: str) -> ad.Neighborhoods:
+    """The directed pairs of one network, the neighborhoods its attention runs over.
 
     An isolated node has no neighborhood to attend over and is an error.
     """
@@ -129,20 +129,18 @@ def _attention_mask(net: HetNet, which: str) -> np.ndarray:
     if not sizes.all():
         isolated = net.node_set.qualified(int(np.argmin(sizes)))
         raise ModelError(f"isolated node {isolated} in {which} network")
-    mask = np.zeros((num, num), dtype=bool)
-    mask[tgt, src] = True
-    return mask
+    return ad.neighborhoods(tgt, src, num)
 
 
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
                       config: RunConfig) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
-    mask = net.derived(_attention_mask, which)
+    nbhd = net.derived(_neighborhoods, which)
     k, d = config.heads, config.head_dim
     w1 = pvars[f"w1.{which}"]                                 # (K, d, |V|)
     # row 0 of each head scores every node as a target, row 1 as a neighbor
     scores = ad.matmul(ad.reshape(pvars[f"attn.{which}"], (k, 2, d)), w1)
-    alpha = ad.attention(scores, mask, LEAKY_SLOPE)           # (K, |V|, |V|)
+    alpha = ad.attention(scores, nbhd, LEAKY_SLOPE)           # (K, |V|, |V|)
     heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), ELU_ALPHA)
     return ad.heads_to_columns(heads)
 

@@ -123,7 +123,7 @@ def _attention_normalized(seed, spread):
     mask = rng.random((num, num)) < rng.random()
     mask[np.arange(num), rng.integers(num, size=num)] = True
     scores = rng.uniform(-spread, spread, size=(heads, 2, num))
-    alpha = ad.attention(scores, mask, 0.2).value
+    alpha = ad.attention(scores, ad.neighborhoods(*np.nonzero(mask), num), 0.2).value
     assert np.all(np.abs(alpha.sum(axis=-1) - 1.0) <= 1e-9)
     assert np.all(alpha[:, ~mask] == 0.0)
 

@@ -39,12 +39,20 @@ MASK = np.array([[True, True, False, True],
                  [True, True, False, True]])
 
 
+def pairs(mask):
+    """The neighborhoods of the pairs a (n, n) mask keeps."""
+    return ad.neighborhoods(*np.nonzero(mask), len(mask))
+
+
+NBHD = pairs(MASK)
+
+
 @pytest.mark.parametrize("build", [
     lambda v: ad.summation(ad.exp(v)),
     lambda v: ad.summation(ad.log(ad.add(ad.mul(v, v), 1.0))),
     lambda v: ad.summation(ad.tanh(v)),
-    lambda v: ad.summation(ad.exp(ad.attention(ad.reshape(v, (2, 2, 3)), np.ones((3, 3), bool),
-                                               0.2))),
+    lambda v: ad.summation(ad.exp(ad.attention(ad.reshape(v, (2, 2, 3)),
+                                               pairs(np.ones((3, 3), bool)), 0.2))),
     lambda v: ad.summation(ad.elu(v, 1.0)),
     lambda v: ad.summation(ad.div(v, ad.add(ad.mul(v, v), 2.0))),
     lambda v: ad.summation(ad.mul(ad.sub(v, 0.5), ad.sub(0.0, v))),
@@ -106,10 +114,10 @@ def test_transpose_reshape_slice():
     # together, so while they keep one sign it leaves the weights alone and
     # its gradient is 0; only the neighbor row gets one.
     weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)),
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)),
           rng.standard_normal((2, 2, 4)))
     scores = ad.Var(rng.uniform(1.0, 2.0, size=(2, 2, 4)))
-    ad.backward(ad.summation(ad.mul(ad.attention(scores, MASK, 0.2), weights)))
+    ad.backward(ad.summation(ad.mul(ad.attention(scores, NBHD, 0.2), weights)))
     np.testing.assert_allclose(scores.grad[:, 0], 0.0, atol=1e-12)
     assert np.abs(scores.grad[:, 1]).max() > 1e-3
 
@@ -131,18 +139,18 @@ def leaky_logits(scores, slope=0.2):
 
 
 def test_masked_softmax_sums_to_one_and_grad():
-    w = ad.attention(ad.Var(rng.standard_normal((2, 2, 4))), MASK, 0.2).value
+    w = ad.attention(ad.Var(rng.standard_normal((2, 2, 4))), NBHD, 0.2).value
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(w[:, ~MASK] == 0.0)
     assert np.all(w[:, 1, 1] == 1.0)
     weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)),
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)),
           rng.standard_normal((2, 2, 4)))
 
 
 def test_masked_softmax_matches_softmax_over_the_kept_entries():
     scores = rng.standard_normal((1, 2, 4))
-    w = ad.attention(ad.Var(scores), MASK, 0.2).value[0]
+    w = ad.attention(ad.Var(scores), NBHD, 0.2).value[0]
     logits = leaky_logits(scores)[0]
     for row, keep in enumerate(MASK):
         e = np.exp(logits[row, keep])
@@ -154,7 +162,7 @@ def test_masked_softmax_large_logits_stable():
     # the masked-out entry of row 0 (705) must not set that row's shift
     scores = np.array([[[700.0, 3.0, -3500.0, 10.0],
                         [0.0, 1.0, 5.0, 2.0]]])
-    w = ad.attention(ad.Var(scores), MASK, 0.2).value[0]
+    w = ad.attention(ad.Var(scores), NBHD, 0.2).value[0]
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     e = np.exp([-2.0, -1.0, 0.0])
@@ -162,7 +170,7 @@ def test_masked_softmax_large_logits_stable():
     assert w[1, 1] == 1.0
     assert leaky_logits(scores)[0, 2].max() == pytest.approx(-699.0)
     weights = rng.standard_normal((1, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, MASK, 0.2), weights)), scores)
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)), scores)
 
 
 def test_attention_masked_scores_far_above_kept_ones():
@@ -179,7 +187,7 @@ def test_attention_masked_scores_far_above_kept_ones():
     with np.errstate(over="raise", invalid="raise"):
         for scores in (ordinary, far):
             v = ad.Var(scores)
-            alpha = ad.attention(v, mask, 0.2)
+            alpha = ad.attention(v, pairs(mask), 0.2)
             ad.backward(ad.summation(ad.mul(alpha, weights)))
             runs.append((alpha.value, v.grad))
     (w0, g0), (w1, g1) = runs
@@ -198,10 +206,52 @@ def test_attention_gradient_over_random_masks(seed):
     mask[0] = np.arange(n) == r.integers(n)     # a one-neighbor row
     scores = r.uniform(-spread, spread, size=(heads, 2, n))
     weights = r.standard_normal((heads, n, n))
-    w = ad.attention(ad.Var(scores), mask, 0.2).value
+    w = ad.attention(ad.Var(scores), pairs(mask), 0.2).value
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert not w[:, ~mask].any() and np.all(w[:, 0, mask[0]] == 1.0)
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, mask, 0.2), weights)), scores)
+    check(lambda v: ad.summation(ad.mul(ad.attention(v, pairs(mask), 0.2), weights)), scores)
+
+
+def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
+    # scores far apart, so a pair outside the neighborhood would take every
+    # row's weight if it were computed; rows 1 and 3 keep one pair each
+    mask = np.array([[True, False, True, False, True],
+                     [False, False, False, True, False],
+                     [True, True, False, False, True],
+                     [False, False, True, False, False],
+                     [True, False, True, True, False]])
+    scores = np.zeros((3, 2, 5))
+    scores[:, 1] = [-50.0, 400.0, -30.0, 0.0, 10.0]
+    scores[:, 0] = rng.uniform(-20.0, 20.0, size=(3, 5))
+    w = ad.attention(ad.Var(scores), pairs(mask), 0.2).value
+    assert np.all(w[:, ~mask] == 0.0)
+    assert np.all(w[:, 1, 3] == 1.0) and np.all(w[:, 3, 2] == 1.0)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_neighborhoods_reject_a_target_without_pairs_and_repeated_pairs():
+    with pytest.raises(ValueError, match="node 2"):
+        ad.neighborhoods(np.array([0, 1, 3]), np.array([1, 0, 0]), 4)
+    with pytest.raises(ValueError, match="repeats"):
+        ad.neighborhoods(np.array([0, 1, 0]), np.array([1, 0, 1]), 2)
+
+
+@pytest.mark.parametrize("rows", [31, 32, 33, 65])
+def test_chunked_product_matches_one_product(rows):
+    a, b = rng.standard_normal((rows, 40)), rng.standard_normal((40, 7))
+    np.testing.assert_allclose(ad._product(a, b), a @ b, rtol=1e-13, atol=1e-13)
+    # a stack, a transposed view on either side, and the vector case of matmul
+    a3, b3 = rng.standard_normal((3, rows, 40)), rng.standard_normal((3, 7, 40))
+    bt = np.swapaxes(b3, -1, -2)
+    np.testing.assert_allclose(ad._product(a3, bt), a3 @ bt, rtol=1e-13, atol=1e-13)
+    at = np.swapaxes(rng.standard_normal((3, 40, rows)), -1, -2)
+    np.testing.assert_allclose(ad._product(at, bt), at @ bt, rtol=1e-13, atol=1e-13)
+    v = rng.standard_normal(40)
+    np.testing.assert_allclose(ad.matmul(a, v).value, a @ v, rtol=1e-13, atol=1e-13)
+    # an inner axis longer than INNER_CHUNK is summed in pieces
+    long_a, long_b = rng.standard_normal((rows, 600)), rng.standard_normal((600, 40))
+    np.testing.assert_allclose(ad._product(long_a, long_b), long_a @ long_b,
+                               rtol=1e-13, atol=1e-12)
 
 
 def test_clip_passes_gradient_only_inside():
