@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A ``Var`` wraps an ndarray and remembers how to push an incoming gradient
-back to its parents.  Graphs are built per forward pass (under a hundred
-dense nodes), so there is no parameter registry and no in-place reuse:
+back to its parents.  Graphs are built per forward pass (about fifty
+nodes), so there is no parameter registry and no in-place reuse:
 ``backward(root)`` walks the graph once and leaves the gradient of every
 reachable ``Var`` in ``.grad``.
 
@@ -106,11 +106,6 @@ def exp(a) -> Var:
     return Var(out, (a,), lambda g: _acc(a, g * out))
 
 
-def log(a) -> Var:
-    a = as_var(a)
-    return Var(np.log(a.value), (a,), lambda g: _acc(a, g / a.value))
-
-
 def tanh(a) -> Var:
     a = as_var(a)
     out = np.tanh(a.value)
@@ -129,25 +124,14 @@ def elu(a, alpha: float) -> Var:
     return Var(out, (a,), back)
 
 
-def clip(a, lo: float, hi: float) -> Var:
-    """Clamp values into [lo, hi]; gradient passes only where unclamped."""
-    a = as_var(a)
-    inside = (a.value >= lo) & (a.value <= hi)
-
-    def back(g):
-        _acc(a, g * inside)
-
-    return Var(np.clip(a.value, lo, hi), (a,), back)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for operands of two or more axes, in fixed pieces.
 
     Each BLAS call computes one CHUNK x CHUNK tile of the output over at most
     INNER_CHUNK inner terms, and a longer inner axis is summed piece by piece
     in order.  On OpenBLAS 0.3.31 a call that size runs on one thread; with
-    whole inner axes, one and two threads gave different Gram backward bytes
-    from |V| = 995.
+    whole inner axes, one and two threads gave different bytes for the
+    loss's (|V|, |V|) backward product from |V| = 995.
     """
     out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
     for i in range(0, a.shape[-2], CHUNK):
@@ -184,16 +168,6 @@ def matmul(a, b) -> Var:
             _acc(b, _product(a.value.T, g[:, None])[:, 0])
 
     return Var(out, (a, b), back)
-
-
-def gram(a) -> Var:
-    """Row inner products ``a @ a.T`` of a 2-d operand."""
-    a = as_var(a)
-
-    def back(g):
-        _acc(a, _product(g + g.T, a.value))
-
-    return Var(_product(a.value, a.value.T), (a,), back)
 
 
 def transpose(a) -> Var:
@@ -302,16 +276,46 @@ def attention(scores, nbhd: Neighborhoods, slope: float) -> Var:
     return Var(out.reshape(k, n, n), (a,), back)
 
 
-def summation(a, axis=None) -> Var:
-    a = as_var(a)
+def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float) -> Var:
+    """Mean binary cross-entropy of Gaussian-kernel similarities against ``p``.
+
+    ``pairs`` holds the flat index ``u * n + v`` of each pair of rows of the
+    (n, d) ``fused``.  The kernel exp(-|f_u - f_v|^2 / (2 sigma^2)) of a pair,
+    clamped to [eps, 1 - eps], is scored against its target probability:
+    the value is -mean(p log k + (1 - p) log(1 - k)) over the pairs.  No
+    gradient passes through a clamped kernel.
+    """
+    a = as_var(fused)
+    n = a.value.shape[0]
+    # squared distances |f_u|^2 + |f_v|^2 - 2 f_u.f_v, centered first so the
+    # cancellation error scales with the spread of the rows, not with their
+    # offset from the origin
+    f = a.value - a.value.mean(axis=0)
+    norms = (f * f).sum(axis=1)
+    tgt, src = np.divmod(pairs, n)
+    sq = norms[tgt] + norms[src] - 2.0 * _product(f, f.T).take(pairs)
+    k = np.exp(sq * (-1.0 / (2.0 * sigma ** 2)))
+    inside = (k >= eps) & (k <= 1.0 - eps)
+    np.clip(k, eps, 1.0 - eps, out=k)
+    # np.sum, not a dot product: BLAS may split a long dot across threads
+    loss = -np.sum(p * np.log(k) + (1.0 - p) * np.log(1.0 - k)) / len(pairs)
 
     def back(g):
-        if axis is None:
-            _acc(a, np.broadcast_to(g, a.value.shape).copy())
-        else:
-            _acc(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())
+        # dL/dsq = (p - k) / ((1 - k) 2 sigma^2 E) inside the clamp; each pair
+        # moves both of its rows, so the scattered weights are symmetrized
+        half = np.zeros(n * n)
+        half[pairs] = g * inside * (p - k) / ((1.0 - k) * (2.0 * sigma ** 2 * len(pairs)))
+        half = half.reshape(n, n)
+        w = half + half.T
+        grad = 2.0 * (w.sum(axis=1)[:, None] * f - _product(w, f))
+        _acc(a, grad - grad.mean(axis=0))   # the centring's backward
 
-    return Var(a.value.sum(axis=axis), (a,), back)
+    return Var(loss, (a,), back)
+
+
+def summation(a) -> Var:
+    a = as_var(a)
+    return Var(a.value.sum(), (a,), lambda g: _acc(a, np.broadcast_to(g, a.value.shape).copy()))
 
 
 def mean(a) -> Var:

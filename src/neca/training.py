@@ -7,9 +7,8 @@ neighborhood, under a binary cross-entropy.  Because the network weights
 are a global softmax of the raw co-occurrence counts, the per-neighborhood
 renormalization reduces to a neighborhood softmax of the raw counts, which
 is how it is computed (no underflow from tiny global weights).  The loss is
-evaluated densely over all node pairs, with squared distances taken from a
-Gram matrix and the terms weighted by |V|×|V| matrices that are zero off the
-cross-attribute pairs.
+one tape op, ``autodiff.kernel_bce``, evaluated at the E directed pairs
+only; the targets are kept as one value per pair.
 
 Gradients for every parameter tensor come from the reverse-mode tape in
 ``autodiff``; optimization is plain full-batch Adam with bias correction.
@@ -43,38 +42,31 @@ class TrainReport:
     stop_reason: str            # "max_epochs" or "converged"
 
 
-def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray, int]:
-    """(P, Q, pairs) over the directed cross-attribute pairs (target u, neighbor v).
+def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, p) over the directed cross-attribute pairs (target u, neighbor v).
 
-    P[u, v] is the impacting strength p(v|u), the neighborhood softmax of
-    the raw counts, and Q[u, v] = 1 - P[u, v]; both are 0 off the pairs.
+    ``pairs`` holds the flat index u * |V| + v of each pair and ``p`` its
+    impacting strength p(v|u), the softmax of the raw counts over u's
+    neighborhood.
     """
     tgt, src, eidx = net.directed_pairs("inter")
     if len(tgt) == 0:
         raise TrainingError("empty cross-attribute edge set")
     num = net.node_set.total
-    raw = np.full((num, num), -np.inf)
-    raw[tgt, src] = net.inter.raw[eidx]
-    on_pair = np.isfinite(raw)
-    e = np.exp(raw - raw.max(axis=1, keepdims=True), where=on_pair, out=np.zeros((num, num)))
-    p = e / e.sum(axis=1, keepdims=True)
-    return p, on_pair - p, len(tgt)
+    raw = net.inter.raw[eidx]
+    top = np.full(num, -np.inf)
+    np.maximum.at(top, tgt, raw)
+    e = np.exp(raw - top[tgt])
+    return tgt * num + src, e / np.bincount(tgt, weights=e, minlength=num)[tgt]
 
 
 def _loss_var(net: HetNet, fused: ad.Var, config: RunConfig) -> ad.Var:
-    p, q, pairs = net.derived(loss_targets)
-    num = len(p)
-    # squared distances from the Gram matrix: |f_u|^2 + |f_v|^2 - 2 f_u.f_v,
-    # centered first so the cancellation error scales with the spread of
-    # the rows, not with their offset from the origin
-    f = ad.sub(fused, ad.mul(ad.summation(fused, axis=0), 1.0 / num))
-    norms = ad.summation(ad.mul(f, f), axis=1)
-    sq = ad.sub(ad.add(ad.reshape(norms, (num, 1)), ad.reshape(norms, (1, num))),
-                ad.mul(ad.gram(f), 2.0))
-    kernel = ad.exp(ad.mul(sq, -1.0 / (2.0 * config.sigma ** 2)))
-    kernel = ad.clip(kernel, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    terms = ad.add(ad.mul(ad.log(kernel), p), ad.mul(ad.log(ad.sub(1.0, kernel)), q))
-    return ad.mul(ad.summation(terms), -1.0 / pairs)
+    pairs, p = net.derived(loss_targets)
+    num = net.node_set.total
+    if fused.value.ndim != 2 or fused.shape[0] != num:
+        raise TrainingError(f"fused embedding has shape {fused.shape}, "
+                            f"expected ({num}, d) for the {num} nodes of the graph")
+    return ad.kernel_bce(fused, pairs, p, config.sigma, CLAMP_EPS)
 
 
 def neca_loss(net: HetNet, fused: np.ndarray, config: RunConfig) -> float:

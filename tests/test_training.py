@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neca import autodiff as ad
 from neca.cavnet import EdgeSet, HetNet, build_hetnet
 from neca.dataset import make_cad
 from neca.model import RunConfig, init_params
@@ -66,15 +67,12 @@ class TestImpactingStrength:
 
     def test_vectorized_targets_match_scalar_op(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        p, q, pairs = loss_targets(net)
+        pairs, p = loss_targets(net)
         tgt, src, _ = net.directed_pairs("inter")
-        assert pairs == len(tgt)
-        for t, s in zip(tgt, src):
-            assert p[t, s] == pytest.approx(impacting_strength(net, int(t), int(s)), abs=1e-12)
-        np.testing.assert_array_equal(q[tgt, src], 1.0 - p[tgt, src])
-        off = np.ones_like(p, dtype=bool)
-        off[tgt, src] = False
-        assert not p[off].any() and not q[off].any()
+        np.testing.assert_array_equal(pairs, tgt * net.node_set.total + src)
+        assert len(np.unique(pairs)) == len(pairs)
+        for t, s, strength in zip(tgt, src, p):
+            assert strength == pytest.approx(impacting_strength(net, int(t), int(s)), abs=1e-12)
 
 
 class TestGaussianSimilarity:
@@ -132,9 +130,8 @@ class TestLoss:
 
     def test_cross_entropy_lower_bound(self):
         _, net = four_node_net()
-        p, _, _ = loss_targets(net)
-        tgt, src, _ = net.directed_pairs("inter")
-        pc = np.clip(p[tgt, src], 1e-12, 1 - 1e-12)
+        _, p = loss_targets(net)
+        pc = np.clip(p, 1e-12, 1 - 1e-12)
         entropy = float(-np.mean(pc * np.log(pc) + (1 - pc) * np.log(1 - pc)))
         rng = np.random.default_rng(1)
         cfg = RunConfig()
@@ -159,6 +156,54 @@ class TestLoss:
         broken = HetNet(net.node_set, empty, net.intra, 0)
         with pytest.raises(TrainingError, match="empty"):
             neca_loss(broken, np.zeros((10, 3)), RunConfig())
+
+    def test_row_count_must_match_the_graph(self):
+        # the flat pair indices would read the wrong entries of a larger matrix
+        _, net = four_node_net()
+        with pytest.raises(TrainingError, match=r"shape \(5, 3\), expected \(4, d\)"):
+            neca_loss(net, np.zeros((5, 3)), RunConfig())
+
+
+def kernel_bce_var(net, fused, config):
+    """The loss op on ``fused`` as a leaf, after its backward."""
+    v = ad.Var(fused)
+    loss = ad.kernel_bce(v, *loss_targets(net), config.sigma, CLAMP_EPS)
+    ad.backward(loss)
+    return loss, v
+
+
+class TestLossOp:
+    def test_finite_differences_with_clamped_pairs(self):
+        _, net = four_node_net()
+        a1, a2 = id_for(net.node_set, 0, "a1"), id_for(net.node_set, 0, "a2")
+        b1, b2 = id_for(net.node_set, 1, "b1"), id_for(net.node_set, 1, "b2")
+        fused = np.zeros((4, 3))
+        fused[a1] = fused[b1] = [0.3, -0.2, 0.1]     # coincident: clamps at 1 - eps
+        fused[a2] = [0.9, 0.4, -0.5]                 # a2 on b1 stays inside the clamp
+        fused[b2] = [40.0, 0.0, 0.0]                 # far from a2: clamps at eps
+        cfg = RunConfig(sigma=1.0)
+        _, v = kernel_bce_var(net, fused, cfg)
+        numeric = np.zeros_like(fused)
+        h = 1e-6
+        for i in np.ndindex(fused.shape):
+            hi, lo = fused.copy(), fused.copy()
+            hi[i] += h
+            lo[i] -= h
+            numeric[i] = (neca_loss(net, hi, cfg) - neca_loss(net, lo, cfg)) / (2 * h)
+        np.testing.assert_allclose(v.grad, numeric, rtol=1e-5, atol=1e-8)
+        # a1 and b2 have only clamped pairs, so no gradient reaches them
+        assert not v.grad[[a1, b2]].any()
+        assert v.grad[[a2, b1]].all()
+
+    def test_shift_of_every_row_changes_nothing(self):
+        _, net = four_node_net()
+        rng = np.random.default_rng(2)
+        fused = rng.standard_normal((4, 3))
+        cfg = RunConfig(sigma=1.3)
+        loss, v = kernel_bce_var(net, fused, cfg)
+        shifted_loss, shifted = kernel_bce_var(net, fused + rng.standard_normal(3) * 10, cfg)
+        assert float(shifted_loss.value) == pytest.approx(float(loss.value), rel=1e-12)
+        np.testing.assert_allclose(shifted.grad, v.grad, rtol=1e-12, atol=1e-12)
 
 
 def fd_check(net, params, config, h=1e-4, rel_tol=1e-4, abs_tol=1e-6):
