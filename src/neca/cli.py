@@ -21,7 +21,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,8 @@ BUNDLED = ("bc", "ce", "de", "ly", "ma", "mu", "pt", "sb", "sh", "wi", "zo")
 DATASET_FLAGS = {"label": "label", "drop": "drop", "columns": "columns",
                  "missing": "missing_token"}
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
-_CHUNK_ROWS = 128       # embedding CSV rows formatted or parsed at a time
+_CHUNK_ROWS = 128       # embedding CSV rows formatted or read at a time; caps learned text
+_PREFIX_ROWS = 32       # embedding CSV rows whose column runs the reader learns first
 
 
 class StageError(Exception):
@@ -188,18 +189,18 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _format_segments(rows: np.ndarray) -> list[str]:
-    """Comma-joined tokens of each row, formatting each distinct float64 bit pattern once.
+def _format_segments(rows: np.ndarray) -> list[bytes]:
+    """Comma-joined tokens of each row as bytes, formatting each distinct float64 bit pattern once.
 
     The key is the bit pattern, not the value: 0.0 == -0.0 but the two print
     differently, and nan != nan.
     """
     bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
     tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return [",".join(row) for row in tokens[inverse].reshape(rows.shape).tolist()]
+    return [",".join(row).encode() for row in tokens[inverse].reshape(rows.shape).tolist()]
 
 
-def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> str:
+def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> bytes:
     """CSV lines of the ``_CHUNK_ROWS`` rows of ``matrix`` from ``first_id``.
 
     A line joins one segment per column run of ``factor_columns``; a run's
@@ -219,8 +220,8 @@ def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> 
         if missing:
             segments.update(zip(missing, _format_segments(matrix[first[missing], lo:hi])))
         columns.append([segments[c] for c in chunk])
-    return "".join(f"{i},{','.join(row)}\n"
-                   for i, *row in zip(range(first_id, first_id + count), *columns))
+    return b"".join(b"%d,%b\n" % (i, b",".join(row))
+                    for i, *row in zip(range(first_id, first_id + count), *columns))
 
 
 def write_embedding(path, matrix: np.ndarray) -> None:
@@ -228,14 +229,15 @@ def write_embedding(path, matrix: np.ndarray) -> None:
 
     Rows go out in chunks of ``_CHUNK_ROWS``, and the file replaces ``path``
     only once it is complete.  Each line is built from the column runs of
-    ``factor_columns``, so an assembled embedding formats each attribute
-    value's row once rather than once per object.
+    ``factor_columns``, so an assembled embedding formats and encodes each
+    attribute value's row once rather than once per object.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     runs = factor_columns(matrix)
     cache = [{} for _ in runs]
-    with _replacing(path) as fh:
-        fh.write("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1])) + "\n")
+    with _replacing(path, binary=True) as fh:
+        fh.write(("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1]))
+                  + "\n").encode())
         for lo in range(0, matrix.shape[0], _CHUNK_ROWS):
             fh.write(_format_rows(matrix, runs, lo, cache))
 
@@ -243,18 +245,15 @@ def write_embedding(path, matrix: np.ndarray) -> None:
 def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
     """Float64 array of ``tokens``, calling ``float`` only on tokens not in ``cache``.
 
-    A token that is not a number raises ``float``'s ``ValueError``.  A cache
-    that holds as many tokens as ``tokens`` has is emptied first, so it stays
-    below two calls' worth.
+    The new tokens join ``cache``; the caller empties it.  A token that is
+    not a number raises ``float``'s ``ValueError``.
     """
     try:
         return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
     except KeyError:
         pass
-    if len(cache) >= len(tokens):
-        cache.clear()
-    new = set(tokens)
-    new.difference_update(cache)
+    # difference, not difference_update, which would walk the whole cache
+    new = set(tokens).difference(cache)
     cache.update(zip(new, map(float, new)))
     return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
 
@@ -293,10 +292,10 @@ class _Segments:
     """The text of the column runs' rows read so far, keyed by each run's first token.
 
     A line is an object id, then one segment per run of ``factor_columns``,
-    each segment a comma and the run's tokens.  A line matches when, run
-    after run, the token after the comma is a known first token and the text
-    from the comma on is the segment learned with it.  Its values are then
-    the learned rows: equal text is equal tokens, so a match is exact.
+    each segment a comma and the run's tokens.  A segment matches when the
+    token after its comma is a known first token and the text from the comma
+    on is the segment learned with it.  Its values are then the learned row:
+    equal text is equal tokens, so a match is exact.
     """
 
     def __init__(self, spans: list[tuple[int, int]]):
@@ -305,15 +304,21 @@ class _Segments:
         self.rows: list[list[np.ndarray]] = [[] for _ in spans]
         self.tables: list[np.ndarray] = []
 
+    def _keep(self, run: int, first: str, segment: str, row: np.ndarray) -> int:
+        """Learn ``segment``, whose first token is ``first``, with its values ``row``."""
+        rows = self.rows[run]
+        self.index[run][first] = len(rows), segment, len(segment)
+        rows.append(row)
+        self.tables = []
+        return len(rows) - 1
+
     def learn(self, line: str, row: np.ndarray) -> None:
         """Keep each run's segment of a parsed line whose first token is new."""
         tokens = line.split(",")
-        for (lo, hi), index, rows in zip(self.spans, self.index, self.rows):
+        for run, ((lo, hi), index) in enumerate(zip(self.spans, self.index)):
             if tokens[lo + 1] not in index:
-                segment = "," + ",".join(tokens[lo + 1:hi + 1])
-                index[tokens[lo + 1]] = len(rows), segment, len(segment)
-                rows.append(row[lo:hi].copy())
-                self.tables = []
+                self._keep(run, tokens[lo + 1], "," + ",".join(tokens[lo + 1:hi + 1]),
+                           row[lo:hi].copy())
 
     def size(self) -> int:
         """The number of tokens learned."""
@@ -335,6 +340,46 @@ class _Segments:
             pos += hit[2]
         return codes if line[pos:] in ("\n", "") else None
 
+    def resolve(self, line: str, cache: dict[str, float]):
+        """``(codes, unlearned)`` of the stripped ``line``, parsing only its unmatched runs.
+
+        A run whose first token is new is split off, parsed through ``cache``
+        and learned.  A run whose first token is known but whose text differs
+        is parsed and not learned: it takes that token's code, and its
+        ``(lo, hi, values)`` go in ``unlearned``.  None when the line is not
+        one segment per run: too few or too many tokens, or a bad one.
+        """
+        find, startswith = line.find, line.startswith
+        pos = find(",")
+        if pos < 0:
+            return None
+        codes, unlearned = [], []
+        for run, ((lo, hi), index) in enumerate(zip(self.spans, self.index)):
+            end = find(",", pos + 1)
+            hit = index.get(line[pos + 1:end] if end >= 0 else line[pos + 1:])
+            # a known segment, ending where its last token does: 1.0 is not 1.00
+            if hit is not None and startswith(hit[1], pos) \
+                    and line[pos + hit[2]:pos + hit[2] + 1] in (",", ""):
+                codes.append(hit[0])
+                pos += hit[2]
+                continue
+            tokens = line[pos + 1:].split(",", hi - lo)
+            del tokens[hi - lo:]   # the rest of the line
+            try:
+                row = _parse_tokens(tokens, cache) if len(tokens) == hi - lo else None
+            except ValueError:
+                row = None
+            if row is None:
+                return None
+            segment = "," + ",".join(tokens)
+            if hit is None:
+                codes.append(self._keep(run, tokens[0], segment, row))
+            else:
+                codes.append(hit[0])
+                unlearned.append((lo, hi, row))
+            pos += len(segment)
+        return (codes, unlearned) if pos == len(line) else None
+
     def fill(self, out: np.ndarray, rows: list[int], codes: list[list[int]]) -> None:
         """Write the learned rows of each line's ``codes`` into its row of ``out``."""
         if not self.tables:
@@ -348,69 +393,77 @@ def read_embedding(path) -> np.ndarray:
     """The matrix ``write_embedding`` wrote, bit for bit (NaN payloads aside).
 
     Any CSV of numbers with the header's width reads as ``float`` parses each
-    token.  The first ``_CHUNK_ROWS`` lines are parsed token by token, and
+    token.  The first ``_PREFIX_ROWS`` lines are parsed token by token, and
     the column runs of their rows are learned as text (``_Segments``).  A
     later line made of learned segments takes their rows without being split;
-    any other line is parsed token by token, and each run's segment with a
-    new first token is learned from it.  If the first lines' rows do not
-    repeat in some run, every line is parsed token by token.  The learned
-    text starts over once it holds as many tokens as a chunk of lines, and
-    rows go straight into the one array returned.
+    in any other line only the runs that do not match are split off and
+    parsed, and a run's segment with a new first token is learned.  A line
+    is parsed whole only when it is not one segment per run, and then only
+    to raise its error.  If no run repeats in the first lines, as in a
+    matrix of distinct values, every line is parsed token by token.  The
+    learned text and the token cache start over once they hold as many
+    tokens as a chunk of ``_CHUNK_ROWS`` lines, and rows go straight into
+    the one array returned.
 
     A row whose width differs from the header's, or a token that is not a
     number, raises a ``StageError`` naming the path and the 1-based line of
-    the first such row.
+    the first such row; a byte that is not UTF-8 makes its token not a number.
     """
     cache: dict[str, float] = {}
     segments = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "object_id":
             raise StageError("eval", f"{path} is not an embedding file")
         width = len(header) - 1
+        lines = list(islice(fh, _CHUNK_ROWS))
+        # the row count a chunk of lines' lengths suggests
         size = os.fstat(fh.fileno()).st_size
-        out = np.empty((0, width))
-        n, lineno = 0, 1
-        while lines := list(islice(fh, _CHUNK_ROWS)):
-            if lineno == 1:
-                # the row count the first lines' lengths suggest
-                out = np.empty((size * len(lines) // sum(map(len, lines)) + 1, width))
-            elif n + len(lines) > len(out):
+        out = np.empty((size * len(lines) // max(sum(map(len, lines)), 1) + 1, width))
+        prefix = [(k, line.strip()) for k, line in enumerate(lines[:_PREFIX_ROWS], 2)
+                  if not line.isspace()]
+        n, lineno = len(prefix), 1 + min(len(lines), _PREFIX_ROWS)
+        if prefix:
+            block = out[:n] = _parse_lines(path, prefix, width, cache)
+            runs = factor_columns(block)
+            if any(len(first) < n for _, _, _, first in runs):
+                segments = _Segments([(lo, hi) for lo, hi, _, _ in runs])
+                for (_, line), row in zip(prefix, block):
+                    segments.learn(line, row)
+        chunks = iter(lambda: list(islice(fh, _CHUNK_ROWS)), [])
+        for lines in chain([lines[_PREFIX_ROWS:]], chunks):
+            if n + len(lines) > len(out):
                 # realloc: a large array grows in place, not by a copy
                 out.resize((max(n + len(lines), len(out) + len(out) // 8), width),
                            refcheck=False)
-            hits, codes, numbered, parsed = [], [], [], []
-            if segments is None:
-                numbered = [(k, line.strip()) for k, line in enumerate(lines, lineno + 1)
-                            if not line.isspace()]
-                parsed = slice(n, n + len(numbered))
-                n += len(numbered)
-            else:
-                for k, line in enumerate(lines, lineno + 1):
-                    found = segments.match(line)
-                    if found is not None:
-                        hits.append(n)
-                        codes.append(found)
-                    elif line.isspace():
+            hits, codes, unlearned, numbered, parsed = [], [], [], [], []
+            for k, line in enumerate(lines, lineno + 1):
+                found = None if segments is None else segments.match(line)
+                if found is None:
+                    if line.isspace():
                         continue
-                    else:
-                        numbered.append((k, line.strip()))
+                    line = line.strip()
+                    resolved = None if segments is None else segments.resolve(line, cache)
+                    if resolved is None:
+                        numbered.append((k, line))
                         parsed.append(n)
-                    n += 1
+                        n += 1
+                        continue
+                    found, extra = resolved
+                    unlearned.extend((n, *run) for run in extra)
+                hits.append(n)
+                codes.append(found)
+                n += 1
             if numbered:
-                block = _parse_lines(path, numbered, width, cache)
-                out[parsed] = block
-                if lineno == 1:
-                    runs = factor_columns(block)
-                    if all(len(first) < len(block) for _, _, _, first in runs):
-                        segments = _Segments([(lo, hi) for lo, hi, _, _ in runs])
-                if segments is not None:
-                    for (_, line), row in zip(numbered, block):
-                        segments.learn(line, row)
+                out[parsed] = _parse_lines(path, numbered, width, cache)
             if hits:
                 segments.fill(out, hits, codes)
+            for i, lo, hi, row in unlearned:
+                out[i, lo:hi] = row
             if segments is not None and segments.size() >= _CHUNK_ROWS * width:
                 segments = _Segments(segments.spans)
+            if len(cache) >= _CHUNK_ROWS * width:
+                cache.clear()
             lineno += len(lines)
     out.resize((n, width), refcheck=False)
     return out

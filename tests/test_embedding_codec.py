@@ -150,7 +150,7 @@ class TestBytes:
 def assembled_matrices(draw):
     """130-400 rows, each joining one row of each of a few small tables.
 
-    Rows in the first chunk use only the first rows of each table, so the
+    Rows in the learning prefix use only the first rows of each table, so the
     others first appear past it; some cases also change cells past it, which
     puts a different tail after a known first token or brings a new one.
     """
@@ -161,11 +161,11 @@ def assembled_matrices(draw):
         k = draw(st.integers(1, 5))
         table = draw(hnp.arrays(np.float64, (k, draw(st.integers(2, 4))), elements=cells))
         codes = draw(hnp.arrays(np.intp, n, elements=st.integers(0, k - 1)))
-        codes[:cli._CHUNK_ROWS] %= draw(st.integers(1, k))
+        codes[:cli._PREFIX_ROWS] %= draw(st.integers(1, k))
         blocks.append(table[codes])
     matrix = np.hstack(blocks)
     for _ in range(draw(st.integers(0, 3))):
-        matrix[draw(st.integers(cli._CHUNK_ROWS, n - 1)),
+        matrix[draw(st.integers(cli._PREFIX_ROWS, n - 1)),
                draw(st.integers(0, matrix.shape[1] - 1))] = draw(cells)
     return matrix
 
@@ -174,32 +174,68 @@ def retoken(line, old, new):
     return ",".join(new if token == old else token for token in line.split(","))
 
 
+def retoken_at(line, new):
+    """``line`` with its token at each position of the dict ``new`` replaced."""
+    return ",".join(new.get(j, token) for j, token in enumerate(line.split(",")))
+
+
 def edit_line(k, edit):
     """The file text with its 1-based line ``k`` replaced by ``edit(line)``."""
+    return edit_lines({k: edit})
+
+
+def edit_lines(edits):
+    """The file text with each 1-based line ``k`` of ``edits`` replaced by ``edits[k](line)``."""
     def edited(lines):
-        lines[k - 1] = edit(lines[k - 1])
+        for k, edit in edits.items():
+            lines[k - 1] = edit(lines[k - 1])
         return "\n".join(lines) + "\n"
     return edited
 
 
-# name -> (the edited text of the 200-row file's lines, and how many lines
-# past the first chunk must be parsed token by token)
+def spy_parses(monkeypatch):
+    """The tokens of every ``_parse_tokens`` call, in call order."""
+    calls = []
+    real_parse = cli._parse_tokens
+
+    def spy(tokens, cache):
+        calls.append(list(tokens))
+        return real_parse(tokens, cache)
+
+    monkeypatch.setattr(cli, "_parse_tokens", spy)
+    return calls
+
+
+# name -> (the edited text of the 200-row file's lines, and the number of
+# tokens of each parse past the learning prefix: a run's width for each run
+# parsed, the header's width, 9, for a line parsed whole).  The file's runs
+# are 3, 2 and 4 columns wide.
 HAND_EDITS = {
-    "spaces around tokens": (edit_line(142, lambda line: f"  {' , '.join(line.split(','))} "), 1),
-    "1.00 for 1.0": (edit_line(152, lambda line: retoken(line, "1.0", "1.00")), 1),
-    "-0.0 for 0.0": (edit_line(162, lambda line: retoken(line, "0.0", "-0.0")), 1),
-    "crlf endings": (lambda lines: "\r\n".join(lines) + "\r\n", 0),
+    # every first token is new: each run is parsed and learned
+    "spaces around tokens": (edit_line(142, lambda line: f"  {' , '.join(line.split(','))} "),
+                             [3, 2, 4]),
+    # a new first token in the first run, known first tokens with other text after
+    "1.00 for 1.0": (edit_line(152, lambda line: retoken(line, "1.0", "1.00")), [3, 2, 4]),
+    "-0.0 for 0.0": (edit_line(162, lambda line: retoken(line, "0.0", "-0.0")), [2, 4]),
+    "crlf endings": (lambda lines: "\r\n".join(lines) + "\r\n", []),
     "blank lines": (lambda lines: "\n".join(lines[:136] + ["", "   ", "\t"] + lines[136:-1]
-                                            + [""] + lines[-1:]) + "\n", 0),
-    "no final newline": (lambda lines: "\n".join(lines), 0),
-    "extra token after a match": (edit_line(172, lambda line: line + ",1.0"), 1),
+                                            + [""] + lines[-1:]) + "\n", []),
+    "no final newline": (lambda lines: "\n".join(lines), []),
+    # too many tokens: the line is parsed whole, which raises before any token
+    "extra token after a match": (edit_line(172, lambda line: line + ",1.0"), []),
+    # the run with the bad token, then the whole line, which raises
     "bad token in a matching line": (edit_line(182, lambda line: line[:line.rindex(",")] + ",x"),
-                                     1),
+                                     [4, 9]),
+    # line 192 brings a new first token in the first run and 1.00 in the last;
+    # line 195 repeats the first run's new segment, which was learned
+    "new first token and 1.00": (edit_lines({
+        192: lambda line: retoken_at(line, {1: "0.50", 8: "1.00"}),
+        195: lambda line: retoken_at(line, {1: "0.50"})}), [3, 4]),
 }
 
 
 class TestRunMatching:
-    """Lines past the first chunk that are made of learned column-run segments."""
+    """Lines past the learning prefix that are made of learned column-run segments."""
 
     @staticmethod
     def hand_matrix():
@@ -218,19 +254,12 @@ class TestRunMatching:
 
     @pytest.mark.parametrize("name", sorted(HAND_EDITS))
     def test_hand_edited_file_reads_as_the_oracle_reads_it(self, tmp_path, monkeypatch, name):
-        edit, token_lines = HAND_EDITS[name]
+        edit, parses = HAND_EDITS[name]
         written = tmp_path / "written.csv"
         write_embedding(written, self.hand_matrix())
         path = tmp_path / "edited.csv"
         path.write_bytes(edit(written.read_text(encoding="utf-8").splitlines()).encode())
-        parsed = []
-        real_parse = cli._parse_lines
-
-        def spy(path, numbered, width, cache):
-            parsed.append(len(numbered))
-            return real_parse(path, numbered, width, cache)
-
-        monkeypatch.setattr(cli, "_parse_lines", spy)
+        calls = spy_parses(monkeypatch)
         try:
             expected = oracles.read_embedding(path)
         except StageError as exc:
@@ -239,7 +268,54 @@ class TestRunMatching:
             assert str(raised.value) == str(exc) and raised.value.stage == "eval"
         else:
             assert read_embedding(path).tobytes() == expected.tobytes()
-        assert parsed[0] == cli._CHUNK_ROWS and sum(parsed[1:]) == token_lines
+        assert len(calls[0]) == cli._PREFIX_ROWS * 9
+        assert [len(tokens) for tokens in calls[1:]] == parses
+
+    def test_only_new_segments_are_parsed(self, tmp_path, monkeypatch):
+        # the DE shape: 4-valued attributes and one 60-valued one, whose
+        # values past the first three (ten) first appear past the prefix
+        rng = np.random.default_rng(9)
+        sizes = (4,) * 6 + (60,)
+        tables = [rng.standard_normal((k, 8)) for k in sizes]
+        codes = [rng.integers(0, k, size=400) for k in sizes]
+        for column, k in zip(codes, sizes):
+            column[:cli._PREFIX_ROWS] %= 3 if k == 4 else 10
+        matrix = np.hstack([table[column] for table, column in zip(tables, codes)])
+        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
+        assert [(lo, hi) for lo, hi, _, _ in prefix] == [(lo, lo + 8) for lo in range(0, 56, 8)]
+        new, seen = [], [set(column[:cli._PREFIX_ROWS].tolist()) for column in codes]
+        for i in range(cli._PREFIX_ROWS, len(matrix)):
+            for table, column, known in zip(tables, codes, seen):
+                if column[i] not in known:
+                    known.add(column[i])
+                    new.append([repr(x) for x in table[column[i]].tolist()])
+        assert len(new) == 6 + 50     # each fourth value, and the other 50 of the 60
+        path = assert_same_bytes(tmp_path, matrix)
+        calls = spy_parses(monkeypatch)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+        assert len(calls[0]) == cli._PREFIX_ROWS * matrix.shape[1]
+        assert calls[1:] == new
+
+    def test_run_with_no_repeat_in_the_prefix(self, tmp_path, monkeypatch):
+        # the last run has more distinct rows than the prefix has lines, so
+        # none repeats there; the other runs repeat and are still matched
+        rng = np.random.default_rng(10)
+        n = 300
+        tables = [rng.standard_normal((4, 8)) for _ in range(3)]
+        columns = [np.concatenate([np.arange(4), rng.integers(0, 4, size=n - 4)])
+                   for _ in tables]
+        wide = rng.standard_normal((200, 8))
+        ids = np.arange(n) % len(wide)
+        matrix = np.hstack([t[c] for t, c in zip(tables, columns)] + [wide[ids]])
+        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
+        assert [(lo, hi, len(first)) for lo, hi, _, first in prefix] == [
+            (0, 8, 4), (8, 16, 4), (16, 24, 4), (24, 32, cli._PREFIX_ROWS)]
+        path = assert_same_bytes(tmp_path, matrix)
+        calls = spy_parses(monkeypatch)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+        # one parse per row of the wide table first seen past the prefix
+        assert calls[1:] == [[repr(x) for x in wide[i].tolist()]
+                             for i in range(cli._PREFIX_ROWS, len(wide))]
 
     def test_learned_text_is_bounded(self, tmp_path, monkeypatch):
         # past the first chunk every line starts with a new first token, so
@@ -294,6 +370,20 @@ class TestReadFailures:
         path = self.write(tmp_path, "object_id,dim_0,dim_1\n0,1.0,\n")
         with pytest.raises(StageError, match=r"line 2: '' is not a number"):
             read_embedding(path)
+
+    @pytest.mark.parametrize("k", [3, 150])
+    def test_byte_not_utf8(self, tmp_path, k):
+        # line 3 is in the learning prefix; line 150 matches learned runs but
+        # for the bad byte, which is in the middle of the first run
+        path = tmp_path / "emb.csv"
+        write_embedding(path, TestRunMatching.hand_matrix())
+        lines = path.read_bytes().split(b"\n")
+        assert lines[k - 1].split(b",")[1:4] == [b"0.5", b"-2.25", b"3.0"]
+        lines[k - 1] = lines[k - 1].replace(b"-2.25", b"-2.2\xff5")
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(StageError, match=rf"line {k}: '-2.2\\udcff5' is not a number") as exc:
+            read_embedding(path)
+        assert exc.value.stage == "eval" and str(path) in str(exc.value)
 
     def test_bad_line_number_past_first_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
