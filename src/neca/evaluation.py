@@ -15,11 +15,16 @@ instead of m * w.
 The silhouette never holds the n-by-n distance matrix.  It walks the upper
 triangle in square tiles small enough to stay in cache; one BLAS product of
 rows augmented with their squared norms gives each tile its squared
-distances, so memory is O(n * d + block^2) beside the (n, T) class sums.
+distances.  The tile rows run on worker threads, one per CPU that BLAS
+leaves free, and the calling thread adds their class sums in the serial
+order, so the result has the same bytes for any worker count.  Memory is
+O(n * d + workers * (block^2 + n * T)) beside the (n, T) class sums.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -27,6 +32,7 @@ import numpy as np
 
 _SILHOUETTE_BLOCK = 256   # rows and columns of a distance-matrix tile
 _FACTOR_ROWS = 1024       # rows factor_columns screens, and checks at a time
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class EvaluationError(Exception):
@@ -158,6 +164,27 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
     return between / within
 
 
+def _tile_workers(cpus: int, env: Mapping[str, str], tile_rows: int) -> int:
+    """Worker threads for ``tile_rows`` silhouette tile rows on ``cpus`` usable CPUs.
+
+    Each BLAS product runs on ``blas`` threads: the first of ``_BLAS_THREADS``
+    in ``env`` that holds a positive integer, else ``cpus``.  ``cpus // blas``
+    workers never run more threads than there are CPUs; with BLAS unpinned
+    on two CPUs, each product already used both, and two workers were
+    slower than one.
+    """
+    blas = cpus
+    for name in _BLAS_THREADS:
+        try:
+            count = int(env.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            blas = count
+            break
+    return max(1, min(cpus // blas, tile_rows))
+
+
 def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
     """(n, T) sums of Euclidean distances from each object to each class.
 
@@ -166,8 +193,14 @@ def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
     One product of the augmented rows ``[x, |x|^2, 1]`` and
     ``[-2x, 1, |x|^2]`` gives a tile its squared distances (quadratic
     expansion); the tile, and its transpose, are then multiplied by the
-    n-by-T class indicator matrix.  Each distance is computed once, and
-    memory is O(n * d + block^2 + n * T) rather than O(n^2).
+    n-by-T class indicator matrix.  Each distance is computed once.
+
+    A task is one tile row: block ``i`` against every block ``j >= i``.  The
+    tasks run on ``_tile_workers`` threads and return their products; the
+    calling thread adds them to the sums row by row and tile by tile, the
+    order of a serial walk, so the sums have the same bytes for any worker
+    count.  At most two tile rows per worker are in flight, so memory is
+    O(n * d + workers * (block^2 + n * T)) rather than O(n^2).
     """
     x = emb.points
     sq = np.sum(x * x, axis=1, keepdims=True)
@@ -178,17 +211,45 @@ def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
     indicator[np.arange(emb.n), emb.label_idx] = 1.0
     sums = np.zeros((emb.n, emb.t))
     blocks = [slice(lo, lo + _SILHOUETTE_BLOCK) for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
-    for i, rows in enumerate(blocks):
+
+    def tile_row(i):
+        rows = blocks[i]
+        parts = []
         for cols in blocks[i:]:
             dist = left[rows] @ right[cols].T
             np.maximum(dist, 0.0, out=dist)
             np.sqrt(dist, out=dist)
             if cols is rows:   # a diagonal tile holds both halves
                 np.fill_diagonal(dist, 0.0)
-                sums[rows] += dist @ indicator[rows]
+                parts.append((cols, dist @ indicator[rows], None))
             else:
-                sums[rows] += dist @ indicator[cols]
-                sums[cols] += dist.T @ indicator[rows]
+                parts.append((cols, dist @ indicator[cols], dist.T @ indicator[rows]))
+        return parts
+
+    def add(tile_rows):
+        for rows, parts in zip(blocks, tile_rows):
+            for cols, row_part, col_part in parts:
+                sums[rows] += row_part
+                if col_part is not None:
+                    sums[cols] += col_part
+
+    def in_order(pool):
+        pending = deque()
+        for i in range(len(blocks)):
+            pending.append(pool.submit(tile_row, i))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _tile_workers(cpus or 1, os.environ, len(blocks))
+    if workers == 1:
+        add(map(tile_row, range(len(blocks))))
+    else:
+        from concurrent.futures import ThreadPoolExecutor   # not paid by `import neca`
+        with ThreadPoolExecutor(workers) as pool:
+            add(in_order(pool))
     return sums
 
 

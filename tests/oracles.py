@@ -16,6 +16,10 @@ exported edge list and a CSV writer for a CAD.
 
 The embedding file: a reader that calls ``float`` on every token of every
 line, in file order, that the run-matching reader is compared against.
+
+The silhouette's class distance sums: the serial walk over the upper
+triangle's tiles, adding each tile's products to the sums as it goes.  The
+tile rows on worker threads must give the same bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
 from neca.cli import StageError
 from neca.dataset import DatasetError
+from neca.evaluation import _SILHOUETTE_BLOCK
 from neca.model import ELU_ALPHA, LEAKY_SLOPE, ModelError
 from neca.training import CLAMP_EPS, TrainingError
 
@@ -378,3 +383,29 @@ def neca_loss(net, fused: np.ndarray, config) -> float:
     kernel = np.clip(kernel, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = np.log(kernel) * p + np.log(1.0 - kernel) * (1.0 - p)
     return float(-terms.sum() / len(tgt))
+
+
+def class_distance_sums(emb) -> np.ndarray:
+    """(n, T) sums of distances from each object to each class of a
+    ``LabeledEmbedding``, one tile after another on the calling thread."""
+    x = emb.points
+    sq = np.sum(x * x, axis=1, keepdims=True)
+    one = np.ones_like(sq)
+    left = np.hstack([x, sq, one])
+    right = np.hstack([-2.0 * x, one, sq])
+    indicator = np.zeros((emb.n, emb.t))
+    indicator[np.arange(emb.n), emb.label_idx] = 1.0
+    sums = np.zeros((emb.n, emb.t))
+    blocks = [slice(lo, lo + _SILHOUETTE_BLOCK) for lo in range(0, emb.n, _SILHOUETTE_BLOCK)]
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            dist = left[rows] @ right[cols].T
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+            if cols is rows:   # a diagonal tile holds both halves
+                np.fill_diagonal(dist, 0.0)
+                sums[rows] += dist @ indicator[rows]
+            else:
+                sums[rows] += dist @ indicator[cols]
+                sums[cols] += dist.T @ indicator[rows]
+    return sums

@@ -1,15 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
+from neca import evaluation
 from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import (_SILHOUETTE_BLOCK, INDICES, ComparisonRow, EvaluationError,
-                             LabeledEmbedding, calinski_harabasz, evaluate_all, factor_columns,
-                             silhouette, silhouette_samples)
+                             LabeledEmbedding, _class_distance_sums, _tile_workers,
+                             calinski_harabasz, evaluate_all, factor_columns, silhouette,
+                             silhouette_samples)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(evaluation, "_tile_workers", lambda cpus, env, tile_rows: workers)
 
 
 def brute_ch(x, labels):
@@ -212,8 +225,12 @@ class TestSilhouette:
         assert silhouette(LabeledEmbedding(sub_vectors, sub_labels)) == pytest.approx(
             brute_silhouette(sub_vectors.tolist(), sub_labels), abs=1e-9)
 
-    def test_memory_bounded_by_blocks(self):
-        # the n-by-n distance matrix alone would be 1.1 GB here
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_memory_bounded_by_blocks(self, monkeypatch, workers):
+        # the n-by-n distance matrix alone would be 1.1 GB here; tracemalloc
+        # sees the worker threads' allocations too
+        if workers is not None:
+            force_workers(monkeypatch, workers)
         rng = np.random.default_rng(13)
         labels = ["A"] * 6000 + ["B"] * 6000
         vectors = rng.standard_normal((12_000, 16))
@@ -227,6 +244,21 @@ class TestSilhouette:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("n", [5 * _SILHOUETTE_BLOCK + 37, 366])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tile_rows_on_workers_sum_to_the_serial_bytes(self, monkeypatch, n, workers):
+        # four classes, one a singleton in the partial last tile, and a
+        # coincident pair across the first tile boundary
+        rng = np.random.default_rng(15)
+        labels = [f"c{k}" for k in rng.integers(0, 3, size=n)]
+        labels[n - 3] = "solo"
+        vectors = rng.standard_normal((n, 11)) + rng.integers(0, 3, size=n)[:, None]
+        vectors[_SILHOUETTE_BLOCK] = vectors[_SILHOUETTE_BLOCK - 1]
+        emb = LabeledEmbedding(vectors, labels)
+        assert emb.t == 4
+        force_workers(monkeypatch, workers)
+        assert _class_distance_sums(emb).tobytes() == oracles.class_distance_sums(emb).tobytes()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
@@ -447,3 +479,30 @@ class TestEvaluateAll:
         with pytest.raises(EvaluationError, match="unknown index 'bogus'"):
             evaluate_all({"a": [LabeledEmbedding(vectors, labels)]}, indices=("ch", "bogus"))
         assert scored == []
+
+
+class TestTileWorkers:
+    @pytest.mark.parametrize("cpus, env, tile_rows, workers", [
+        (2, {}, 32, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 32, 2),
+        (4, {"OMP_NUM_THREADS": "2"}, 32, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 32, 1),
+        (1, {}, 32, 1),
+    ])
+    def test_never_more_threads_than_cpus(self, cpus, env, tile_rows, workers):
+        assert _tile_workers(cpus, env, tile_rows) == workers
+
+    @pytest.mark.parametrize("value", ["0", "abc", ""])
+    def test_a_value_that_is_not_a_positive_count_is_not_set(self, value):
+        assert _tile_workers(4, {"OPENBLAS_NUM_THREADS": value}, 32) == 1
+        env = {"OPENBLAS_NUM_THREADS": value, "MKL_NUM_THREADS": "2"}
+        assert _tile_workers(4, env, 32) == 2
+
+    def test_import_leaves_the_pool_module_unloaded(self):
+        # `import neca` is part of every command's start-up
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = "import neca, sys; assert 'concurrent.futures' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
