@@ -40,7 +40,12 @@ DATASET_FLAGS = {"label": "label", "drop": "drop", "columns": "columns",
                  "missing": "missing_token"}
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
 _CHUNK_ROWS = 128       # embedding CSV rows formatted or read at a time; caps learned text
-_PREFIX_ROWS = 32       # embedding CSV rows whose column runs the reader learns first
+# embedding CSV rows whose column runs the reader learns first: few, since a
+# run they merge is split at its first mismatch
+_PREFIX_ROWS = 8
+# bytes of an embedding file decoded at a time: a line is tens of KiB, which
+# the default 8 KiB pieces put together from several decodes
+_DECODE_BYTES = 1 << 16
 
 
 class StageError(Exception):
@@ -295,7 +300,9 @@ class _Segments:
     each segment a comma and the run's tokens.  A segment matches when the
     token after its comma is a known first token and the text from the comma
     on is the segment learned with it.  Its values are then the learned row:
-    equal text is equal tokens, so a match is exact.
+    equal text is equal tokens, so a match is exact.  Runs only get finer: a
+    run found in the first lines may join attributes that later lines tell
+    apart, and the first line that does so splits it.
     """
 
     def __init__(self, spans: list[tuple[int, int]]):
@@ -340,21 +347,57 @@ class _Segments:
             pos += hit[2]
         return codes if line[pos:] in ("\n", "") else None
 
-    def resolve(self, line: str, cache: dict[str, float]):
+    def _split(self, run: int, tokens: list[str], row: np.ndarray,
+               pending: list[list[int]]) -> list[int]:
+        """Replace ``run`` by the runs of ``factor_columns`` over its learned rows and ``row``.
+
+        ``row`` shares its first token with a learned row but not its bits,
+        so the runs found are finer.  Each one's index is keyed from the
+        learned segments' text, then from ``tokens``, the text of ``row``.
+        The codes of the lines in ``pending`` are rewritten for the new runs;
+        returns the code of ``row`` in each.
+        """
+        lo = self.spans[run][0]
+        learned = self.rows[run]
+        stacked = np.array(learned + [row])
+        texts = [(code, segment[1:].split(",")) for code, segment, _ in self.index[run].values()]
+        texts.append((len(learned), tokens))
+        parts = [(a, b, codes.tolist(), first) for a, b, codes, first in factor_columns(stacked)]
+        index = []
+        for a, b, codes, _ in parts:
+            keyed = {}
+            for code, text in texts:
+                segment = "," + ",".join(text[a:b])
+                keyed.setdefault(text[a], (codes[code], segment, len(segment)))
+            index.append(keyed)
+        self.spans[run:run + 1] = [(lo + a, lo + b) for a, b, _, _ in parts]
+        self.index[run:run + 1] = index
+        self.rows[run:run + 1] = [list(stacked[first, a:b]) for a, b, _, first in parts]
+        self.tables = []
+        for found in pending:
+            found[run:run + 1] = [codes[found[run]] for _, _, codes, _ in parts]
+        return [codes[-1] for _, _, codes, _ in parts]
+
+    def resolve(self, line: str, cache: dict[str, float], pending: list[list[int]]):
         """``(codes, unlearned)`` of the stripped ``line``, parsing only its unmatched runs.
 
         A run whose first token is new is split off, parsed through ``cache``
         and learned.  A run whose first token is known but whose text differs
-        is parsed and not learned: it takes that token's code, and its
-        ``(lo, hi, values)`` go in ``unlearned``.  None when the line is not
-        one segment per run: too few or too many tokens, or a bad one.
+        is parsed.  With the bits of that token's row, as for ``1.00`` in
+        place of ``1.0``, it is not learned: it takes that token's code, and
+        its ``(lo, hi, values)`` go in ``unlearned``.  With other bits, the run
+        joined columns that differ here, and ``_split`` refines it, rewriting
+        the codes of the lines in ``pending``.  None when the line is not one
+        segment per run: too few or too many tokens, or a bad one.
         """
         find, startswith = line.find, line.startswith
         pos = find(",")
         if pos < 0:
             return None
         codes, unlearned = [], []
-        for run, ((lo, hi), index) in enumerate(zip(self.spans, self.index)):
+        while len(codes) < len(self.spans):
+            run = len(codes)
+            (lo, hi), index = self.spans[run], self.index[run]
             end = find(",", pos + 1)
             hit = index.get(line[pos + 1:end] if end >= 0 else line[pos + 1:])
             # a known segment, ending where its last token does: 1.0 is not 1.00
@@ -374,9 +417,11 @@ class _Segments:
             segment = "," + ",".join(tokens)
             if hit is None:
                 codes.append(self._keep(run, tokens[0], segment, row))
-            else:
+            elif row.tobytes() == self.rows[run][hit[0]].tobytes():
                 codes.append(hit[0])
                 unlearned.append((lo, hi, row))
+            else:
+                codes.extend(self._split(run, tokens, row, pending))
             pos += len(segment)
         return (codes, unlearned) if pos == len(line) else None
 
@@ -393,17 +438,20 @@ def read_embedding(path) -> np.ndarray:
     """The matrix ``write_embedding`` wrote, bit for bit (NaN payloads aside).
 
     Any CSV of numbers with the header's width reads as ``float`` parses each
-    token.  The first ``_PREFIX_ROWS`` lines are parsed token by token, and
-    the column runs of their rows are learned as text (``_Segments``).  A
-    later line made of learned segments takes their rows without being split;
-    in any other line only the runs that do not match are split off and
-    parsed, and a run's segment with a new first token is learned.  A line
-    is parsed whole only when it is not one segment per run, and then only
-    to raise its error.  If no run repeats in the first lines, as in a
-    matrix of distinct values, every line is parsed token by token.  The
-    learned text and the token cache start over once they hold as many
-    tokens as a chunk of ``_CHUNK_ROWS`` lines, and rows go straight into
-    the one array returned.
+    token.  The file is decoded ``_DECODE_BYTES`` at a time.  The first
+    ``_PREFIX_ROWS`` lines are parsed token by token, and the column runs of
+    their rows are learned as text (``_Segments``).  A later line made of
+    learned segments takes their rows without being split; in any other
+    line only the runs that do not match are split off and parsed, and a
+    run's segment with a new first token is learned.  A run the first lines
+    merged, two attributes whose values agreed there, is split into finer
+    runs on the first line whose values tell them apart.  A line is parsed
+    whole only when it is not one segment per run, and then only to raise
+    its error.  If no run repeats in the first lines, as in a matrix of
+    distinct values, every line is parsed token by token.  The learned text
+    and the token cache start over once they hold as many tokens as a chunk
+    of ``_CHUNK_ROWS`` lines, the runs found so far kept, and rows go
+    straight into the one array returned.
 
     A row whose width differs from the header's, or a token that is not a
     number, raises a ``StageError`` naming the path and the 1-based line of
@@ -412,6 +460,7 @@ def read_embedding(path) -> np.ndarray:
     cache: dict[str, float] = {}
     segments = None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        fh._CHUNK_SIZE = _DECODE_BYTES
         header = fh.readline().strip().split(",")
         if not header or header[0] != "object_id":
             raise StageError("eval", f"{path} is not an embedding file")
@@ -443,7 +492,7 @@ def read_embedding(path) -> np.ndarray:
                     if line.isspace():
                         continue
                     line = line.strip()
-                    resolved = None if segments is None else segments.resolve(line, cache)
+                    resolved = None if segments is None else segments.resolve(line, cache, codes)
                     if resolved is None:
                         numbered.append((k, line))
                         parsed.append(n)

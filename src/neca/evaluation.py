@@ -171,7 +171,9 @@ def _tile_workers(cpus: int, env: Mapping[str, str], tile_rows: int) -> int:
     in ``env`` that holds a positive integer, else ``cpus``.  ``cpus // blas``
     workers never run more threads than there are CPUs; with BLAS unpinned
     on two CPUs, each product already used both, and two workers were
-    slower than one.
+    slower than one.  Each worker gets at least two tile rows: the rows
+    shrink along the triangle, so with fewer the pool overlaps too little
+    to pay for starting it.
     """
     blas = cpus
     for name in _BLAS_THREADS:
@@ -182,7 +184,7 @@ def _tile_workers(cpus: int, env: Mapping[str, str], tile_rows: int) -> int:
         if count > 0:
             blas = count
             break
-    return max(1, min(cpus // blas, tile_rows))
+    return max(1, min(cpus // blas, tile_rows // 2))
 
 
 def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:

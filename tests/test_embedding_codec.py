@@ -151,17 +151,22 @@ def assembled_matrices(draw):
     """130-400 rows, each joining one row of each of a few small tables.
 
     Rows in the learning prefix use only the first rows of each table, so the
-    others first appear past it; some cases also change cells past it, which
+    others first appear past it.  Some blocks take the codes of the block
+    before them in the prefix, which merges the two into one run there that
+    later rows split.  Some cases also change cells past the prefix, which
     puts a different tail after a known first token or brings a new one.
     """
     n = draw(st.integers(130, 400))
     cells = st.floats(allow_nan=False, width=64)
-    blocks = []
+    blocks, previous = [], None
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, 5))
         table = draw(hnp.arrays(np.float64, (k, draw(st.integers(2, 4))), elements=cells))
         codes = draw(hnp.arrays(np.intp, n, elements=st.integers(0, k - 1)))
         codes[:cli._PREFIX_ROWS] %= draw(st.integers(1, k))
+        if previous is not None and draw(st.booleans()):
+            codes[:cli._PREFIX_ROWS] = previous[:cli._PREFIX_ROWS] % k
+        previous = codes
         blocks.append(table[codes])
     matrix = np.hstack(blocks)
     for _ in range(draw(st.integers(0, 3))):
@@ -216,6 +221,8 @@ HAND_EDITS = {
                              [3, 2, 4]),
     # a new first token in the first run, known first tokens with other text after
     "1.00 for 1.0": (edit_line(152, lambda line: retoken(line, "1.0", "1.00")), [3, 2, 4]),
+    # a new first token in the second run; in the third, other bits after a
+    # known first token split the run, whose halves then match every line
     "-0.0 for 0.0": (edit_line(162, lambda line: retoken(line, "0.0", "-0.0")), [2, 4]),
     "crlf endings": (lambda lines: "\r\n".join(lines) + "\r\n", []),
     "blank lines": (lambda lines: "\n".join(lines[:136] + ["", "   ", "\t"] + lines[136:-1]
@@ -271,9 +278,33 @@ class TestRunMatching:
         assert len(calls[0]) == cli._PREFIX_ROWS * 9
         assert [len(tokens) for tokens in calls[1:]] == parses
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_end_across_a_decode_boundary(self, tmp_path, newline):
+        # a file of more than four decode pieces, with a line end moved onto
+        # the third boundary by zeros before an object id, which is not read
+        rng = np.random.default_rng(12)
+        matrix = np.hstack([table[rng.integers(0, 4, size=1000)]
+                            for table in rng.standard_normal((3, 4, 8))])
+        written = tmp_path / "written.csv"
+        write_embedding(written, matrix)
+        lines = written.read_text(encoding="utf-8").splitlines()
+        lines[500] = retoken_at(lines[500], {2: " " + lines[500].split(",")[2]})
+        boundary = 3 * cli._DECODE_BYTES
+        text = newline.join(lines) + newline
+        k = text.count(newline, 0, boundary - 1)   # the line whose end goes on the boundary
+        end = text.rindex(newline, 0, boundary - 1)
+        lines[k - 1] = "0" * (boundary - 1 - end) + lines[k - 1]
+        text = newline.join(lines) + newline
+        assert len(text) > 4 * cli._DECODE_BYTES and text.isascii()
+        assert text[boundary - 1:boundary - 1 + len(newline)] == newline
+        path = tmp_path / "edited.csv"
+        path.write_bytes(text.encode())
+        back = read_embedding(path)
+        assert back.tobytes() == oracles.read_embedding(path).tobytes() == matrix.tobytes()
+
     def test_only_new_segments_are_parsed(self, tmp_path, monkeypatch):
-        # the DE shape: 4-valued attributes and one 60-valued one, whose
-        # values past the first three (ten) first appear past the prefix
+        # the DE shape: 4-valued attributes and one 60-valued one; the prefix
+        # draws from their first three (ten) values, the others first appear past it
         rng = np.random.default_rng(9)
         sizes = (4,) * 6 + (60,)
         tables = [rng.standard_normal((k, 8)) for k in sizes]
@@ -289,12 +320,42 @@ class TestRunMatching:
                 if column[i] not in known:
                     known.add(column[i])
                     new.append([repr(x) for x in table[column[i]].tolist()])
-        assert len(new) == 6 + 50     # each fourth value, and the other 50 of the 60
+        # the 8-line prefix holds 15 of the 4-valued attributes' 24 values and 6
+        # of the 59 values the 60-valued one takes
+        assert len(new) == 9 + 53
         path = assert_same_bytes(tmp_path, matrix)
         calls = spy_parses(monkeypatch)
         assert read_embedding(path).tobytes() == matrix.tobytes()
         assert len(calls[0]) == cli._PREFIX_ROWS * matrix.shape[1]
         assert calls[1:] == new
+
+    def test_merged_run_is_split_at_its_first_mismatch(self, tmp_path, monkeypatch):
+        # two attributes agree on every line up to row 50, so the prefix
+        # learns them as one 8-wide run; row 50 tells them apart
+        rng = np.random.default_rng(11)
+        first, second = rng.standard_normal((4, 4)), rng.standard_normal((5, 4))
+        third = rng.standard_normal((3, 3))
+        i = np.arange(300)
+        a = np.where(i < 50, i % 3, i % 4)
+        b = np.where(i < 50, i % 3, i // 4 % 4)
+        a[20] = b[20] = 3     # a new first token of the merged run, learned whole
+        b[[50, 150, 250]] = 4     # a value the merged run never held, learned at the split
+        c = i % 2
+        c[[100, 200]] = 2     # a new first token of the third run, then its repeat
+        matrix = np.hstack([first[a], second[b], third[c]])
+        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
+        assert [(lo, hi) for lo, hi, _, _ in prefix] == [(0, 8), (8, 11)]
+        assert (a[:50] == b[:50]).all() and a[50] != b[50]
+        path = assert_same_bytes(tmp_path, matrix)
+        calls = spy_parses(monkeypatch)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+        assert len(calls[0]) == cli._PREFIX_ROWS * matrix.shape[1]
+        # the merged run is parsed at row 20 and, once, at row 50, where it
+        # splits; its halves then match every line, including pairs it never
+        # held whole.  Rows 8-49 were matched in the same chunk before the
+        # split, and keep their values
+        assert calls[1:] == [[repr(x) for x in matrix[row, lo:hi].tolist()]
+                             for row, lo, hi in [(20, 0, 8), (50, 0, 8), (100, 8, 11)]]
 
     def test_run_with_no_repeat_in_the_prefix(self, tmp_path, monkeypatch):
         # the last run has more distinct rows than the prefix has lines, so

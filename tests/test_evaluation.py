@@ -486,7 +486,10 @@ class TestTileWorkers:
         (2, {}, 32, 1),
         (2, {"OPENBLAS_NUM_THREADS": "1"}, 32, 2),
         (4, {"OMP_NUM_THREADS": "2"}, 32, 2),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        # at least two tile rows per worker
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 6, 3),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),   # the de-train shape, n = 366
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 32, 1),
         (1, {}, 32, 1),
     ])
