@@ -40,9 +40,6 @@ DATASET_FLAGS = {"label": "label", "drop": "drop", "columns": "columns",
                  "missing": "missing_token"}
 ENCODERS = {"onehot": encode_onehot, "frequency": encode_frequency}
 _CHUNK_ROWS = 128       # embedding CSV rows formatted or read at a time; caps learned text
-# embedding CSV rows whose column runs the reader learns first: few, since a
-# run they merge is split at its first mismatch
-_PREFIX_ROWS = 8
 # bytes of an embedding file decoded at a time: a line is tens of KiB, which
 # the default 8 KiB pieces put together from several decodes
 _DECODE_BYTES = 1 << 16
@@ -263,46 +260,28 @@ def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
     return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
 
 
-def _raise_first_bad_line(path, numbered, width: int) -> None:
-    """Raise the ``StageError`` of the first line that is not ``width`` numbers, if any."""
-    for k, line in numbered:
-        tokens = line.split(",")[1:]
-        if len(tokens) != width:
-            raise StageError("eval", f"{path}, line {k}: {len(tokens)} values, header has {width}")
-        for token in tokens:
-            try:
-                float(token)
-            except ValueError:
-                raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") \
-                    from None
-
-
-def _parse_lines(path, numbered, width: int, cache: dict[str, float]) -> np.ndarray:
-    """Rows of the ``(line number, stripped line)`` pairs ``numbered``, token by token.
-
-    The first line that is not ``width`` numbers raises its ``StageError``.
-    """
-    if {line.count(",") for _, line in numbered} != {width}:
-        _raise_first_bad_line(path, numbered, width)
-    tokens = ",".join(line for _, line in numbered).split(",")
-    del tokens[::width + 1]   # the object_id column
-    try:
-        return _parse_tokens(tokens, cache).reshape(len(numbered), width)
-    except ValueError:
-        _raise_first_bad_line(path, numbered, width)
-        raise
+def _raise_bad_line(path, k: int, line: str, width: int) -> None:
+    """Raise the ``StageError`` of line ``k``, stripped ``line``, if not ``width`` numbers."""
+    tokens = line.split(",")[1:]
+    if len(tokens) != width:
+        raise StageError("eval", f"{path}, line {k}: {len(tokens)} values, header has {width}")
+    for token in tokens:
+        try:
+            float(token)
+        except ValueError:
+            raise StageError("eval", f"{path}, line {k}: {token!r} is not a number") from None
 
 
 class _Segments:
     """The text of the column runs' rows read so far, keyed by each run's first token.
 
-    A line is an object id, then one segment per run of ``factor_columns``,
-    each segment a comma and the run's tokens.  A segment matches when the
-    token after its comma is a known first token and the text from the comma
-    on is the segment learned with it.  Its values are then the learned row:
-    equal text is equal tokens, so a match is exact.  Runs only get finer: a
-    run found in the first lines may join attributes that later lines tell
-    apart, and the first line that does so splits it.
+    A line is an object id, then one segment per run, each segment a comma
+    and the run's tokens.  A segment matches when the token after its comma
+    is a known first token and the text from the comma on is the segment
+    learned with it.  Its values are then the learned row: equal text is
+    equal tokens, so a match is exact.  Runs only get finer: a run may join
+    attributes that later lines tell apart, and the first line that does so
+    splits it.
     """
 
     def __init__(self, spans: list[tuple[int, int]]):
@@ -318,14 +297,6 @@ class _Segments:
         rows.append(row)
         self.tables = []
         return len(rows) - 1
-
-    def learn(self, line: str, row: np.ndarray) -> None:
-        """Keep each run's segment of a parsed line whose first token is new."""
-        tokens = line.split(",")
-        for run, ((lo, hi), index) in enumerate(zip(self.spans, self.index)):
-            if tokens[lo + 1] not in index:
-                self._keep(run, tokens[lo + 1], "," + ",".join(tokens[lo + 1:hi + 1]),
-                           row[lo:hi].copy())
 
     def size(self) -> int:
         """The number of tokens learned."""
@@ -378,23 +349,24 @@ class _Segments:
             found[run:run + 1] = [codes[found[run]] for _, _, codes, _ in parts]
         return [codes[-1] for _, _, codes, _ in parts]
 
-    def resolve(self, line: str, cache: dict[str, float], pending: list[list[int]]):
-        """``(codes, unlearned)`` of the stripped ``line``, parsing only its unmatched runs.
+    def resolve(self, line: str, cache: dict[str, float],
+                pending: list[list[int]]) -> list[int] | None:
+        """The codes of the stripped ``line``, parsing only its unmatched runs.
 
         A run whose first token is new is split off, parsed through ``cache``
         and learned.  A run whose first token is known but whose text differs
         is parsed.  With the bits of that token's row, as for ``1.00`` in
-        place of ``1.0``, it is not learned: it takes that token's code, and
-        its ``(lo, hi, values)`` go in ``unlearned``.  With other bits, the run
-        joined columns that differ here, and ``_split`` refines it, rewriting
-        the codes of the lines in ``pending``.  None when the line is not one
-        segment per run: too few or too many tokens, or a bad one.
+        place of ``1.0``, it takes that token's code and is not learned.
+        With other bits, the run joined columns that differ here, and
+        ``_split`` refines it, rewriting the codes of the lines in
+        ``pending``.  None when the line is not one segment per run: too few
+        or too many tokens, or a bad one.
         """
         find, startswith = line.find, line.startswith
         pos = find(",")
         if pos < 0:
-            return None
-        codes, unlearned = [], []
+            pos = len(line)   # no values, which only a header of width 0 allows
+        codes = []
         while len(codes) < len(self.spans):
             run = len(codes)
             (lo, hi), index = self.spans[run], self.index[run]
@@ -419,97 +391,73 @@ class _Segments:
                 codes.append(self._keep(run, tokens[0], segment, row))
             elif row.tobytes() == self.rows[run][hit[0]].tobytes():
                 codes.append(hit[0])
-                unlearned.append((lo, hi, row))
             else:
                 codes.extend(self._split(run, tokens, row, pending))
             pos += len(segment)
-        return (codes, unlearned) if pos == len(line) else None
+        return codes if pos == len(line) else None
 
-    def fill(self, out: np.ndarray, rows: list[int], codes: list[list[int]]) -> None:
-        """Write the learned rows of each line's ``codes`` into its row of ``out``."""
+    def fill(self, out: np.ndarray, codes: list[list[int]]) -> None:
+        """Write the learned rows of the lines' ``codes`` into the rows of ``out``, in order."""
         if not self.tables:
             self.tables = [np.array(learned) for learned in self.rows]
-        rows, codes = np.array(rows), np.array(codes)
-        for (lo, hi), table, column in zip(self.spans, self.tables, codes.T):
-            out[rows, lo:hi] = table[column]
+        for (lo, hi), table, column in zip(self.spans, self.tables, np.array(codes).T):
+            out[:, lo:hi] = table[column]
 
 
 def read_embedding(path) -> np.ndarray:
     """The matrix ``write_embedding`` wrote, bit for bit (NaN payloads aside).
 
     Any CSV of numbers with the header's width reads as ``float`` parses each
-    token.  The file is decoded ``_DECODE_BYTES`` at a time.  The first
-    ``_PREFIX_ROWS`` lines are parsed token by token, and the column runs of
-    their rows are learned as text (``_Segments``).  A later line made of
-    learned segments takes their rows without being split; in any other
+    token.  The file is decoded ``_DECODE_BYTES`` at a time.  The reader
+    starts from one column run as wide as the header, and learns the text
+    of each line's runs as it reads (``_Segments``).  A line made of learned
+    segments takes their rows without being split into tokens; in any other
     line only the runs that do not match are split off and parsed, and a
-    run's segment with a new first token is learned.  A run the first lines
-    merged, two attributes whose values agreed there, is split into finer
-    runs on the first line whose values tell them apart.  A line is parsed
-    whole only when it is not one segment per run, and then only to raise
-    its error.  If no run repeats in the first lines, as in a matrix of
-    distinct values, every line is parsed token by token.  The learned text
-    and the token cache start over once they hold as many tokens as a chunk
-    of ``_CHUNK_ROWS`` lines, the runs found so far kept, and rows go
-    straight into the one array returned.
+    run's segment with a new first token is learned.  A run that joins
+    columns a line tells apart, as the first run joins every attribute, is
+    split into finer runs on that line.  A line that is not one segment per
+    run raises its error.  The learned text and the token cache start over
+    once they hold as many tokens as a chunk of ``_CHUNK_ROWS`` lines, the
+    runs found so far kept, and rows go straight into the one array
+    returned.
 
     A row whose width differs from the header's, or a token that is not a
     number, raises a ``StageError`` naming the path and the 1-based line of
     the first such row; a byte that is not UTF-8 makes its token not a number.
     """
     cache: dict[str, float] = {}
-    segments = None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         fh._CHUNK_SIZE = _DECODE_BYTES
         header = fh.readline().strip().split(",")
         if not header or header[0] != "object_id":
             raise StageError("eval", f"{path} is not an embedding file")
         width = len(header) - 1
+        segments = _Segments([(0, width)] if width else [])
         lines = list(islice(fh, _CHUNK_ROWS))
         # the row count a chunk of lines' lengths suggests
         size = os.fstat(fh.fileno()).st_size
         out = np.empty((size * len(lines) // max(sum(map(len, lines)), 1) + 1, width))
-        prefix = [(k, line.strip()) for k, line in enumerate(lines[:_PREFIX_ROWS], 2)
-                  if not line.isspace()]
-        n, lineno = len(prefix), 1 + min(len(lines), _PREFIX_ROWS)
-        if prefix:
-            block = out[:n] = _parse_lines(path, prefix, width, cache)
-            runs = factor_columns(block)
-            if any(len(first) < n for _, _, _, first in runs):
-                segments = _Segments([(lo, hi) for lo, hi, _, _ in runs])
-                for (_, line), row in zip(prefix, block):
-                    segments.learn(line, row)
+        n, lineno = 0, 1
         chunks = iter(lambda: list(islice(fh, _CHUNK_ROWS)), [])
-        for lines in chain([lines[_PREFIX_ROWS:]], chunks):
+        for lines in chain([lines], chunks):
             if n + len(lines) > len(out):
                 # realloc: a large array grows in place, not by a copy
                 out.resize((max(n + len(lines), len(out) + len(out) // 8), width),
                            refcheck=False)
-            hits, codes, unlearned, numbered, parsed = [], [], [], [], []
+            codes = []
             for k, line in enumerate(lines, lineno + 1):
-                found = None if segments is None else segments.match(line)
+                found = segments.match(line)
                 if found is None:
                     if line.isspace():
                         continue
                     line = line.strip()
-                    resolved = None if segments is None else segments.resolve(line, cache, codes)
-                    if resolved is None:
-                        numbered.append((k, line))
-                        parsed.append(n)
-                        n += 1
-                        continue
-                    found, extra = resolved
-                    unlearned.extend((n, *run) for run in extra)
-                hits.append(n)
+                    found = segments.resolve(line, cache, codes)
+                    if found is None:
+                        _raise_bad_line(path, k, line, width)
                 codes.append(found)
-                n += 1
-            if numbered:
-                out[parsed] = _parse_lines(path, numbered, width, cache)
-            if hits:
-                segments.fill(out, hits, codes)
-            for i, lo, hi, row in unlearned:
-                out[i, lo:hi] = row
-            if segments is not None and segments.size() >= _CHUNK_ROWS * width:
+            segments.fill(out[n:n + len(codes)], codes)
+            n += len(codes)
+            if segments.size() >= _CHUNK_ROWS * width:
                 segments = _Segments(segments.spans)
             if len(cache) >= _CHUNK_ROWS * width:
                 cache.clear()

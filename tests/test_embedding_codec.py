@@ -146,15 +146,19 @@ class TestBytes:
         assert back.tobytes() == matrix.tobytes()
 
 
+HEAD_ROWS = 8   # the first rows of a test file, which draw on few of each table's rows
+
+
 @st.composite
 def assembled_matrices(draw):
     """130-400 rows, each joining one row of each of a few small tables.
 
-    Rows in the learning prefix use only the first rows of each table, so the
-    others first appear past it.  Some blocks take the codes of the block
-    before them in the prefix, which merges the two into one run there that
-    later rows split.  Some cases also change cells past the prefix, which
-    puts a different tail after a known first token or brings a new one.
+    The first ``HEAD_ROWS`` rows use only the first rows of each table, so
+    the others first appear past them.  Some blocks take the codes of the
+    block before them in those rows, so the reader keeps the two in one run
+    until a later row splits it.  Some cases also change cells past those
+    rows, which puts a different tail after a known first token or brings a
+    new one.
     """
     n = draw(st.integers(130, 400))
     cells = st.floats(allow_nan=False, width=64)
@@ -163,14 +167,14 @@ def assembled_matrices(draw):
         k = draw(st.integers(1, 5))
         table = draw(hnp.arrays(np.float64, (k, draw(st.integers(2, 4))), elements=cells))
         codes = draw(hnp.arrays(np.intp, n, elements=st.integers(0, k - 1)))
-        codes[:cli._PREFIX_ROWS] %= draw(st.integers(1, k))
+        codes[:HEAD_ROWS] %= draw(st.integers(1, k))
         if previous is not None and draw(st.booleans()):
-            codes[:cli._PREFIX_ROWS] = previous[:cli._PREFIX_ROWS] % k
+            codes[:HEAD_ROWS] = previous[:HEAD_ROWS] % k
         previous = codes
         blocks.append(table[codes])
     matrix = np.hstack(blocks)
     for _ in range(draw(st.integers(0, 3))):
-        matrix[draw(st.integers(cli._PREFIX_ROWS, n - 1)),
+        matrix[draw(st.integers(HEAD_ROWS, n - 1)),
                draw(st.integers(0, matrix.shape[1] - 1))] = draw(cells)
     return matrix
 
@@ -212,9 +216,10 @@ def spy_parses(monkeypatch):
 
 
 # name -> (the edited text of the 200-row file's lines, and the number of
-# tokens of each parse past the learning prefix: a run's width for each run
-# parsed, the header's width, 9, for a line parsed whole).  The file's runs
-# are 3, 2 and 4 columns wide.
+# tokens of each parse past line 5: a run's width for each run parsed).  The
+# reader starts from one run over all 9 columns, and parses lines 2-5 whole:
+# lines 2-4 bring its new first tokens, and line 5, line 2's first token with
+# other text after it, splits it into the file's runs, 3, 2 and 4 columns wide.
 HAND_EDITS = {
     # every first token is new: each run is parsed and learned
     "spaces around tokens": (edit_line(142, lambda line: f"  {' , '.join(line.split(','))} "),
@@ -228,11 +233,11 @@ HAND_EDITS = {
     "blank lines": (lambda lines: "\n".join(lines[:136] + ["", "   ", "\t"] + lines[136:-1]
                                             + [""] + lines[-1:]) + "\n", []),
     "no final newline": (lambda lines: "\n".join(lines), []),
-    # too many tokens: the line is parsed whole, which raises before any token
+    # too many tokens: every run matches, and the text left after them raises
     "extra token after a match": (edit_line(172, lambda line: line + ",1.0"), []),
-    # the run with the bad token, then the whole line, which raises
+    # the run with the bad token, which fails to parse, so the line raises
     "bad token in a matching line": (edit_line(182, lambda line: line[:line.rindex(",")] + ",x"),
-                                     [4, 9]),
+                                     [4]),
     # line 192 brings a new first token in the first run and 1.00 in the last;
     # line 195 repeats the first run's new segment, which was learned
     "new first token and 1.00": (edit_lines({
@@ -242,7 +247,7 @@ HAND_EDITS = {
 
 
 class TestRunMatching:
-    """Lines past the learning prefix that are made of learned column-run segments."""
+    """Lines made of the learned segments of column runs, which splits make finer."""
 
     @staticmethod
     def hand_matrix():
@@ -275,8 +280,8 @@ class TestRunMatching:
             assert str(raised.value) == str(exc) and raised.value.stage == "eval"
         else:
             assert read_embedding(path).tobytes() == expected.tobytes()
-        assert len(calls[0]) == cli._PREFIX_ROWS * 9
-        assert [len(tokens) for tokens in calls[1:]] == parses
+        assert calls[:4] == [line.split(",")[1:] for line in written.read_text().splitlines()[1:5]]
+        assert [len(tokens) for tokens in calls[4:]] == parses
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_line_end_across_a_decode_boundary(self, tmp_path, newline):
@@ -303,35 +308,45 @@ class TestRunMatching:
         assert back.tobytes() == oracles.read_embedding(path).tobytes() == matrix.tobytes()
 
     def test_only_new_segments_are_parsed(self, tmp_path, monkeypatch):
-        # the DE shape: 4-valued attributes and one 60-valued one; the prefix
-        # draws from their first three (ten) values, the others first appear past it
+        # the DE shape: 4-valued attributes and one 60-valued one; the first
+        # rows draw from their first three (ten) values, the others first appear past them
         rng = np.random.default_rng(9)
         sizes = (4,) * 6 + (60,)
         tables = [rng.standard_normal((k, 8)) for k in sizes]
         codes = [rng.integers(0, k, size=400) for k in sizes]
         for column, k in zip(codes, sizes):
-            column[:cli._PREFIX_ROWS] %= 3 if k == 4 else 10
+            column[:HEAD_ROWS] %= 3 if k == 4 else 10
         matrix = np.hstack([table[column] for table, column in zip(tables, codes)])
-        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
-        assert [(lo, hi) for lo, hi, _, _ in prefix] == [(lo, lo + 8) for lo in range(0, 56, 8)]
-        new, seen = [], [set(column[:cli._PREFIX_ROWS].tolist()) for column in codes]
-        for i in range(cli._PREFIX_ROWS, len(matrix)):
+        # rows 0-6 tell every attribute apart, rows 0-5 do not
+        assert [(lo, hi) for lo, hi, _, _ in cli.factor_columns(matrix[:7])] == [
+            (lo, lo + 8) for lo in range(0, 56, 8)]
+        assert len(cli.factor_columns(matrix[:6])) == 6
+        new, seen = [], [set(column[:7].tolist()) for column in codes]
+        for i in range(7, len(matrix)):
             for table, column, known in zip(tables, codes, seen):
                 if column[i] not in known:
                     known.add(column[i])
                     new.append([repr(x) for x in table[column[i]].tolist()])
-        # the 8-line prefix holds 15 of the 4-valued attributes' 24 values and 6
-        # of the 59 values the 60-valued one takes
-        assert len(new) == 9 + 53
+        # rows 0-6 hold 15 of the 4-valued attributes' 24 values and 5 of the
+        # 59 values the 60-valued one takes
+        assert len(new) == 9 + 54
         path = assert_same_bytes(tmp_path, matrix)
         calls = spy_parses(monkeypatch)
         assert read_embedding(path).tobytes() == matrix.tobytes()
-        assert len(calls[0]) == cli._PREFIX_ROWS * matrix.shape[1]
-        assert calls[1:] == new
+        # rows 0-6 find the runs: rows 0 and 1 bring new first tokens of the
+        # one run, and row 2, row 0's first token with other text, splits it
+        # into five, two of them two attributes wide; row 3 brings a new first
+        # token in two runs and row 4 in one; rows 5 and 6 split the two wide
+        # runs, each also bringing a new first token in another run
+        assert calls[:10] == [[repr(x) for x in matrix[row, lo:hi].tolist()] for row, lo, hi in [
+            (0, 0, 56), (1, 0, 56), (2, 0, 56), (3, 0, 8), (3, 48, 56), (4, 32, 48),
+            (5, 32, 48), (5, 48, 56), (6, 8, 24), (6, 40, 48)]]
+        # past them the runs are the attributes, and only values not yet seen are parsed
+        assert calls[10:] == new
 
     def test_merged_run_is_split_at_its_first_mismatch(self, tmp_path, monkeypatch):
-        # two attributes agree on every line up to row 50, so the prefix
-        # learns them as one 8-wide run; row 50 tells them apart
+        # two attributes agree on every line up to row 50, so the reader keeps
+        # them in one 8-wide run until row 50 tells them apart
         rng = np.random.default_rng(11)
         first, second = rng.standard_normal((4, 4)), rng.standard_normal((5, 4))
         third = rng.standard_normal((3, 3))
@@ -343,23 +358,24 @@ class TestRunMatching:
         c = i % 2
         c[[100, 200]] = 2     # a new first token of the third run, then its repeat
         matrix = np.hstack([first[a], second[b], third[c]])
-        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
-        assert [(lo, hi) for lo, hi, _, _ in prefix] == [(0, 8), (8, 11)]
+        assert [(lo, hi) for lo, hi, _, _ in cli.factor_columns(matrix[:4])] == [(0, 8), (8, 11)]
         assert (a[:50] == b[:50]).all() and a[50] != b[50]
         path = assert_same_bytes(tmp_path, matrix)
         calls = spy_parses(monkeypatch)
         assert read_embedding(path).tobytes() == matrix.tobytes()
-        assert len(calls[0]) == cli._PREFIX_ROWS * matrix.shape[1]
-        # the merged run is parsed at row 20 and, once, at row 50, where it
-        # splits; its halves then match every line, including pairs it never
-        # held whole.  Rows 8-49 were matched in the same chunk before the
-        # split, and keep their values
-        assert calls[1:] == [[repr(x) for x in matrix[row, lo:hi].tolist()]
-                             for row, lo, hi in [(20, 0, 8), (50, 0, 8), (100, 8, 11)]]
+        # rows 0-2 bring new first tokens of the one run the reader starts
+        # from; row 3, row 0's first token with another third attribute value,
+        # splits it into the merged run and the third.  The merged run is
+        # parsed at row 20 and, once, at row 50, where it splits; its halves
+        # then match every line, including pairs it never held whole.  Rows
+        # 4-49 were matched in the same chunk before the split, and keep their values
+        assert calls == [[repr(x) for x in matrix[row, lo:hi].tolist()] for row, lo, hi in [
+            (0, 0, 11), (1, 0, 11), (2, 0, 11), (3, 0, 11), (20, 0, 8), (50, 0, 8),
+            (100, 8, 11)]]
 
-    def test_run_with_no_repeat_in_the_prefix(self, tmp_path, monkeypatch):
-        # the last run has more distinct rows than the prefix has lines, so
-        # none repeats there; the other runs repeat and are still matched
+    def test_run_of_distinct_rows_is_parsed_once_per_row(self, tmp_path, monkeypatch):
+        # the last run's first 200 rows are distinct, so it brings a new first
+        # token on each of them; the other runs repeat and are still matched
         rng = np.random.default_rng(10)
         n = 300
         tables = [rng.standard_normal((4, 8)) for _ in range(3)]
@@ -368,15 +384,17 @@ class TestRunMatching:
         wide = rng.standard_normal((200, 8))
         ids = np.arange(n) % len(wide)
         matrix = np.hstack([t[c] for t, c in zip(tables, columns)] + [wide[ids]])
-        prefix = cli.factor_columns(matrix[:cli._PREFIX_ROWS])
-        assert [(lo, hi, len(first)) for lo, hi, _, first in prefix] == [
-            (0, 8, 4), (8, 16, 4), (16, 24, 4), (24, 32, cli._PREFIX_ROWS)]
+        assert [(lo, hi, len(first)) for lo, hi, _, first in cli.factor_columns(matrix[:5])] == [
+            (0, 8, 4), (8, 16, 4), (16, 24, 4), (24, 32, 5)]
         path = assert_same_bytes(tmp_path, matrix)
         calls = spy_parses(monkeypatch)
         assert read_embedding(path).tobytes() == matrix.tobytes()
-        # one parse per row of the wide table first seen past the prefix
-        assert calls[1:] == [[repr(x) for x in wide[i].tolist()]
-                             for i in range(cli._PREFIX_ROWS, len(wide))]
+        # rows 0-3 bring new first tokens of the one run the reader starts
+        # from, and row 4, one of them with other text, splits it into the
+        # four runs; then one parse per row of the wide table not yet seen,
+        # and none for rows 200-299, which repeat its rows 0-99
+        assert calls[:5] == [[repr(x) for x in row.tolist()] for row in matrix[:5]]
+        assert calls[5:] == [[repr(x) for x in wide[i].tolist()] for i in range(5, len(wide))]
 
     def test_learned_text_is_bounded(self, tmp_path, monkeypatch):
         # past the first chunk every line starts with a new first token, so
@@ -434,8 +452,9 @@ class TestReadFailures:
 
     @pytest.mark.parametrize("k", [3, 150])
     def test_byte_not_utf8(self, tmp_path, k):
-        # line 3 is in the learning prefix; line 150 matches learned runs but
-        # for the bad byte, which is in the middle of the first run
+        # line 3 is parsed whole, as its first token is new in the one run the
+        # reader starts from; line 150 matches learned runs but for the bad
+        # byte, which is in the middle of the first run
         path = tmp_path / "emb.csv"
         write_embedding(path, TestRunMatching.hand_matrix())
         lines = path.read_bytes().split(b"\n")
@@ -458,6 +477,13 @@ class TestReadFailures:
         path = self.write(tmp_path, "object_id,dim_0,dim_1,dim_2\n")
         back = read_embedding(path)
         assert back.shape == (0, 3) and back.dtype == np.float64
+
+    def test_header_of_no_dims(self, tmp_path):
+        # a row of an object id alone is the header's width of numbers, none
+        path = self.write(tmp_path, "object_id\n0\n1\n")
+        back = read_embedding(path)
+        assert back.shape == (2, 0) and back.dtype == np.float64
+        assert oracles.read_embedding(path).shape == (2, 0)
 
     def test_not_an_embedding(self, tmp_path):
         path = self.write(tmp_path, "id,a\n0,1.0\n")
