@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A ``Var`` wraps an ndarray and remembers how to push an incoming gradient
-back to its parents.  Graphs are built per forward pass (about fifty
+back to its parents.  Graphs are built per forward pass (about two dozen
 nodes), so there is no parameter registry and no in-place reuse:
 ``backward(root)`` walks the graph once and leaves the gradient of every
 reachable ``Var`` in ``.grad``.
@@ -50,68 +50,6 @@ def _acc(node: Var, g: np.ndarray) -> None:
     node.grad = g if node.grad is None else node.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to ``shape`` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, dim in enumerate(shape):
-        if dim == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def back(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(g, b.value.shape))
-
-    return Var(a.value + b.value, (a, b), back)
-
-
-def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def back(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(-g, b.value.shape))
-
-    return Var(a.value - b.value, (a, b), back)
-
-
-def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def back(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return Var(a.value * b.value, (a, b), back)
-
-
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def back(g):
-        _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        _acc(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    return Var(a.value / b.value, (a, b), back)
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    out = np.exp(a.value)
-    return Var(out, (a,), lambda g: _acc(a, g * out))
-
-
-def tanh(a) -> Var:
-    a = as_var(a)
-    out = np.tanh(a.value)
-    return Var(out, (a,), lambda g: _acc(a, g * (1.0 - out * out)))
-
-
 def elu(a, alpha: float) -> Var:
     a = as_var(a)
     pos = a.value >= 0
@@ -146,28 +84,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Var:
-    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes
-    and (m, k) @ (k,) operands."""
+    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes."""
     a, b = as_var(a), as_var(b)
-    batched = a.value.ndim >= 2 and b.value.ndim >= 2
-    if batched and a.value.shape[:-2] != b.value.shape[:-2]:
-        raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
-    if not batched and (a.value.ndim, b.value.ndim) != (2, 1):
+    if min(a.value.ndim, b.value.ndim) < 2:
         raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
-    if batched:
-        out = _product(a.value, b.value)
-    else:
-        out = _product(a.value, b.value[:, None])[:, 0]
+    if a.value.shape[:-2] != b.value.shape[:-2]:
+        raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
 
     def back(g):
-        if batched:
-            _acc(a, _product(g, np.swapaxes(b.value, -1, -2)))
-            _acc(b, _product(np.swapaxes(a.value, -1, -2), g))
-        else:
-            _acc(a, np.outer(g, b.value))
-            _acc(b, _product(a.value.T, g[:, None])[:, 0])
+        _acc(a, _product(g, np.swapaxes(b.value, -1, -2)))
+        _acc(b, _product(np.swapaxes(a.value, -1, -2), g))
 
-    return Var(out, (a, b), back)
+    return Var(_product(a.value, b.value), (a, b), back)
 
 
 def transpose(a) -> Var:
@@ -276,6 +204,46 @@ def attention(scores, nbhd: Neighborhoods, slope: float) -> Var:
     return Var(out.reshape(k, n, n), (a,), back)
 
 
+def fusion(inter, intra, w2, b, s) -> tuple[Var, tuple[float, float], tuple[float, float]]:
+    """HAN's semantic-level attention over two (n, D) embeddings of the same rows.
+
+    Each embedding's importance gamma is the row mean of
+    ``tanh(x @ w2.T + b) @ s``, and beta is the softmax of the two gammas,
+    shifted by their maximum.  Returns the (n, D) ``beta_inter * inter +
+    beta_intra * intra``, (gamma_inter, gamma_intra) and (beta_inter,
+    beta_intra); the output's gradient reaches all five inputs.
+    """
+    mats = as_var(inter), as_var(intra)
+    w2, b, s = as_var(w2), as_var(b), as_var(s)
+    n = mats[0].value.shape[0]
+    tanhs = [np.tanh(_product(x.value, w2.value.T) + b.value) for x in mats]
+    gammas = [_product(t, s.value[:, None])[:, 0].sum() * (1.0 / n) for t in tanhs]
+    shift = max(gammas)
+    exps = [np.exp(gamma - shift) for gamma in gammas]
+    denom = exps[0] + exps[1]
+    betas = [e / denom for e in exps]
+
+    def back(g):
+        # beta_x = e_x / denom with e_x = exp(gamma_x - shift) and denom = e_inter + e_intra
+        g_betas = [(g * x.value).sum(axis=0).sum(axis=0) for x in mats]
+        d_inter, d_intra = (-gb * e / (denom * denom) for gb, e in zip(g_betas, exps))
+        g_denom = d_inter + d_intra
+        terms = []
+        for x, t, e, beta, gb in zip(mats, tanhs, exps, betas, g_betas):
+            # the gradient of each row's score is gamma's over n
+            g_rows = np.full(n, (gb / denom + g_denom) * e * (1.0 / n))[:, None]
+            pre = g_rows * s.value * (1.0 - t * t)   # before the tanh
+            _acc(x, g * beta + _product(pre, w2.value))
+            terms.append((_product(x.value.T, pre), pre.sum(axis=0), _product(t.T, g_rows)[:, 0]))
+        g_w2, g_b, g_s = (u + v for u, v in zip(*terms))
+        _acc(w2, g_w2.T)
+        _acc(b, g_b)
+        _acc(s, g_s)
+
+    fused = Var(mats[0].value * betas[0] + mats[1].value * betas[1], (*mats, w2, b, s), back)
+    return fused, (float(gammas[0]), float(gammas[1])), (float(betas[0]), float(betas[1]))
+
+
 def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float) -> Var:
     """Mean binary cross-entropy of Gaussian-kernel similarities against ``p``.
 
@@ -311,16 +279,6 @@ def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float
         _acc(a, grad - grad.mean(axis=0))   # the centring's backward
 
     return Var(loss, (a,), back)
-
-
-def summation(a) -> Var:
-    a = as_var(a)
-    return Var(a.value.sum(), (a,), lambda g: _acc(a, np.broadcast_to(g, a.value.shape).copy()))
-
-
-def mean(a) -> Var:
-    a = as_var(a)
-    return mul(summation(a), 1.0 / a.value.size)
 
 
 def backward(root: Var) -> None:

@@ -244,20 +244,9 @@ def write_embedding(path, matrix: np.ndarray) -> None:
             fh.write(_format_rows(matrix, runs, lo, cache))
 
 
-def _parse_tokens(tokens: list[str], cache: dict[str, float]) -> np.ndarray:
-    """Float64 array of ``tokens``, calling ``float`` only on tokens not in ``cache``.
-
-    The new tokens join ``cache``; the caller empties it.  A token that is
-    not a number raises ``float``'s ``ValueError``.
-    """
-    try:
-        return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
-    except KeyError:
-        pass
-    # difference, not difference_update, which would walk the whole cache
-    new = set(tokens).difference(cache)
-    cache.update(zip(new, map(float, new)))
-    return np.fromiter(map(cache.__getitem__, tokens), np.float64, len(tokens))
+def _parse_tokens(tokens: list[str]) -> np.ndarray:
+    """Float64 array of ``tokens``; a token that is not a number raises ``float``'s ``ValueError``."""
+    return np.fromiter(map(float, tokens), np.float64, len(tokens))
 
 
 def _raise_bad_line(path, k: int, line: str, width: int) -> None:
@@ -281,7 +270,8 @@ class _Segments:
     learned with it.  Its values are then the learned row: equal text is
     equal tokens, so a match is exact.  Runs only get finer: a run may join
     attributes that later lines tell apart, and the first line that does so
-    splits it.
+    splits it into at least two runs.  A header of width w thus splits at
+    most w - 1 times.
     """
 
     def __init__(self, spans: list[tuple[int, int]]):
@@ -323,8 +313,11 @@ class _Segments:
         """Replace ``run`` by the runs of ``factor_columns`` over its learned rows and ``row``.
 
         ``row`` shares its first token with a learned row but not its bits,
-        so the runs found are finer.  Each one's index is keyed from the
-        learned segments' text, then from ``tokens``, the text of ``row``.
+        so no run of ``factor_columns`` over them spans ``run`` unless the
+        whole run is a stretch of columns it finds isolated.  Such a stretch
+        is split into one run per column, so every split refines.  Each new
+        run's index is keyed from the learned segments' text, then from
+        ``tokens``, the text of ``row``.
         The codes of the lines in ``pending`` are rewritten for the new runs;
         returns the code of ``row`` in each.
         """
@@ -334,6 +327,11 @@ class _Segments:
         texts = [(code, segment[1:].split(",")) for code, segment, _ in self.index[run].values()]
         texts.append((len(learned), tokens))
         parts = [(a, b, codes.tolist(), first) for a, b, codes, first in factor_columns(stacked)]
+        if len(parts) == 1:
+            # the run is a stretch of columns factor_columns finds isolated,
+            # which its rule gives one run per column
+            _, _, codes, first = parts[0]
+            parts = [(a, a + 1, codes, first) for a in range(len(row))]
         index = []
         for a, b, codes, _ in parts:
             keyed = {}
@@ -349,13 +347,12 @@ class _Segments:
             found[run:run + 1] = [codes[found[run]] for _, _, codes, _ in parts]
         return [codes[-1] for _, _, codes, _ in parts]
 
-    def resolve(self, line: str, cache: dict[str, float],
-                pending: list[list[int]]) -> list[int] | None:
+    def resolve(self, line: str, pending: list[list[int]]) -> list[int] | None:
         """The codes of the stripped ``line``, parsing only its unmatched runs.
 
-        A run whose first token is new is split off, parsed through ``cache``
-        and learned.  A run whose first token is known but whose text differs
-        is parsed.  With the bits of that token's row, as for ``1.00`` in
+        A run whose first token is new is split off, parsed and learned.  A
+        run whose first token is known but whose text differs is parsed.
+        With the bits of that token's row, as for ``1.00`` in
         place of ``1.0``, it takes that token's code and is not learned.
         With other bits, the run joined columns that differ here, and
         ``_split`` refines it, rewriting the codes of the lines in
@@ -381,7 +378,7 @@ class _Segments:
             tokens = line[pos + 1:].split(",", hi - lo)
             del tokens[hi - lo:]   # the rest of the line
             try:
-                row = _parse_tokens(tokens, cache) if len(tokens) == hi - lo else None
+                row = _parse_tokens(tokens) if len(tokens) == hi - lo else None
             except ValueError:
                 row = None
             if row is None:
@@ -416,16 +413,14 @@ def read_embedding(path) -> np.ndarray:
     run's segment with a new first token is learned.  A run that joins
     columns a line tells apart, as the first run joins every attribute, is
     split into finer runs on that line.  A line that is not one segment per
-    run raises its error.  The learned text and the token cache start over
-    once they hold as many tokens as a chunk of ``_CHUNK_ROWS`` lines, the
-    runs found so far kept, and rows go straight into the one array
-    returned.
+    run raises its error.  The learned text starts over once it holds as
+    many tokens as a chunk of ``_CHUNK_ROWS`` lines, the runs found so far
+    kept, and rows go straight into the one array returned.
 
     A row whose width differs from the header's, or a token that is not a
     number, raises a ``StageError`` naming the path and the 1-based line of
     the first such row; a byte that is not UTF-8 makes its token not a number.
     """
-    cache: dict[str, float] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         fh._CHUNK_SIZE = _DECODE_BYTES
         header = fh.readline().strip().split(",")
@@ -451,7 +446,7 @@ def read_embedding(path) -> np.ndarray:
                     if line.isspace():
                         continue
                     line = line.strip()
-                    found = segments.resolve(line, cache, codes)
+                    found = segments.resolve(line, codes)
                     if found is None:
                         _raise_bad_line(path, k, line, width)
                 codes.append(found)
@@ -459,8 +454,6 @@ def read_embedding(path) -> np.ndarray:
             n += len(codes)
             if segments.size() >= _CHUNK_ROWS * width:
                 segments = _Segments(segments.spans)
-            if len(cache) >= _CHUNK_ROWS * width:
-                cache.clear()
             lineno += len(lines)
     out.resize((n, width), refcheck=False)
     return out

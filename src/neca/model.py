@@ -12,7 +12,8 @@ The differentiable forward pass (see ``autodiff``) computes every head at
 once: one ``autodiff.attention`` op turns each node's target and neighbor
 scores into a softmax over the network's directed pairs, computed on the
 pairs alone, and returns the weights as a (K, |V|, |V|) array that is zero
-off the pairs, so the aggregation is one batched matrix product.  The
+off the pairs, so the aggregation is one batched matrix product.  One
+``autodiff.fusion`` op blends the two networks' embeddings.  The
 trainable tensors are one dict from name to array, the form the tape, Adam
 and the gradients all use.
 """
@@ -151,29 +152,18 @@ class ForwardVars:
 
     inter: Var
     intra: Var
-    gamma_inter: Var
-    gamma_intra: Var
-    beta_inter: Var
-    beta_intra: Var
+    gamma_inter: float
+    gamma_intra: float
+    beta_inter: float
+    beta_intra: float
     fused: Var
 
 
 def forward_fused(net: HetNet, pvars: dict[str, Var], config: RunConfig) -> ForwardVars:
     e = network_embedding(net, "inter", pvars, config)
     a = network_embedding(net, "intra", pvars, config)
-    w2t = ad.transpose(pvars["w2"])
-
-    def gamma(mat):
-        scores = ad.matmul(ad.tanh(ad.add(ad.matmul(mat, w2t), pvars["b"])), pvars["s"])
-        return ad.mean(scores)
-
-    g_e, g_a = gamma(e), gamma(a)
-    shift = max(float(g_e.value), float(g_a.value))
-    ee, ea = ad.exp(ad.sub(g_e, shift)), ad.exp(ad.sub(g_a, shift))
-    denom = ad.add(ee, ea)
-    b_e, b_a = ad.div(ee, denom), ad.div(ea, denom)
-    fused = ad.add(ad.mul(e, b_e), ad.mul(a, b_a))
-    return ForwardVars(e, a, g_e, g_a, b_e, b_a, fused)
+    fused, gammas, betas = ad.fusion(e, a, pvars["w2"], pvars["b"], pvars["s"])
+    return ForwardVars(e, a, *gammas, *betas, fused)
 
 
 @dataclass
@@ -191,7 +181,7 @@ def compute_table(net: HetNet, params: dict[str, np.ndarray],
     fw = forward_fused(net, wrap_params(params), config)
     return EmbeddingTable(
         fused=fw.fused.value,
-        beta_inter=float(fw.beta_inter.value),
-        beta_intra=float(fw.beta_intra.value),
+        beta_inter=fw.beta_inter,
+        beta_intra=fw.beta_intra,
         objects=assemble_objects(net.node_set, fw.fused.value),
     )

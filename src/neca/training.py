@@ -99,7 +99,7 @@ def gradients(net: HetNet, params: dict[str, np.ndarray], config: RunConfig):
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"gradient for tensor {name!r} is not finite")
         grads[name] = g
-    return float(loss.value), (float(fw.beta_inter.value), float(fw.beta_intra.value)), grads
+    return float(loss.value), (fw.beta_inter, fw.beta_intra), grads
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -138,7 +138,7 @@ def _forward_with_gamma_reaching(seed, reach):
     cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
     params = init_params(net.node_set.total, cfg)
     fw = forward_fused(net, wrap_params(params), cfg)
-    top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
+    top = max(abs(fw.gamma_inter), abs(fw.gamma_intra))
     if top > 0.0:   # gamma is linear in s
         params["s"] *= reach / top
     return forward_fused(net, wrap_params(params), cfg)
@@ -148,9 +148,9 @@ def _forward_with_gamma_reaching(seed, reach):
 @given(st.integers(0, 10 ** 6), st.floats(0.0, 150.0))
 def _fusion_weights_normalized(seed, reach):
     fw = _forward_with_gamma_reaching(seed, reach)
-    top = max(abs(float(fw.gamma_inter.value)), abs(float(fw.gamma_intra.value)))
+    top = max(abs(fw.gamma_inter), abs(fw.gamma_intra))
     assert top == pytest.approx(reach, rel=1e-9) or top == 0.0
-    assert abs(float(fw.beta_inter.value) + float(fw.beta_intra.value) - 1.0) <= 1e-9
+    assert abs(fw.beta_inter + fw.beta_intra - 1.0) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)

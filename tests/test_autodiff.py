@@ -31,6 +31,12 @@ def check(build, x0, tol=1e-6):
     np.testing.assert_allclose(v.grad, numeric, rtol=1e-5, atol=tol)
 
 
+def linear(x, w):
+    """sum(w * x) as a tape op, whose gradient is ``w``: reduces an op's output to
+    the scalar ``check`` differentiates."""
+    return ad.Var((x.value * w).sum(), (x,), lambda g: ad._acc(x, g * w))
+
+
 rng = np.random.default_rng(0)
 
 MASK = np.array([[True, True, False, True],
@@ -45,44 +51,36 @@ def pairs(mask):
 
 
 NBHD = pairs(MASK)
+W_ATTENTION, W_ELU = rng.standard_normal((2, 3, 3)), rng.standard_normal((4, 3))
 
 
 @pytest.mark.parametrize("build", [
-    lambda v: ad.summation(ad.exp(v)),
-    lambda v: ad.summation(ad.tanh(v)),
-    lambda v: ad.summation(ad.exp(ad.attention(ad.reshape(v, (2, 2, 3)),
-                                               pairs(np.ones((3, 3), bool)), 0.2))),
-    lambda v: ad.summation(ad.elu(v, 1.0)),
-    lambda v: ad.summation(ad.div(v, ad.add(ad.mul(v, v), 2.0))),
-    lambda v: ad.summation(ad.mul(ad.sub(v, 0.5), ad.sub(0.0, v))),
-    lambda v: ad.mean(ad.mul(v, v)),
+    lambda v: linear(ad.attention(ad.reshape(v, (2, 2, 3)), pairs(np.ones((3, 3), bool)), 0.2),
+                     W_ATTENTION),
+    lambda v: linear(ad.elu(v, 1.0), W_ELU),
 ])
 def test_elementwise_ops(build):
     check(build, rng.standard_normal((4, 3)))
 
 
 def test_matmul_2d_2d():
-    b = rng.standard_normal((3, 2))
-    check(lambda v: ad.summation(ad.tanh(ad.matmul(v, b))), rng.standard_normal((4, 3)))
-
-
-def test_matmul_2d_1d():
-    b = rng.standard_normal(3)
-    check(lambda v: ad.summation(ad.exp(ad.matmul(v, b))), rng.standard_normal((4, 3)))
+    b, w = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+    check(lambda v: linear(ad.matmul(v, b), w), rng.standard_normal((4, 3)))
 
 
 def test_matmul_gradient_wrt_second_operand():
-    a = rng.standard_normal((4, 3))
-    check(lambda v: ad.summation(ad.tanh(ad.matmul(a, v))), rng.standard_normal((3, 2)))
+    a, w = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+    check(lambda v: linear(ad.matmul(a, v), w), rng.standard_normal((3, 2)))
 
 
 def test_batched_matmul_both_operands():
     a = rng.standard_normal((2, 4, 3))
     b = rng.standard_normal((2, 3, 5))
-    check(lambda v: ad.summation(ad.tanh(ad.matmul(v, b))), a.copy())
-    check(lambda v: ad.summation(ad.tanh(ad.matmul(a, v))), b.copy())
+    w = rng.standard_normal((2, 4, 5))
+    check(lambda v: linear(ad.matmul(v, b), w), a.copy())
+    check(lambda v: linear(ad.matmul(a, v), w), b.copy())
     # a product of an operand with its own transpose (the Gram matrix)
-    check(lambda v: ad.summation(ad.tanh(ad.matmul(v, ad.transpose(v)))),
+    check(lambda v: linear(ad.matmul(v, ad.transpose(v)), w[0, :, :4]),
           rng.standard_normal((4, 3)))
 
 
@@ -94,22 +92,22 @@ def test_matmul_rejects_mismatched_batches():
 
 
 def test_transpose_reshape_slice():
-    check(lambda v: ad.summation(ad.mul(ad.transpose(v), ad.transpose(v))),
-          rng.standard_normal((3, 4)))
+    w = rng.standard_normal((4, 3))
+    check(lambda v: linear(ad.transpose(v), w), rng.standard_normal((3, 4)))
     # on a stack, transpose swaps the last two axes only
     w = rng.standard_normal((2, 3, 4))
     assert ad.transpose(ad.Var(w)).shape == (2, 4, 3)
-    check(lambda v: ad.summation(ad.mul(ad.transpose(v), w.swapaxes(1, 2))), w.copy())
-    check(lambda v: ad.summation(ad.exp(ad.reshape(v, (6,)))), rng.standard_normal((2, 3)))
+    check(lambda v: linear(ad.transpose(v), w.swapaxes(1, 2)), w.copy())
+    w = rng.standard_normal(6)
+    check(lambda v: linear(ad.reshape(v, (6,)), w), rng.standard_normal((2, 3)))
     # attention slices its (K, 2, n) scores into the target row 0 and the
     # neighbor row 1.  A target score shifts all of its row's logits
     # together, so while they keep one sign it leaves the weights alone and
     # its gradient is 0; only the neighbor row gets one.
     weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)),
-          rng.standard_normal((2, 2, 4)))
+    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), rng.standard_normal((2, 2, 4)))
     scores = ad.Var(rng.uniform(1.0, 2.0, size=(2, 2, 4)))
-    ad.backward(ad.summation(ad.mul(ad.attention(scores, NBHD, 0.2), weights)))
+    ad.backward(linear(ad.attention(scores, NBHD, 0.2), weights))
     np.testing.assert_allclose(scores.grad[:, 0], 0.0, atol=1e-12)
     assert np.abs(scores.grad[:, 1]).max() > 1e-3
 
@@ -121,7 +119,44 @@ def test_heads_to_columns():
     for k in range(3):
         np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2], x[k])
     weights = rng.standard_normal((4, 6))
-    check(lambda v: ad.summation(ad.mul(ad.tanh(ad.heads_to_columns(v)), weights)), x.copy())
+    check(lambda v: linear(ad.heads_to_columns(v), weights), x.copy())
+
+
+def fusion_inputs(gammas):
+    """(inter, intra, w2, b, s) with ``s`` solved so the two importances are ``gammas``."""
+    r = np.random.default_rng(7)
+    inter, intra = r.standard_normal((2, 5, 4))
+    w2, b = r.standard_normal((3, 4)), r.standard_normal(3)
+    means = np.array([np.tanh(x @ w2.T + b).mean(axis=0) for x in (inter, intra)])
+    return [inter, intra, w2, b, np.linalg.lstsq(means, np.array(gammas), rcond=None)[0]]
+
+
+# gammas near 100 as well as near 0: the max shift is part of the forward
+# pass, and the gradient must not depend on it
+@pytest.mark.parametrize("gammas", [(0.3, -0.2), (100.0, 101.0)])
+@pytest.mark.parametrize("which", ["inter", "intra", "w2", "b", "s"])
+def test_fusion_gradient(which, gammas):
+    inputs = fusion_inputs(gammas)
+    k = ["inter", "intra", "w2", "b", "s"].index(which)
+    weights = rng.standard_normal((5, 4))
+
+    def build(v):
+        return linear(ad.fusion(*inputs[:k], v, *inputs[k + 1:])[0], weights)
+
+    check(build, inputs[k].copy())
+
+
+def test_fusion_weights_are_a_softmax_of_the_importances():
+    inter, intra, w2, b, s = fusion_inputs((0.3, -0.2))
+    fused, gammas, betas = ad.fusion(inter, intra, w2, b, s)
+    np.testing.assert_allclose(gammas, (0.3, -0.2), atol=1e-12)
+    assert sum(betas) == pytest.approx(1.0, abs=1e-15)
+    assert betas[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.5)), rel=1e-12)
+    np.testing.assert_array_equal(fused.value, inter * betas[0] + intra * betas[1])
+    # exp(-800) underflows to 0, so only the shift keeps the weights finite
+    _, gammas, far = ad.fusion(*fusion_inputs((-800.0, -800.5)))
+    assert np.exp(gammas).sum() == 0.0
+    assert far == pytest.approx(betas, rel=1e-9) and sum(far) == pytest.approx(1.0, abs=1e-15)
 
 
 def leaky_logits(scores, slope=0.2):
@@ -136,8 +171,7 @@ def test_masked_softmax_sums_to_one_and_grad():
     assert np.all(w[:, ~MASK] == 0.0)
     assert np.all(w[:, 1, 1] == 1.0)
     weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)),
-          rng.standard_normal((2, 2, 4)))
+    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), rng.standard_normal((2, 2, 4)))
 
 
 def test_masked_softmax_matches_softmax_over_the_kept_entries():
@@ -162,7 +196,7 @@ def test_masked_softmax_large_logits_stable():
     assert w[1, 1] == 1.0
     assert leaky_logits(scores)[0, 2].max() == pytest.approx(-699.0)
     weights = rng.standard_normal((1, 4, 4))
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, NBHD, 0.2), weights)), scores)
+    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), scores)
 
 
 def test_attention_masked_scores_far_above_kept_ones():
@@ -180,7 +214,7 @@ def test_attention_masked_scores_far_above_kept_ones():
         for scores in (ordinary, far):
             v = ad.Var(scores)
             alpha = ad.attention(v, pairs(mask), 0.2)
-            ad.backward(ad.summation(ad.mul(alpha, weights)))
+            ad.backward(linear(alpha, weights))
             runs.append((alpha.value, v.grad))
     (w0, g0), (w1, g1) = runs
     assert np.array_equal(w0, w1) and np.array_equal(g0, g1)
@@ -201,7 +235,7 @@ def test_attention_gradient_over_random_masks(seed):
     w = ad.attention(ad.Var(scores), pairs(mask), 0.2).value
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert not w[:, ~mask].any() and np.all(w[:, 0, mask[0]] == 1.0)
-    check(lambda v: ad.summation(ad.mul(ad.attention(v, pairs(mask), 0.2), weights)), scores)
+    check(lambda v: linear(ad.attention(v, pairs(mask), 0.2), weights), scores)
 
 
 def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
@@ -232,14 +266,12 @@ def test_neighborhoods_reject_a_target_without_pairs_and_repeated_pairs():
 def test_chunked_product_matches_one_product(rows):
     a, b = rng.standard_normal((rows, 40)), rng.standard_normal((40, 7))
     np.testing.assert_allclose(ad._product(a, b), a @ b, rtol=1e-13, atol=1e-13)
-    # a stack, a transposed view on either side, and the vector case of matmul
+    # a stack, and a transposed view on either side
     a3, b3 = rng.standard_normal((3, rows, 40)), rng.standard_normal((3, 7, 40))
     bt = np.swapaxes(b3, -1, -2)
     np.testing.assert_allclose(ad._product(a3, bt), a3 @ bt, rtol=1e-13, atol=1e-13)
     at = np.swapaxes(rng.standard_normal((3, 40, rows)), -1, -2)
     np.testing.assert_allclose(ad._product(at, bt), at @ bt, rtol=1e-13, atol=1e-13)
-    v = rng.standard_normal(40)
-    np.testing.assert_allclose(ad.matmul(a, v).value, a @ v, rtol=1e-13, atol=1e-13)
     # an inner axis longer than INNER_CHUNK is summed in pieces
     long_a, long_b = rng.standard_normal((rows, 600)), rng.standard_normal((600, 40))
     np.testing.assert_allclose(ad._product(long_a, long_b), long_a @ long_b,
@@ -247,14 +279,13 @@ def test_chunked_product_matches_one_product(rows):
 
 
 def test_diamond_reuse_accumulates():
-    # f(x) = sum(x*x + x) uses x twice on separate paths
-    v = ad.Var(np.array([1.0, -2.0]))
-    out = ad.summation(ad.add(ad.mul(v, v), v))
-    ad.backward(out)
-    np.testing.assert_allclose(v.grad, [3.0, -3.0])
+    # f(x) = sum(w * x x^T) uses x twice on separate paths; df/dx = (w + w^T) x
+    v = ad.Var(np.array([[1.0, -2.0]]))
+    ad.backward(linear(ad.matmul(v, ad.transpose(v)), np.array([[3.0]])))
+    np.testing.assert_array_equal(v.grad, [[6.0, -12.0]])
 
 
 def test_backward_requires_scalar_root():
     v = ad.Var(np.ones(3))
     with pytest.raises(ValueError):
-        ad.backward(ad.exp(v))
+        ad.backward(ad.elu(v, 1.0))

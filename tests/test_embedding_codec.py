@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from neca import cli
 from neca.cli import StageError, read_embedding, write_embedding
+from neca.dataset import make_cad
+from neca.encoders import encode_frequency, encode_onehot
 
 
 def oracle_write_embedding(path, matrix):
@@ -130,7 +132,7 @@ class TestBytes:
         finally:
             tracemalloc.stop()
         assert back.tobytes() == matrix.tobytes()
-        # one chunk's lines, tokens, token set and token cache
+        # one chunk's lines, tokens and learned text
         assert peak < matrix.nbytes + 16 * chunk_bytes
 
     @given(hnp.arrays(np.float64,
@@ -207,9 +209,9 @@ def spy_parses(monkeypatch):
     calls = []
     real_parse = cli._parse_tokens
 
-    def spy(tokens, cache):
+    def spy(tokens):
         calls.append(list(tokens))
-        return real_parse(tokens, cache)
+        return real_parse(tokens)
 
     monkeypatch.setattr(cli, "_parse_tokens", spy)
     return calls
@@ -395,6 +397,27 @@ class TestRunMatching:
         # and none for rows 200-299, which repeat its rows 0-99
         assert calls[:5] == [[repr(x) for x in row.tolist()] for row in matrix[:5]]
         assert calls[5:] == [[repr(x) for x in wide[i].tolist()] for i in range(5, len(wide))]
+
+    @pytest.mark.parametrize("encode", [encode_frequency, encode_onehot])
+    def test_every_split_refines(self, tmp_path, monkeypatch, encode):
+        # every column of an encoded table is isolated, so factor_columns
+        # keeps the first lines' columns as one run with a code per row; a
+        # split must still refine, leaving at most width - 1 splits
+        codes = np.random.default_rng(13).integers(0, 3, size=(600, 20))
+        cad = make_cad([[f"v{c}" for c in row] for row in codes], [f"a{j}" for j in range(20)])
+        matrix = encode(cad).vectors
+        path = tmp_path / "encoded.csv"
+        write_embedding(path, matrix)
+        splits = []
+        real_split = cli._Segments._split
+
+        def split(segments, *args):
+            splits.append(args[0])
+            return real_split(segments, *args)
+
+        monkeypatch.setattr(cli._Segments, "_split", split)
+        assert read_embedding(path).tobytes() == matrix.tobytes()
+        assert 0 < len(splits) <= matrix.shape[1] - 1
 
     def test_learned_text_is_bounded(self, tmp_path, monkeypatch):
         # past the first chunk every line starts with a new first token, so

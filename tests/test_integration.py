@@ -85,8 +85,8 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     fw = forward_fused(net, wrap_params(params), cfg)
     np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
     np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
-    assert float(fw.gamma_inter.value) == pytest.approx(g_e, abs=1e-12)
-    assert float(fw.gamma_intra.value) == pytest.approx(g_a, abs=1e-12)
+    assert fw.gamma_inter == pytest.approx(g_e, abs=1e-12)
+    assert fw.gamma_intra == pytest.approx(g_a, abs=1e-12)
     table = compute_table(net, params, cfg)
     assert table.beta_inter == pytest.approx(b_e, abs=1e-12)
     np.testing.assert_allclose(table.fused, fused, atol=1e-12)

@@ -415,7 +415,7 @@ class TestComputeTable:
         params = init_params(10, cfg)
         table = compute_table(net, params, cfg)
         fw = forward_fused(net, wrap_params(params), cfg)
-        gammas = float(fw.gamma_inter.value), float(fw.gamma_intra.value)
+        gammas = fw.gamma_inter, fw.gamma_intra
         assert gammas[0] == pytest.approx(
             importance_score(fw.inter.value, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert gammas[1] == pytest.approx(
