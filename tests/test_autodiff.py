@@ -55,6 +55,9 @@ W_ATTENTION, W_ELU = rng.standard_normal((2, 3, 3)), rng.standard_normal((4, 3))
 
 
 @pytest.mark.parametrize("build", [
+    lambda v: linear(ad.elu(v, 0.5), W_ELU),
+    # the chain rule through two elementwise ops
+    lambda v: linear(ad.elu(ad.elu(v, 1.0), 0.5), W_ELU),
     lambda v: linear(ad.attention(ad.reshape(v, (2, 2, 3)), pairs(np.ones((3, 3), bool)), 0.2),
                      W_ATTENTION),
     lambda v: linear(ad.elu(v, 1.0), W_ELU),
