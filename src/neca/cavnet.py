@@ -94,29 +94,24 @@ class EdgeSet:
         return _KIND_NAMES[None if self.kind is None else int(self.kind[i])]
 
 
-def _edge_set(key: np.ndarray, num_nodes: int, raw: np.ndarray,
-              kind: np.ndarray | None = None) -> EdgeSet:
-    """Edges from distinct keys u * |V| + v (u < v), sorted by (u, v)."""
-    order = np.argsort(key)
-    key, raw = key[order], raw[order].astype(np.float64)
-    return EdgeSet(key // num_nodes, key % num_nodes, raw, stable_softmax(raw),
-                   None if kind is None else kind[order])
-
-
 def build_inter_network(cad: CAD, nodes: CavNodeSet) -> EdgeSet:
-    """Cross-attribute edges for every co-occurring value pair.
+    """Cross-attribute edges for every co-occurring value pair, sorted by (u, v).
 
     Edge weights are the softmax of the co-occurrence counts over the whole
-    edge set; raw counts are retained.
+    edge set; raw counts are retained.  Ids are attribute-major, so one bincount
+    per attribute, of its values against every later node, counts its pairs in order.
     """
     if cad.m < 2:
         raise GraphError("inter network requires >= 2 attributes")
-    ids, num = nodes.ids, nodes.total
-    # ids are attribute-major, so column a's id is below column b's for a < b
-    pairs = [np.unique(ids[:, a] * num + ids[:, b], return_counts=True)
-             for a in range(cad.m) for b in range(a + 1, cad.m)]
-    return _edge_set(np.concatenate([k for k, _ in pairs]), num,
-                     np.concatenate([c for _, c in pairs]))
+    ids, offsets, num = nodes.ids, nodes.offsets, nodes.total
+    keys, counts = [], []
+    for a in range(cad.m - 1):
+        count = np.bincount(((ids[:, a, None] - offsets[a]) * num + ids[:, a + 1:]).ravel())
+        hit = np.flatnonzero(count)
+        keys.append(hit + offsets[a] * num)
+        counts.append(count[hit])
+    key, raw = np.concatenate(keys), np.concatenate(counts).astype(np.float64)
+    return EdgeSet(key // num, key % num, raw, stable_softmax(raw))
 
 
 def build_intra_network(cad: CAD, nodes: CavNodeSet, beta: float = 0.01,
@@ -146,11 +141,12 @@ def build_intra_network(cad: CAD, nodes: CavNodeSet, beta: float = 0.01,
         drawn.add(node_id * num + other if node_id < other else other * num + node_id)
     # connectivity edges cross attributes, so they never repeat a clique edge
     connect = np.fromiter(drawn, np.int64, len(drawn))
-    return _edge_set(
-        np.concatenate([within, connect]), num,
-        np.concatenate([affinity, np.full(len(connect), beta)]),
-        np.concatenate([np.full(len(within), WITHIN, np.int8),
-                        np.full(len(connect), CONNECTIVITY, np.int8)]))
+    key = np.concatenate([within, connect])
+    order = np.argsort(key)
+    key, raw = key[order], np.concatenate([affinity, np.full(len(connect), beta)])[order]
+    kind = np.concatenate([np.full(len(within), WITHIN, np.int8),
+                           np.full(len(connect), CONNECTIVITY, np.int8)])[order]
+    return EdgeSet(key // num, key % num, raw, stable_softmax(raw), kind)
 
 
 @dataclass

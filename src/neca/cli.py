@@ -532,6 +532,7 @@ def cmd_eval(args) -> int:
     if vectors.shape[0] != cad.n:
         raise StageError("eval", f"embedding has {vectors.shape[0]} rows, dataset has {cad.n}")
     emb = _stage("eval", LabeledEmbedding, vectors, cad.labels)
+    del vectors   # the silhouette runs beside the compacted points only
     rows = _stage("eval", evaluate_all, {"embedding": [emb]}, indices)
     results = {row.index: row.best for row in rows}
     for index, value in results.items():
@@ -556,12 +557,11 @@ def cmd_compare(args) -> int:
              for m in methods}
 
     def embeddings(method):
+        # no local keeps a matrix while its embedding is scored
         for seed in seeds[method]:
-            if method == "neca":
-                vectors = run_pipeline(cad, config, seed=seed)[2].objects
-            else:
-                vectors = _stage("encode", ENCODERS[method], cad).vectors
-            yield LabeledEmbedding(vectors, cad.labels)
+            yield LabeledEmbedding(
+                run_pipeline(cad, config, seed=seed)[2].objects if method == "neca"
+                else _stage("encode", ENCODERS[method], cad).vectors, cad.labels)
 
     rows = _stage("eval", evaluate_all, {m: embeddings(m) for m in seeds}, tuple(INDICES))
     print(f"{'index':<6}{'method':<12}{'best':>12}{'median':>12}{'runs':>6}  rank")

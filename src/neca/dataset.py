@@ -10,7 +10,9 @@ first-appearance order so downstream node indexing is deterministic.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import Sequence
 
@@ -60,25 +62,35 @@ class CAD:
             raise DatasetError(f"{len(self.labels)} labels for {self.n} records")
 
 
-def _columns(rows: Sequence[Sequence[str]], width: int, describe) -> list[tuple[str, ...]]:
-    """The columns of ``rows``; row i of another length k raises ``describe(i, k)``."""
+def _encode(rows: Sequence[Sequence[str]], width: int, describe, strip: bool = False):
+    """(n, width) codes of ``rows``, each cell hashed once, and ``tokens[code]``.
+
+    ``strip`` strips each distinct token once; tokens equal after stripping
+    share a code.  Row i of another length k raises ``describe(i, k)``.
+    """
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     wrong = np.flatnonzero(lengths != width)
     if len(wrong):
         raise DatasetError(describe(int(wrong[0]), int(lengths[wrong[0]])))
-    return list(zip(*rows)) or [()] * width
+    code = defaultdict(count().__next__)
+    codes = np.fromiter(map(code.__getitem__, chain.from_iterable(rows)), np.int64,
+                        len(rows) * width).reshape(len(rows), width)
+    if strip:
+        merged = defaultdict(count().__next__)
+        codes = np.fromiter(map(merged.__getitem__, map(str.strip, code)), np.int64,
+                            len(code))[codes]
+        code = merged
+    return codes, list(code)
 
 
-def _encode_columns(columns: Sequence[Sequence[str]], n: int):
-    """(codes, domains) of n-token columns, each domain in first-appearance order."""
-    codes = np.empty((n, len(columns)), dtype=np.int64)
+def _domains(codes: np.ndarray, tokens: Sequence[str]):
+    """``codes`` with each column renumbered to first appearance, and its domains."""
+    out = np.empty(codes.shape, dtype=np.int64)
     domains = []
-    for j, tokens in enumerate(columns):
-        domain = tuple(dict.fromkeys(tokens))
-        index = dict(zip(domain, range(len(domain))))
-        codes[:, j] = np.fromiter(map(index.__getitem__, tokens), np.int64, n)
+    for j in range(codes.shape[1]):
+        out[:, j], domain = _first_appearance(codes[:, j], tokens)
         domains.append(domain)
-    return codes, tuple(domains)
+    return out, tuple(domains)
 
 
 def make_cad(records, attribute_names, labels=None) -> CAD:
@@ -86,8 +98,8 @@ def make_cad(records, attribute_names, labels=None) -> CAD:
     records = list(records)
     attribute_names = tuple(attribute_names)
     m = len(attribute_names)
-    columns = _columns(records, m, lambda i, k: f"record {i} has {k} entries, expected {m}")
-    codes, domains = _encode_columns(columns, len(records))
+    codes, domains = _domains(*_encode(
+        records, m, lambda i, k: f"record {i} has {k} entries, expected {m}"))
     return CAD(codes, attribute_names, domains,
                labels=tuple(labels) if labels is not None else None)
 
@@ -160,7 +172,10 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     """Load a comma-separated file into a CAD per the manifest's column roles.
 
     Identifier columns are dropped, the label column is split out, and
-    domains are computed in first-appearance order.  The first row is the
+    domains are computed in first-appearance order.  Each cell is hashed
+    once, through one table of the file's tokens; each distinct token is
+    stripped of surrounding whitespace once, and each column is renumbered
+    to first appearance on the integer codes.  The first row is the
     header unless the manifest gives column names.  A byte-order mark
     before the header is ignored.  A label or drop column missing from the
     header and a column named twice are errors.
@@ -178,8 +193,8 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
     repeated = next((c for j, c in enumerate(header) if c in header[:j]), None)
     if repeated is not None:
         raise DatasetError(f"{path}: column {repeated!r} is named twice")
-    columns = _columns(rows, len(header), lambda i, k: (
-        f"{path}: row {i + 1} has {k} fields, expected {len(header)}"))
+    codes, tokens = _encode(rows, len(header), lambda i, k: (
+        f"{path}: row {i + 1} has {k} fields, expected {len(header)}"), strip=True)
 
     named = [("label", manifest.label_column)] + [("drop", c) for c in manifest.drop_columns]
     for role, column in named:
@@ -188,36 +203,22 @@ def load_csv(path, manifest: DatasetManifest) -> CAD:
 
     label = manifest.label_column
     feature_idx = [j for j, c in enumerate(header) if c != label and c not in manifest.drop_columns]
-    label_idx = header.index(label) if label is not None else None
-    codes, domains = _strip_domains(*_encode_columns([columns[j] for j in feature_idx], len(rows)))
     labels = None
-    if label_idx is not None:
-        stripped = {t: t.strip() for t in set(columns[label_idx])}
-        labels = tuple(map(stripped.__getitem__, columns[label_idx]))
-    return CAD(codes, tuple(header[j] for j in feature_idx), domains, labels)
+    if label is not None:
+        labels = tuple(map(tokens.__getitem__, codes[:, header.index(label)].tolist()))
+    features, domains = _domains(codes[:, feature_idx], tokens)
+    return CAD(features, tuple(header[j] for j in feature_idx), domains, labels)
 
 
-def _strip_domains(codes: np.ndarray, domains):
-    """Strip surrounding whitespace from each distinct token, not from every cell.
+def _first_appearance(column: np.ndarray, domain: Sequence[str]):
+    """``column`` and ``domain`` renumbered in first-appearance order, unused values dropped.
 
-    Tokens equal after stripping merge into one, and the merged domains keep
-    first-appearance order, so the result equals stripping cell by cell.
+    Each value's first row comes from ``np.minimum.at``, not from sorting the column.
     """
-    stripped_domains = []
-    for j, domain in enumerate(domains):
-        stripped = [t.strip() for t in domain]
-        merged = tuple(dict.fromkeys(stripped))
-        if len(merged) < len(domain):
-            index = dict(zip(merged, range(len(merged))))
-            codes[:, j] = np.fromiter(map(index.__getitem__, stripped), np.int64)[codes[:, j]]
-        stripped_domains.append(merged)
-    return codes, tuple(stripped_domains)
-
-
-def _first_appearance(column: np.ndarray, domain: tuple[str, ...]):
-    """``column`` and ``domain`` renumbered in first-appearance order, unused values dropped."""
-    present, first = np.unique(column, return_index=True)
-    order = present[np.argsort(first)]
+    first = np.full(len(domain), len(column))
+    np.minimum.at(first, column, np.arange(len(column)))
+    order = np.flatnonzero(first < len(column))
+    order = order[np.argsort(first[order])]
     renumber = np.zeros(len(domain), dtype=np.int64)
     renumber[order] = np.arange(len(order))
     return renumber[column], tuple(domain[k] for k in order)
@@ -228,6 +229,7 @@ def impute_modes(cad: CAD, missing_token: str = "?") -> CAD:
 
     Ties break toward the token that appears first in the column; an
     attribute whose values are all missing has no mode and is an error.
+    Modes and first appearances are counted on the codes; no column is sorted.
     """
     codes = np.empty_like(cad.codes)
     domains = []

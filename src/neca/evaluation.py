@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -109,24 +109,25 @@ def _compact(x: np.ndarray) -> np.ndarray:
 class LabeledEmbedding:
     """An n-by-width finite real matrix with one class token per row.
 
-    ``points`` is the matrix the indices run on: ``vectors`` compacted with
-    every distance kept (``_compact``), built once here.
+    Only what the indices read is kept: the labels, their class indices and
+    ``points``, the matrix compacted with every distance kept (``_compact``),
+    not ``vectors``; a matrix that does not compact is its own ``points``.
     """
 
-    vectors: np.ndarray
+    vectors: InitVar[np.ndarray]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+    def __post_init__(self, vectors):
+        vectors = np.asarray(vectors, dtype=np.float64)
         self.labels = tuple(self.labels)
-        if self.vectors.ndim != 2:
+        if vectors.ndim != 2:
             raise EvaluationError("vectors must be a 2-d matrix")
-        if len(self.labels) != self.vectors.shape[0]:
+        if len(self.labels) != vectors.shape[0]:
             raise EvaluationError("one label required per row")
-        finite = np.isfinite(self.vectors).all(axis=1)
+        finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             raise EvaluationError(f"row {int(np.argmin(finite))} has a non-finite value")
-        self.points = _compact(self.vectors)
+        self.points = _compact(vectors)
         code = {c: k for k, c in enumerate(dict.fromkeys(self.labels))}
         self.classes = tuple(code)
         self.label_idx = np.array([code[lab] for lab in self.labels], dtype=np.int64)
@@ -134,7 +135,7 @@ class LabeledEmbedding:
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.points.shape[0]
 
     @property
     def t(self) -> int:
@@ -310,7 +311,8 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
     """Score every run of every method on every index, and rank the methods by best.
 
     Each embedding is scored on each index once, and each method's runs are
-    taken one at a time, so a generator of runs holds one embedding at a time.
+    taken one at a time, so a generator of runs holds one embedding at a time,
+    and of it only the compacted points (see ``LabeledEmbedding``).
     Rows come method by method, each method's in ``indices`` order.
     """
     if not runs:

@@ -4,12 +4,13 @@ import re
 import shutil
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from neca import cli
+from neca import cli, evaluation
 from neca.cavnet import CavNodeSet, build_hetnet
 from neca.dataset import DatasetManifest
 from neca.evaluation import silhouette
@@ -341,6 +342,45 @@ class TestEval:
         cli.write_embedding(emb, np.zeros((6, 2)))
         assert run(["eval", str(toy_csv), "--drop", "Name", "--embedding", str(emb)]) == 1
         assert "label" in capsys.readouterr().err
+
+
+class TestScoringHoldsOnlyThePoints:
+    """The matrix that eval reads or compare trains is dropped before scoring."""
+
+    ARGS = ["--epochs", "2", "--heads", "2", "--head-dim", "2"]
+
+    def track(self, monkeypatch, name):
+        """Weakrefs to each matrix that ``cli.<name>`` returns, checked in every silhouette."""
+        refs, checked = [], []
+        real = getattr(cli, name)
+
+        def tracked(*args, **kwargs):
+            result = real(*args, **kwargs)
+            matrix = result if name == "read_embedding" else result[2].objects
+            refs.append((weakref.ref(matrix), matrix.shape[1]))
+            return result
+
+        def silhouette_of_the_points(emb):
+            assert emb.points.shape[1] < refs[-1][1]   # the embedding compacts
+            checked.append([ref() is None for ref, _ in refs])
+            return silhouette(emb)
+
+        monkeypatch.setattr(cli, name, tracked)
+        monkeypatch.setitem(evaluation.INDICES, "s", silhouette_of_the_points)
+        return checked
+
+    def test_eval(self, labeled_csv, tmp_path, monkeypatch):
+        emb = str(tmp_path / "e.csv")
+        assert run(["embed", str(labeled_csv), "--label", "group", *self.ARGS, "--out", emb]) == 0
+        checked = self.track(monkeypatch, "read_embedding")
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", emb]) == 0
+        assert checked == [[True]]
+
+    def test_compare(self, labeled_csv, monkeypatch):
+        checked = self.track(monkeypatch, "run_pipeline")
+        assert run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",
+                    "--runs", "2", *self.ARGS]) == 0
+        assert checked == [[True], [True, True]]
 
 
 class TestCompare:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from neca.dataset import (CAD, DatasetError, DatasetManifest, impute_modes, load_csv,
                           make_cad, read_kv_file)
 from oracles import records, save_csv
@@ -161,6 +162,27 @@ class TestStripDistinctTokens:
         assert cad.labels == expected.labels
         assert all(type(label) is str for label in cad.labels)
 
+    def test_drop_column_quoted_fields_and_padded_label(self, tmp_path):
+        # every cell, the identifiers' too, is coded through one table of tokens;
+        # a drop column between the features shares some of their tokens
+        rng = np.random.default_rng(6)
+        rows = [[str(rng.choice(["x", " x", "x,y", ' "q" ', "7"])),
+                 f"id{i}" if i % 7 else "x",
+                 str(rng.choice(["a", "b ", " c", "x"])),
+                 str(rng.choice(["p", " p ", "q", "x,y"]))] for i in range(300)]
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["f1", "id", "f2", "label"]] + rows)
+        cad = load_csv(path, DatasetManifest(name="t", label_column="label", drop_columns=("id",)))
+        stripped = [[t.strip() for t in row] for row in rows]
+        expected = make_cad([(row[0], row[2]) for row in stripped], ("f1", "f2"),
+                            labels=[row[3] for row in stripped])
+        assert cad.attribute_names == ("f1", "f2")
+        assert cad.codes.tobytes() == expected.codes.tobytes()
+        assert cad.codes.flags.c_contiguous and expected.codes.flags.c_contiguous
+        assert cad.domains == expected.domains
+        assert cad.labels == expected.labels
+
 
 class TestCadInvariants:
     def test_every_domain_token_observed(self, toy_cad):
@@ -219,6 +241,21 @@ class TestImputeModes:
         cad = make_cad([("?",), ("a",)], ("c",))
         imputed = impute_modes(cad)
         assert imputed.domains == (("a",),)
+
+    def test_codes_not_in_first_appearance_order(self):
+        # a CAD built from codes may number its domain in any order and hold
+        # values no record takes; the result is that of imputing the records
+        rng = np.random.default_rng(7)
+        domains = (("b", "?", "a", "c"), ("?", "x", "y"), ("u", "v", "?", "w", "z"))
+        names = ("c0", "c1", "c2")
+        for _ in range(20):
+            codes = np.stack([rng.integers(0, len(d) - (j == 2), size=30)
+                              for j, d in enumerate(domains)], axis=1)
+            cad = CAD(codes, names, domains)
+            imputed = oracles.impute_modes(records(cad), names)
+            result = impute_modes(cad)
+            assert records(result) == tuple(imputed)
+            assert result.domains == oracles.observed_domains(imputed, len(names))
 
     def test_custom_missing_token(self):
         cad = make_cad([("NA",), ("x",)], ("c",))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -358,8 +359,25 @@ class TestFactorColumns:
 
     @pytest.mark.parametrize("encoder", [encode_onehot, encode_frequency])
     def test_encodings_pass_through(self, toy_cad, encoder):
-        emb = LabeledEmbedding(encoder(toy_cad).vectors, ("A", "B", "A", "B", "A", "B"))
-        assert emb.points is emb.vectors
+        vectors = encoder(toy_cad).vectors
+        emb = LabeledEmbedding(vectors, ("A", "B", "A", "B", "A", "B"))
+        assert emb.points is vectors
+
+    def test_compacted_input_is_not_kept(self):
+        # an assembled embedding, one 16-wide row per attribute value, is freed
+        # as soon as its LabeledEmbedding exists; the scores keep their bits
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 5, size=(400, 6)) + 5 * np.arange(6)
+        labels = [f"c{k}" for k in ids[:, 0] % 3]
+        objects = rng.standard_normal((30, 16))[ids].reshape(400, 96)
+        dense = LabeledEmbedding(objects.copy(), labels)
+        ref = weakref.ref(objects)
+        emb = LabeledEmbedding(objects, labels)
+        del objects
+        assert ref() is None
+        assert emb.n == 400 and emb.points.shape == (400, 30)
+        assert silhouette(emb) == silhouette(dense)
+        assert calinski_harabasz(emb) == calinski_harabasz(dense)
 
 
 class TestNonFinite:
