@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A ``Var`` wraps an ndarray and remembers how to push an incoming gradient
-back to its parents.  Graphs are built per forward pass (about two dozen
-nodes), so there is no parameter registry and no in-place reuse:
+back to its parents.  Graphs are built per forward pass (one op per model
+block: a GAT layer per network, the fusion and the loss, eleven nodes with
+the parameters), so there is no parameter registry and no in-place reuse:
 ``backward(root)`` walks the graph once and leaves the gradient of every
 reachable ``Var`` in ``.grad``.
 
@@ -50,18 +51,6 @@ def _acc(node: Var, g: np.ndarray) -> None:
     node.grad = g if node.grad is None else node.grad + g
 
 
-def elu(a, alpha: float) -> Var:
-    a = as_var(a)
-    pos = a.value >= 0
-    out = np.where(pos, a.value, alpha * (np.exp(np.minimum(a.value, 0.0)) - 1.0))
-
-    def back(g):
-        # d/dz elu = 1 for z >= 0, elu(z) + alpha below
-        _acc(a, g * np.where(pos, 1.0, out + alpha))
-
-    return Var(out, (a,), back)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for operands of two or more axes, in fixed pieces.
 
@@ -81,43 +70,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for k in range(INNER_CHUNK, a.shape[-1], INNER_CHUNK):
                 tile += rows[..., k:k + INNER_CHUNK] @ cols[..., k:k + INNER_CHUNK, :]
     return out
-
-
-def matmul(a, b) -> Var:
-    """Matrix product for (..., m, k) @ (..., k, n) with equal batch shapes."""
-    a, b = as_var(a), as_var(b)
-    if min(a.value.ndim, b.value.ndim) < 2:
-        raise ValueError(f"unsupported matmul ranks {a.value.ndim}@{b.value.ndim}")
-    if a.value.shape[:-2] != b.value.shape[:-2]:
-        raise ValueError(f"matmul batch shapes differ: {a.value.shape} @ {b.value.shape}")
-
-    def back(g):
-        _acc(a, _product(g, np.swapaxes(b.value, -1, -2)))
-        _acc(b, _product(np.swapaxes(a.value, -1, -2), g))
-
-    return Var(_product(a.value, b.value), (a, b), back)
-
-
-def transpose(a) -> Var:
-    """Swap the last two axes."""
-    a = as_var(a)
-    return Var(np.swapaxes(a.value, -1, -2), (a,), lambda g: _acc(a, np.swapaxes(g, -1, -2)))
-
-
-def reshape(a, shape: tuple) -> Var:
-    a = as_var(a)
-    return Var(a.value.reshape(shape), (a,), lambda g: _acc(a, g.reshape(a.value.shape)))
-
-
-def heads_to_columns(a) -> Var:
-    """(K, n, d) head outputs to (n, K*d) rows, head k in columns k*d to (k+1)*d."""
-    a = as_var(a)
-    k, n, d = a.value.shape
-
-    def back(g):
-        _acc(a, np.swapaxes(g.reshape(n, k, d), 0, 1))
-
-    return Var(np.swapaxes(a.value, 0, 1).reshape(n, k * d), (a,), back)
 
 
 class Neighborhoods(NamedTuple):
@@ -151,57 +103,88 @@ def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
                          sources)
 
 
-def attention(scores, nbhd: Neighborhoods, slope: float) -> Var:
+def _per_target(seg: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
+    """A (K, |V|) value of each target, repeated over its pairs."""
+    return np.repeat(seg, nbhd.counts, axis=1)
+
+
+def _gather(x: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the indices are in range; in its default mode take would buffer out
+    return np.take(x, index, axis=1, out=out, mode="clip")
+
+
+def pair_softmax(scores: np.ndarray, nbhd: Neighborhoods,
+                 slope: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attention weights from (K, 2, n) target and neighbor scores.
 
     Head k's logit for the pair of target i and neighbor j is the LeakyReLU
-    of ``scores[k, 0, i] + scores[k, 1, j]``; the (K, n, n) output is its
-    softmax over i's pairs in ``nbhd``.  Only the pairs are computed, and
-    every other entry of the output is 0.  The segment-max shift is a
-    constant, and softmax is shift-invariant, so the gradient is exact.
+    of ``scores[k, 0, i] + scores[k, 1, j]``; its weight is the softmax over
+    i's pairs in ``nbhd``.  Only the pairs are computed.  Returns the
+    (K, n, n) weights, 0 off the pairs, and in pair order the (K, E) weights
+    and the mask of logits >= 0.
     """
-    a = as_var(scores)
-    k, n = a.value.shape[0], len(nbhd.counts)
-
-    def per_target(seg):
-        # a (K, |V|) value of each target, repeated over its pairs
-        return np.repeat(seg, nbhd.counts, axis=1)
-
-    def gather(x, index, out):
-        # the indices are in range; in its default mode take would buffer out
-        return np.take(x, index, axis=1, out=out, mode="clip")
-
+    k, n = scores.shape[0], len(nbhd.counts)
     # (K, E) logits in pair order; slope * z <= z exactly when z >= 0, so the
     # elementwise maximum is the LeakyReLU
-    z = per_target(a.value[:, 0])
-    z += a.value[:, 1, nbhd.src]
+    z = _per_target(scores[:, 0], nbhd)
+    z += scores[:, 1, nbhd.src]
     np.maximum(z, slope * z, out=z)
     pos = z >= 0
-    z -= per_target(np.maximum.reduceat(z, nbhd.starts, axis=1))
+    z -= _per_target(np.maximum.reduceat(z, nbhd.starts, axis=1), nbhd)
     w = np.exp(z, out=z)
-    w /= per_target(np.add.reduceat(w, nbhd.starts, axis=1))
-    out = np.zeros((k, n * n))
-    out[:, nbhd.flat] = w
+    w /= _per_target(np.add.reduceat(w, nbhd.starts, axis=1), nbhd)
+    dense = np.zeros((k, n * n))
+    dense[:, nbhd.flat] = w
+    return dense.reshape(k, n, n), w, pos
+
+
+def gat(w1, attn, nbhd: Neighborhoods, slope: float, alpha: float) -> Var:
+    """GAT's multi-head attention layer over one network; returns (n, K*d).
+
+    Head k projects the n one-hot nodes to ``w1[k]``'s (d, n) columns and
+    scores them with ``attn[k]``, the target half then the neighbor half;
+    ``pair_softmax`` turns the scores into weights over each target's pairs
+    in ``nbhd``.  Each node's output is the ELU (``alpha``) of its weighted
+    sum of projections, head k in columns k*d to (k+1)*d.  The segment-max
+    shift of the softmax is a constant, so the gradient is exact.
+    """
+    w1, attn = as_var(w1), as_var(attn)
+    k, d, n = w1.value.shape
+    a = attn.value.reshape(k, 2, d)
+    # row 0 of each head scores every node as a target, row 1 as a neighbor
+    weights, w, pos = pair_softmax(_product(a, w1.value), nbhd, slope)
+    w1t = np.swapaxes(w1.value, -1, -2)
+    agg = _product(weights, w1t)
+    act = agg >= 0
+    out = np.where(act, agg, alpha * (np.exp(np.minimum(agg, 0.0)) - 1.0))
 
     def back(g):
+        # the ELU's derivative is 1 for z >= 0 and ELU(z) + alpha below
+        g_agg = np.swapaxes(g.reshape(n, k, d), 0, 1) * np.where(act, 1.0, out + alpha)
+        # The weights' gradient is a dense product read only at the pairs:
+        # the cross-attribute network keeps about 70% of the n * n entries,
+        # where gathers over the pairs lost to the tiled BLAS products.
+        g_weights = _product(g_agg, w1.value)
+        g_w1 = np.swapaxes(_product(np.swapaxes(weights, -1, -2), g_agg), -1, -2)
         # softmax backward, then the LeakyReLU derivative: slope below 0 and
         # 1 elsewhere (slope + (1 - slope) rounds to exactly 1 for any slope
         # in (0, 1)).  Segment sums over each target's pairs and over each
         # source's pairs give the two score rows.
-        gz = gather(g.reshape(k, n * n), nbhd.flat, np.empty_like(w))
+        gz = _gather(g_weights.reshape(k, n * n), nbhd.flat, np.empty_like(w))
         gz *= w
-        buf = per_target(np.add.reduceat(gz, nbhd.starts, axis=1))
+        buf = _per_target(np.add.reduceat(gz, nbhd.starts, axis=1), nbhd)
         gz -= np.multiply(buf, w, out=buf)
         np.multiply(pos, 1.0 - slope, out=buf)
         buf += slope
         gz *= buf
-        grad = np.zeros((k, 2, n))
-        grad[:, 0] = np.add.reduceat(gz, nbhd.starts, axis=1)
-        grad[:, 1, nbhd.sources] = np.add.reduceat(gather(gz, nbhd.by_src, buf),
-                                                   nbhd.src_starts, axis=1)
-        _acc(a, grad)
+        g_scores = np.zeros((k, 2, n))
+        g_scores[:, 0] = np.add.reduceat(gz, nbhd.starts, axis=1)
+        g_scores[:, 1, nbhd.sources] = np.add.reduceat(_gather(gz, nbhd.by_src, buf),
+                                                       nbhd.src_starts, axis=1)
+        _acc(attn, _product(g_scores, w1t).reshape(k, 2 * d))
+        _acc(w1, g_w1 + _product(np.swapaxes(a, -1, -2), g_scores))
 
-    return Var(out.reshape(k, n, n), (a,), back)
+    return Var(np.swapaxes(out, 0, 1).reshape(n, k * d), (w1, attn), back)
 
 
 def fusion(inter, intra, w2, b, s) -> tuple[Var, tuple[float, float], tuple[float, float]]:

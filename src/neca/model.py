@@ -8,11 +8,11 @@ concatenated.  The two per-network representations are fused by a learned
 two-way softmax over dataset-level importance scores, and per-object vectors
 are the in-order concatenation of the fused vectors of the object's values.
 
-The differentiable forward pass (see ``autodiff``) computes every head at
-once: one ``autodiff.attention`` op turns each node's target and neighbor
-scores into a softmax over the network's directed pairs, computed on the
-pairs alone, and returns the weights as a (K, |V|, |V|) array that is zero
-off the pairs, so the aggregation is one batched matrix product.  One
+The differentiable forward pass (see ``autodiff``) is one ``autodiff.gat``
+op per network, which computes every head at once: it scores each node as a
+target and as a neighbor, takes the softmax over the network's directed
+pairs on the pairs alone, and aggregates with the (K, |V|, |V|) weights,
+zero off the pairs, in one batched matrix product.  One
 ``autodiff.fusion`` op blends the two networks' embeddings.  The
 trainable tensors are one dict from name to array, the form the tape, Adam
 and the gradients all use.
@@ -133,17 +133,10 @@ def _neighborhoods(net: HetNet, which: str) -> ad.Neighborhoods:
     return ad.neighborhoods(tgt, src, num)
 
 
-def network_embedding(net: HetNet, which: str, pvars: dict[str, Var],
-                      config: RunConfig) -> Var:
+def network_embedding(net: HetNet, which: str, pvars: dict[str, Var]) -> Var:
     """Multi-head attention embedding of one network; returns (|V|, K*d)."""
     nbhd = net.derived(_neighborhoods, which)
-    k, d = config.heads, config.head_dim
-    w1 = pvars[f"w1.{which}"]                                 # (K, d, |V|)
-    # row 0 of each head scores every node as a target, row 1 as a neighbor
-    scores = ad.matmul(ad.reshape(pvars[f"attn.{which}"], (k, 2, d)), w1)
-    alpha = ad.attention(scores, nbhd, LEAKY_SLOPE)           # (K, |V|, |V|)
-    heads = ad.elu(ad.matmul(alpha, ad.transpose(w1)), ELU_ALPHA)
-    return ad.heads_to_columns(heads)
+    return ad.gat(pvars[f"w1.{which}"], pvars[f"attn.{which}"], nbhd, LEAKY_SLOPE, ELU_ALPHA)
 
 
 @dataclass
@@ -159,9 +152,9 @@ class ForwardVars:
     fused: Var
 
 
-def forward_fused(net: HetNet, pvars: dict[str, Var], config: RunConfig) -> ForwardVars:
-    e = network_embedding(net, "inter", pvars, config)
-    a = network_embedding(net, "intra", pvars, config)
+def forward_fused(net: HetNet, pvars: dict[str, Var]) -> ForwardVars:
+    e = network_embedding(net, "inter", pvars)
+    a = network_embedding(net, "intra", pvars)
     fused, gammas, betas = ad.fusion(e, a, pvars["w2"], pvars["b"], pvars["s"])
     return ForwardVars(e, a, *gammas, *betas, fused)
 
@@ -176,9 +169,8 @@ class EmbeddingTable:
     objects: np.ndarray
 
 
-def compute_table(net: HetNet, params: dict[str, np.ndarray],
-                  config: RunConfig) -> EmbeddingTable:
-    fw = forward_fused(net, wrap_params(params), config)
+def compute_table(net: HetNet, params: dict[str, np.ndarray]) -> EmbeddingTable:
+    fw = forward_fused(net, wrap_params(params))
     return EmbeddingTable(
         fused=fw.fused.value,
         beta_inter=fw.beta_inter,

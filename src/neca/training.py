@@ -77,7 +77,7 @@ def neca_loss(net: HetNet, fused: np.ndarray, config: RunConfig) -> float:
 def forward_loss(net: HetNet, params: dict[str, np.ndarray], config: RunConfig):
     """One differentiable forward pass; returns (loss Var, forward state, param Vars)."""
     pvars = wrap_params(params)
-    fw = forward_fused(net, pvars, config)
+    fw = forward_fused(net, pvars)
     return _loss_var(net, fw.fused, config), fw, pvars
 
 
@@ -145,5 +145,5 @@ def train(net: HetNet, config: RunConfig,
             stop = "converged"
             break
         prev = loss
-    table = compute_table(net, params, config)
+    table = compute_table(net, params)
     return params, table, TrainReport(loss_history=history, stop_reason=stop)

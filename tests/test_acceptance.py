@@ -126,7 +126,7 @@ def _attention_normalized(seed, spread):
     mask = rng.random((num, num)) < rng.random()
     mask[np.arange(num), rng.integers(num, size=num)] = True
     scores = rng.uniform(-spread, spread, size=(heads, 2, num))
-    alpha = ad.attention(scores, ad.neighborhoods(*np.nonzero(mask), num), 0.2).value
+    alpha = ad.pair_softmax(scores, ad.neighborhoods(*np.nonzero(mask), num), 0.2)[0]
     assert np.all(np.abs(alpha.sum(axis=-1) - 1.0) <= 1e-9)
     assert np.all(alpha[:, ~mask] == 0.0)
 
@@ -137,11 +137,11 @@ def _forward_with_gamma_reaching(seed, reach):
     net = build_hetnet(cad, seed=seed)
     cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
     params = init_params(net.node_set.total, cfg)
-    fw = forward_fused(net, wrap_params(params), cfg)
+    fw = forward_fused(net, wrap_params(params))
     top = max(abs(fw.gamma_inter), abs(fw.gamma_intra))
     if top > 0.0:   # gamma is linear in s
         params["s"] *= reach / top
-    return forward_fused(net, wrap_params(params), cfg)
+    return forward_fused(net, wrap_params(params))
 
 
 @settings(max_examples=100, deadline=None)

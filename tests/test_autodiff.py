@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neca import autodiff as ad
 
@@ -51,78 +53,113 @@ def pairs(mask):
 
 
 NBHD = pairs(MASK)
-W_ATTENTION, W_ELU = rng.standard_normal((2, 3, 3)), rng.standard_normal((4, 3))
 
 
-@pytest.mark.parametrize("build", [
-    lambda v: linear(ad.elu(v, 0.5), W_ELU),
-    # the chain rule through two elementwise ops
-    lambda v: linear(ad.elu(ad.elu(v, 1.0), 0.5), W_ELU),
-    lambda v: linear(ad.attention(ad.reshape(v, (2, 2, 3)), pairs(np.ones((3, 3), bool)), 0.2),
-                     W_ATTENTION),
-    lambda v: linear(ad.elu(v, 1.0), W_ELU),
+def columns(x):
+    """(K, n, c) per-head values as ``gat``'s (n, K*c) head-major columns."""
+    return np.swapaxes(x, 0, 1).reshape(x.shape[1], -1)
+
+
+def attention(attn, nbhd, slope=0.2):
+    """``gat``'s attention weights, in columns, as a tape value of its (K, 2n) ``attn``.
+
+    With identity projections (d = n) the scores are the rows of ``attn``
+    and each head aggregates its own weights, which the ELU passes unchanged
+    since they are >= 0.  So ``gat`` returns ``columns`` of the (K, n, n)
+    weights exactly, and its ``attn`` gradient is the scores' gradient.
+    """
+    k, n = attn.shape[0], attn.shape[1] // 2
+    return ad.gat(np.tile(np.eye(n), (k, 1, 1)), attn, nbhd, slope, 1.0)
+
+
+def check_attention(scores, nbhd, weights):
+    """Finite-difference check of the scores' gradient of sum(weights * attention)."""
+    k, _, n = scores.shape
+    check(lambda v: linear(attention(v, nbhd), columns(weights)), scores.reshape(k, 2 * n))
+
+
+ATTN = rng.standard_normal((2, 6))                  # 2 heads of width 3
+W_COLS = rng.standard_normal((4, 6))                # weights of gat's (4, 2 * 3) output
+W_ATTENTION = rng.standard_normal((3, 6))           # weights of 2 heads' (3, 3) attention
+FULL = pairs(np.ones((3, 3), bool))
+
+
+# The elementwise nonlinearities inside ``gat``, each case a (build, x0) pair
+# for ``check``: the ELU's negative branch alone (every projection, so every
+# aggregate, below 0), both of its branches, and the LeakyReLU of mixed-sign
+# and of negative logits.
+@pytest.mark.parametrize("case", [
+    lambda: (lambda v: linear(ad.gat(v, ATTN, NBHD, 0.2, 0.5), W_COLS),
+             -rng.uniform(0.1, 1.0, size=(2, 3, 4))),
+    lambda: (lambda v: linear(ad.gat(v, ATTN, NBHD, 0.2, 1.0), W_COLS),
+             rng.standard_normal((2, 3, 4))),
+    lambda: (lambda v: linear(attention(v, FULL), W_ATTENTION), rng.standard_normal((2, 6))),
+    lambda: (lambda v: linear(attention(v, FULL), W_ATTENTION),
+             -rng.uniform(0.1, 1.0, size=(2, 6))),
 ])
-def test_elementwise_ops(build):
-    check(build, rng.standard_normal((4, 3)))
+def test_elementwise_ops(case):
+    check(*case())
 
 
-def test_matmul_2d_2d():
-    b, w = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
-    check(lambda v: linear(ad.matmul(v, b), w), rng.standard_normal((4, 3)))
+def ring_with_chords(n, seed):
+    """The pairs of an n-node graph: a ring, random chords and no self pairs,
+    where node 0 has one neighbor."""
+    r = np.random.default_rng(seed)
+    mask = r.random((n, n)) < 0.3
+    mask[np.arange(n), (np.arange(n) + 1) % n] = True
+    np.fill_diagonal(mask, False)
+    mask[0] = False
+    mask[0, 5] = True
+    return pairs(mask)
 
 
-def test_matmul_gradient_wrt_second_operand():
-    a, w = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
-    check(lambda v: linear(ad.matmul(a, v), w), rng.standard_normal((3, 2)))
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("which", ["w1", "attn"])
+def test_gat_gradient(which, alpha):
+    # 40 nodes: the products' 32-row tiles split the nodes in two
+    r = np.random.default_rng(3)
+    nbhd = ring_with_chords(40, 3)
+    inputs = {"w1": r.uniform(-1.0, 1.0, size=(2, 3, 40)), "attn": r.standard_normal((2, 6))}
+    weights = r.standard_normal((40, 6))
+
+    def build(v):
+        return linear(ad.gat(**{**inputs, which: v}, nbhd=nbhd, slope=0.2, alpha=alpha), weights)
+
+    out = ad.gat(inputs["w1"], inputs["attn"], nbhd, 0.2, alpha).value
+    assert (out < 0).any() and (out > 0).any()
+    check(build, inputs[which].copy())
 
 
-def test_batched_matmul_both_operands():
-    a = rng.standard_normal((2, 4, 3))
-    b = rng.standard_normal((2, 3, 5))
-    w = rng.standard_normal((2, 4, 5))
-    check(lambda v: linear(ad.matmul(v, b), w), a.copy())
-    check(lambda v: linear(ad.matmul(a, v), w), b.copy())
-    # a product of an operand with its own transpose (the Gram matrix)
-    check(lambda v: linear(ad.matmul(v, ad.transpose(v)), w[0, :, :4]),
-          rng.standard_normal((4, 3)))
-
-
-def test_matmul_rejects_mismatched_batches():
-    with pytest.raises(ValueError, match="batch"):
-        ad.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 2)))
-    with pytest.raises(ValueError, match="ranks"):
-        ad.matmul(np.ones(3), np.ones((3, 2)))
-
-
-def test_transpose_reshape_slice():
-    w = rng.standard_normal((4, 3))
-    check(lambda v: linear(ad.transpose(v), w), rng.standard_normal((3, 4)))
-    # on a stack, transpose swaps the last two axes only
-    w = rng.standard_normal((2, 3, 4))
-    assert ad.transpose(ad.Var(w)).shape == (2, 4, 3)
-    check(lambda v: linear(ad.transpose(v), w.swapaxes(1, 2)), w.copy())
-    w = rng.standard_normal(6)
-    check(lambda v: linear(ad.reshape(v, (6,)), w), rng.standard_normal((2, 3)))
-    # attention slices its (K, 2, n) scores into the target row 0 and the
-    # neighbor row 1.  A target score shifts all of its row's logits
-    # together, so while they keep one sign it leaves the weights alone and
-    # its gradient is 0; only the neighbor row gets one.
-    weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), rng.standard_normal((2, 2, 4)))
-    scores = ad.Var(rng.uniform(1.0, 2.0, size=(2, 2, 4)))
-    ad.backward(linear(ad.attention(scores, NBHD, 0.2), weights))
-    np.testing.assert_allclose(scores.grad[:, 0], 0.0, atol=1e-12)
-    assert np.abs(scores.grad[:, 1]).max() > 1e-3
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1.0, -1.0]))
+def test_target_scores_get_no_gradient_while_logits_keep_sign(seed, sign):
+    # A target score shifts all of its pairs' logits together, so while they
+    # keep one sign the LeakyReLU is linear there, the weights do not move
+    # and the target half of attn gets no gradient.
+    r = np.random.default_rng(seed)
+    heads, dim, n = (int(x) for x in r.integers(1, 5, size=3))
+    mask = r.random((n, n)) < r.random()
+    mask[np.arange(n), r.integers(n, size=n)] = True
+    # nonnegative projections and attn of one sign give scores of that sign
+    w1 = r.uniform(0.0, 1.0, size=(heads, dim, n))
+    attn = ad.Var(sign * r.uniform(0.1, 2.0, size=(heads, 2 * dim)))
+    ad.backward(linear(ad.gat(w1, attn, pairs(mask), 0.2, 1.0), r.standard_normal((n, heads * dim))))
+    np.testing.assert_allclose(attn.grad[:, :dim], 0.0, atol=1e-12)
 
 
 def test_heads_to_columns():
-    x = rng.standard_normal((3, 4, 2))
-    out = ad.heads_to_columns(ad.Var(x)).value
+    # head k of gat is the one-head gat of w1[k] and attn[k], in columns
+    # k*d to (k+1)*d
+    w1, attn = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 4))
+    out = ad.gat(w1, attn, NBHD, 0.2, 1.0).value
     assert out.shape == (4, 6)
     for k in range(3):
-        np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2], x[k])
-    weights = rng.standard_normal((4, 6))
-    check(lambda v: linear(ad.heads_to_columns(v), weights), x.copy())
+        np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2],
+                                      ad.gat(w1[k:k + 1], attn[k:k + 1], NBHD, 0.2, 1.0).value)
+    # with identity projections, the columns are the weights pair_softmax gives
+    scores = rng.standard_normal((2, 2, 4))
+    w = ad.pair_softmax(scores, NBHD, 0.2)[0]
+    assert np.array_equal(attention(scores.reshape(2, 8), NBHD).value, columns(w))
 
 
 def fusion_inputs(gammas):
@@ -169,17 +206,17 @@ def leaky_logits(scores, slope=0.2):
 
 
 def test_masked_softmax_sums_to_one_and_grad():
-    w = ad.attention(ad.Var(rng.standard_normal((2, 2, 4))), NBHD, 0.2).value
+    w = ad.pair_softmax(rng.standard_normal((2, 2, 4)), NBHD, 0.2)[0]
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(w[:, ~MASK] == 0.0)
     assert np.all(w[:, 1, 1] == 1.0)
     weights = rng.standard_normal((2, 4, 4))
-    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), rng.standard_normal((2, 2, 4)))
+    check_attention(rng.standard_normal((2, 2, 4)), NBHD, weights)
 
 
 def test_masked_softmax_matches_softmax_over_the_kept_entries():
     scores = rng.standard_normal((1, 2, 4))
-    w = ad.attention(ad.Var(scores), NBHD, 0.2).value[0]
+    w = ad.pair_softmax(scores, NBHD, 0.2)[0][0]
     logits = leaky_logits(scores)[0]
     for row, keep in enumerate(MASK):
         e = np.exp(logits[row, keep])
@@ -191,7 +228,7 @@ def test_masked_softmax_large_logits_stable():
     # the masked-out entry of row 0 (705) must not set that row's shift
     scores = np.array([[[700.0, 3.0, -3500.0, 10.0],
                         [0.0, 1.0, 5.0, 2.0]]])
-    w = ad.attention(ad.Var(scores), NBHD, 0.2).value[0]
+    w = ad.pair_softmax(scores, NBHD, 0.2)[0][0]
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     e = np.exp([-2.0, -1.0, 0.0])
@@ -199,7 +236,7 @@ def test_masked_softmax_large_logits_stable():
     assert w[1, 1] == 1.0
     assert leaky_logits(scores)[0, 2].max() == pytest.approx(-699.0)
     weights = rng.standard_normal((1, 4, 4))
-    check(lambda v: linear(ad.attention(v, NBHD, 0.2), weights), scores)
+    check_attention(scores, NBHD, weights)
 
 
 def test_attention_masked_scores_far_above_kept_ones():
@@ -215,10 +252,9 @@ def test_attention_masked_scores_far_above_kept_ones():
     runs = []
     with np.errstate(over="raise", invalid="raise"):
         for scores in (ordinary, far):
-            v = ad.Var(scores)
-            alpha = ad.attention(v, pairs(mask), 0.2)
-            ad.backward(linear(alpha, weights))
-            runs.append((alpha.value, v.grad))
+            v = ad.Var(scores.reshape(2, 8))
+            ad.backward(linear(attention(v, pairs(mask)), columns(weights)))
+            runs.append((ad.pair_softmax(scores, pairs(mask), 0.2)[0], v.grad.reshape(2, 2, 4)))
     (w0, g0), (w1, g1) = runs
     assert np.array_equal(w0, w1) and np.array_equal(g0, g1)
     assert not w1[:, :, 2].any() and not g1[:, 1, 2].any()
@@ -235,10 +271,10 @@ def test_attention_gradient_over_random_masks(seed):
     mask[0] = np.arange(n) == r.integers(n)     # a one-neighbor row
     scores = r.uniform(-spread, spread, size=(heads, 2, n))
     weights = r.standard_normal((heads, n, n))
-    w = ad.attention(ad.Var(scores), pairs(mask), 0.2).value
+    w = ad.pair_softmax(scores, pairs(mask), 0.2)[0]
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert not w[:, ~mask].any() and np.all(w[:, 0, mask[0]] == 1.0)
-    check(lambda v: linear(ad.attention(v, pairs(mask), 0.2), weights), scores)
+    check_attention(scores, pairs(mask), weights)
 
 
 def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
@@ -252,7 +288,7 @@ def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
     scores = np.zeros((3, 2, 5))
     scores[:, 1] = [-50.0, 400.0, -30.0, 0.0, 10.0]
     scores[:, 0] = rng.uniform(-20.0, 20.0, size=(3, 5))
-    w = ad.attention(ad.Var(scores), pairs(mask), 0.2).value
+    w = ad.pair_softmax(scores, pairs(mask), 0.2)[0]
     assert np.all(w[:, ~mask] == 0.0)
     assert np.all(w[:, 1, 3] == 1.0) and np.all(w[:, 3, 2] == 1.0)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
@@ -282,13 +318,17 @@ def test_chunked_product_matches_one_product(rows):
 
 
 def test_diamond_reuse_accumulates():
-    # f(x) = sum(w * x x^T) uses x twice on separate paths; df/dx = (w + w^T) x
-    v = ad.Var(np.array([[1.0, -2.0]]))
-    ad.backward(linear(ad.matmul(v, ad.transpose(v)), np.array([[3.0]])))
-    np.testing.assert_array_equal(v.grad, [[6.0, -12.0]])
+    # fusion(x, x) uses x on two paths.  Its two importances are equal, so
+    # each beta is 1/2 and the betas' gradient cancels; df/dx = w comes half
+    # from each path
+    inter, _, w2, b, s = fusion_inputs((0.3, -0.2))
+    v, w = ad.Var(inter), rng.standard_normal((5, 4))
+    ad.backward(linear(ad.fusion(v, v, w2, b, s)[0], w))
+    np.testing.assert_array_equal(v.grad, w)
 
 
 def test_backward_requires_scalar_root():
-    v = ad.Var(np.ones(3))
-    with pytest.raises(ValueError):
-        ad.backward(ad.elu(v, 1.0))
+    inter, _, w2, b, s = fusion_inputs((0.3, -0.2))
+    v = ad.Var(inter)
+    with pytest.raises(ValueError, match="scalar"):
+        ad.backward(ad.fusion(v, v, w2, b, s)[0])

@@ -82,12 +82,12 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     b_a = 1.0 - b_e
     fused = b_e * e + b_a * a
 
-    fw = forward_fused(net, wrap_params(params), cfg)
+    fw = forward_fused(net, wrap_params(params))
     np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
     np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
     assert fw.gamma_inter == pytest.approx(g_e, abs=1e-12)
     assert fw.gamma_intra == pytest.approx(g_a, abs=1e-12)
-    table = compute_table(net, params, cfg)
+    table = compute_table(net, params)
     assert table.beta_inter == pytest.approx(b_e, abs=1e-12)
     np.testing.assert_allclose(table.fused, fused, atol=1e-12)
     np.testing.assert_allclose(
@@ -102,8 +102,8 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         net = build_hetnet(toy_cad, seed=seed)
         cfg = RunConfig(heads=heads, head_dim=d, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
-        table = compute_table(net, params, cfg)
-        fw = forward_fused(net, wrap_params(params), cfg)
+        table = compute_table(net, params)
+        fw = forward_fused(net, wrap_params(params))
         e = reference_network_embedding(net, "inter", params, cfg)
         a = reference_network_embedding(net, "intra", params, cfg)
         np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)

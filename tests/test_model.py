@@ -23,9 +23,9 @@ def small_config(**kw):
     return RunConfig(**defaults)
 
 
-def embed_network(net, which, params, config):
+def embed_network(net, which, params):
     """Per-node K*d embeddings of one network, from the dense forward pass."""
-    return network_embedding(net, which, wrap_params(params), config).value
+    return network_embedding(net, which, wrap_params(params)).value
 
 
 class TestConfig:
@@ -209,13 +209,13 @@ class TestEmbedNetwork:
             alphas = neighbor_weights(logits)
             expected[t] = aggregate(alphas, {nb: project(w1, feats[nb]) for nb in neigh},
                                     ELU_ALPHA)
-        np.testing.assert_allclose(embed_network(net, "inter", params, cfg), expected,
+        np.testing.assert_allclose(embed_network(net, "inter", params), expected,
                                    atol=1e-12)
 
     def test_single_head_width(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = RunConfig(heads=1, head_dim=5, fusion_dim=2, seed=1)
-        out = embed_network(net, "intra", init_params(10, cfg), cfg)
+        out = embed_network(net, "intra", init_params(10, cfg))
         assert out.shape == (10, 5)
 
     def test_identical_heads_duplicate_output(self, toy_cad):
@@ -224,15 +224,15 @@ class TestEmbedNetwork:
         params = init_params(10, cfg)
         params["w1.inter"][1] = params["w1.inter"][0].copy()
         params["attn.inter"][1] = params["attn.inter"][0].copy()
-        out = embed_network(net, "inter", params, cfg)
+        out = embed_network(net, "inter", params)
         np.testing.assert_allclose(out[:, :3], out[:, 3:], atol=1e-12)
 
     def test_deterministic(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config()
         params = init_params(10, cfg)
-        a = embed_network(net, "inter", params, cfg)
-        b = embed_network(net, "inter", params, cfg)
+        a = embed_network(net, "inter", params)
+        b = embed_network(net, "inter", params)
         assert np.array_equal(a, b)
 
     def test_attention_weights_asymmetric_between_node_pair(self):
@@ -264,7 +264,7 @@ class TestEmbedNetwork:
                                          net.inter.raw[keep], net.inter.weight[keep]))
         cfg = small_config()
         with pytest.raises(ModelError, match="isolated"):
-            embed_network(net, "inter", init_params(3, cfg), cfg)
+            embed_network(net, "inter", init_params(3, cfg))
 
 
 def assert_rel_close(actual, expected, rel=1e-12):
@@ -287,8 +287,8 @@ class TestDenseMatchesEdgeList:
         net = build_hetnet(cad, seed=seed)
         cfg = RunConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
-        table = compute_table(net, params, cfg)
-        fw = forward_fused(net, wrap_params(params), cfg)
+        table = compute_table(net, params)
+        fw = forward_fused(net, wrap_params(params))
         assert_rel_close(fw.inter.value, oracles.network_embedding(net, "inter", params, cfg))
         assert_rel_close(fw.intra.value, oracles.network_embedding(net, "intra", params, cfg))
         assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
@@ -391,8 +391,8 @@ class TestComputeTable:
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config()
         params = init_params(10, cfg)
-        table = compute_table(net, params, cfg)
-        fw = forward_fused(net, wrap_params(params), cfg)
+        table = compute_table(net, params)
+        fw = forward_fused(net, wrap_params(params))
         assert isinstance(table, EmbeddingTable)
         kd = cfg.cav_dim
         assert fw.inter.value.shape == fw.intra.value.shape == table.fused.shape == (10, kd)
@@ -404,8 +404,8 @@ class TestComputeTable:
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(seed=2)
         params = init_params(10, cfg)
-        table = compute_table(net, params, cfg)
-        fw = forward_fused(net, wrap_params(params), cfg)
+        table = compute_table(net, params)
+        fw = forward_fused(net, wrap_params(params))
         expected = table.beta_inter * fw.inter.value + table.beta_intra * fw.intra.value
         np.testing.assert_allclose(table.fused, expected, atol=1e-12)
 
@@ -413,8 +413,8 @@ class TestComputeTable:
         net = build_hetnet(toy_cad, seed=0)
         cfg = small_config(seed=3)
         params = init_params(10, cfg)
-        table = compute_table(net, params, cfg)
-        fw = forward_fused(net, wrap_params(params), cfg)
+        table = compute_table(net, params)
+        fw = forward_fused(net, wrap_params(params))
         gammas = fw.gamma_inter, fw.gamma_intra
         assert gammas[0] == pytest.approx(
             importance_score(fw.inter.value, params["s"], params["w2"], params["b"]), abs=1e-12)

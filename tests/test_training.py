@@ -266,6 +266,18 @@ class TestGradients:
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
+    def test_tape_is_one_op_per_block(self, toy_cad):
+        # 7 parameters, one gat per network, the fusion and the loss
+        loss, _, pvars = forward_loss(build_hetnet(toy_cad, seed=0), init_params(10, small_model()),
+                                      small_model())
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            seen[id(node)] = node
+            stack.extend(p for p in node.parents if id(p) not in seen)
+        assert len(seen) == 11
+        assert {id(v) for v in pvars.values()} <= seen.keys()
+
 
 def moments(params):
     """Zero Adam first and second moments for ``params``."""
