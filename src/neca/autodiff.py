@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Var`` wraps an ndarray and remembers how to push an incoming gradient
-back to its parents.  Graphs are built per forward pass (one op per model
-block: a GAT layer per network, the fusion and the loss, eleven nodes with
-the parameters), so there is no parameter registry and no in-place reuse:
-``backward(root)`` walks the graph once and leaves the gradient of every
-reachable ``Var`` in ``.grad``.
+A ``Var`` wraps an ndarray; an op's ``Var`` also holds its parents and a
+backward closure that maps the gradient of its value to its parents'
+gradients, returned in ``parents`` order.  Graphs are built per forward pass
+(one op per model block: a GAT layer per network, the fusion and the loss,
+eleven nodes with the parameters), so there is no parameter registry and no
+in-place reuse.  The graph is a tree: each op feeds one other op.
+``backward(root)`` walks it from the root, runs each op's backward once and
+drops it right after, which frees the state it saved, and adds the
+gradients that reach a leaf into its ``.grad``.
 
 All ops operate on float64 arrays and are deterministic for a given shape.
 Every matrix product goes through ``_product``, which hands BLAS products
@@ -41,14 +44,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
-
-
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
-def _acc(node: Var, g: np.ndarray) -> None:
-    node.grad = g if node.grad is None else node.grad + g
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,7 +133,7 @@ def pair_softmax(scores: np.ndarray, nbhd: Neighborhoods,
     return dense.reshape(k, n, n), w, pos
 
 
-def gat(w1, attn, nbhd: Neighborhoods, slope: float, alpha: float) -> Var:
+def gat(w1: Var, attn: Var, nbhd: Neighborhoods, slope: float, alpha: float) -> Var:
     """GAT's multi-head attention layer over one network; returns (n, K*d).
 
     Head k projects the n one-hot nodes to ``w1[k]``'s (d, n) columns and
@@ -148,7 +143,6 @@ def gat(w1, attn, nbhd: Neighborhoods, slope: float, alpha: float) -> Var:
     sum of projections, head k in columns k*d to (k+1)*d.  The segment-max
     shift of the softmax is a constant, so the gradient is exact.
     """
-    w1, attn = as_var(w1), as_var(attn)
     k, d, n = w1.value.shape
     a = attn.value.reshape(k, 2, d)
     # row 0 of each head scores every node as a target, row 1 as a neighbor
@@ -181,13 +175,14 @@ def gat(w1, attn, nbhd: Neighborhoods, slope: float, alpha: float) -> Var:
         g_scores[:, 0] = np.add.reduceat(gz, nbhd.starts, axis=1)
         g_scores[:, 1, nbhd.sources] = np.add.reduceat(_gather(gz, nbhd.by_src, buf),
                                                        nbhd.src_starts, axis=1)
-        _acc(attn, _product(g_scores, w1t).reshape(k, 2 * d))
-        _acc(w1, g_w1 + _product(np.swapaxes(a, -1, -2), g_scores))
+        return (g_w1 + _product(np.swapaxes(a, -1, -2), g_scores),
+                _product(g_scores, w1t).reshape(k, 2 * d))
 
     return Var(np.swapaxes(out, 0, 1).reshape(n, k * d), (w1, attn), back)
 
 
-def fusion(inter, intra, w2, b, s) -> tuple[Var, tuple[float, float], tuple[float, float]]:
+def fusion(inter: Var, intra: Var, w2: Var, b: Var,
+           s: Var) -> tuple[Var, tuple[float, float], tuple[float, float]]:
     """HAN's semantic-level attention over two (n, D) embeddings of the same rows.
 
     Each embedding's importance gamma is the row mean of
@@ -196,8 +191,7 @@ def fusion(inter, intra, w2, b, s) -> tuple[Var, tuple[float, float], tuple[floa
     beta_intra * intra``, (gamma_inter, gamma_intra) and (beta_inter,
     beta_intra); the output's gradient reaches all five inputs.
     """
-    mats = as_var(inter), as_var(intra)
-    w2, b, s = as_var(w2), as_var(b), as_var(s)
+    mats = inter, intra
     n = mats[0].value.shape[0]
     tanhs = [np.tanh(_product(x.value, w2.value.T) + b.value) for x in mats]
     gammas = [_product(t, s.value[:, None])[:, 0].sum() * (1.0 / n) for t in tanhs]
@@ -211,23 +205,21 @@ def fusion(inter, intra, w2, b, s) -> tuple[Var, tuple[float, float], tuple[floa
         g_betas = [(g * x.value).sum(axis=0).sum(axis=0) for x in mats]
         d_inter, d_intra = (-gb * e / (denom * denom) for gb, e in zip(g_betas, exps))
         g_denom = d_inter + d_intra
-        terms = []
+        g_mats, terms = [], []
         for x, t, e, beta, gb in zip(mats, tanhs, exps, betas, g_betas):
             # the gradient of each row's score is gamma's over n
             g_rows = np.full(n, (gb / denom + g_denom) * e * (1.0 / n))[:, None]
             pre = g_rows * s.value * (1.0 - t * t)   # before the tanh
-            _acc(x, g * beta + _product(pre, w2.value))
+            g_mats.append(g * beta + _product(pre, w2.value))
             terms.append((_product(x.value.T, pre), pre.sum(axis=0), _product(t.T, g_rows)[:, 0]))
         g_w2, g_b, g_s = (u + v for u, v in zip(*terms))
-        _acc(w2, g_w2.T)
-        _acc(b, g_b)
-        _acc(s, g_s)
+        return (*g_mats, g_w2.T, g_b, g_s)
 
     fused = Var(mats[0].value * betas[0] + mats[1].value * betas[1], (*mats, w2, b, s), back)
     return fused, (float(gammas[0]), float(gammas[1])), (float(betas[0]), float(betas[1]))
 
 
-def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float) -> Var:
+def kernel_bce(fused: Var, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float) -> Var:
     """Mean binary cross-entropy of Gaussian-kernel similarities against ``p``.
 
     ``pairs`` holds the flat index ``u * n + v`` of each pair of rows of the
@@ -236,12 +228,11 @@ def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float
     the value is -mean(p log k + (1 - p) log(1 - k)) over the pairs.  No
     gradient passes through a clamped kernel.
     """
-    a = as_var(fused)
-    n = a.value.shape[0]
+    n = fused.value.shape[0]
     # squared distances |f_u|^2 + |f_v|^2 - 2 f_u.f_v, centered first so the
     # cancellation error scales with the spread of the rows, not with their
     # offset from the origin
-    f = a.value - a.value.mean(axis=0)
+    f = fused.value - fused.value.mean(axis=0)
     norms = (f * f).sum(axis=1)
     tgt, src = np.divmod(pairs, n)
     sq = norms[tgt] + norms[src] - 2.0 * _product(f, f.T).take(pairs)
@@ -259,31 +250,31 @@ def kernel_bce(fused, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float
         half = half.reshape(n, n)
         w = half + half.T
         grad = 2.0 * (w.sum(axis=1)[:, None] * f - _product(w, f))
-        _acc(a, grad - grad.mean(axis=0))   # the centring's backward
+        return (grad - grad.mean(axis=0),)   # the centring's backward
 
-    return Var(loss, (a,), back)
+    return Var(loss, (fused,), back)
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(node) into ``.grad`` of every reachable node."""
+    """Add d(root)/d(leaf) into ``.grad`` of every leaf of the tree under ``root``.
+
+    Each op's backward runs once, and is dropped right after, with the state
+    it saved: a GAT layer's (K, |V|, |V|) attention weights go before the
+    next layer's backward starts.  Parents are visited in order, inter
+    before intra.  A leaf reached twice, as in ``fusion(x, x)``, sums its
+    gradients; an op reached again, or a second ``backward`` of one root,
+    raises ``ValueError``.
+    """
     if root.value.ndim != 0:
         raise ValueError("backward expects a scalar root")
-    order = []
-    seen = set()
-    stack = [(root, False)]
+    stack = [(root, np.ones_like(root.value))]
     while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        node, g = stack.pop()
+        if not node.parents:
+            node.grad = g if node.grad is None else node.grad + g
+        elif node._backward is None:
+            raise ValueError(f"the backward of {node!r} has already run")
+        else:
+            grads = node._backward(g)
+            node._backward = None
+            stack.extend(reversed(tuple(zip(node.parents, grads, strict=True))))

@@ -145,8 +145,10 @@ class LabeledEmbedding:
 def calinski_harabasz(emb: LabeledEmbedding) -> float:
     """Between-class over within-class scatter ratio; larger is better.
 
-    Returns +inf when the within-class scatter is exactly zero (degenerate
-    perfect separation).
+    Returns +inf when the within-class scatter is exactly zero and the
+    between-class scatter is not (degenerate perfect separation).  When both
+    are zero every point coincides and the ratio is 0/0, an
+    ``EvaluationError``: +inf would rank such an embedding above every other.
     """
     if emb.t < 2 or emb.n <= emb.t:
         raise EvaluationError("CH undefined: requires 2 <= T < n")
@@ -161,6 +163,8 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
     between /= emb.t - 1
     within /= emb.n - emb.t
     if within == 0.0:
+        if between == 0.0:
+            raise EvaluationError("CH undefined: every point coincides")
         return float("inf")
     return between / within
 
@@ -287,10 +291,14 @@ INDICES = {"ch": calinski_harabasz, "s": silhouette}
 
 
 def check_indices(indices: Iterable[str]) -> None:
-    """Raise unless every name is a key of INDICES."""
+    """Raise unless every name is a key of INDICES, named once."""
+    indices = list(indices)
     unknown = [index for index in indices if index not in INDICES]
     if unknown:
         raise EvaluationError(f"unknown index {unknown[0]!r} (choose from {', '.join(INDICES)})")
+    repeated = [index for i, index in enumerate(indices) if index in indices[:i]]
+    if repeated:
+        raise EvaluationError(f"index {repeated[0]!r} is named twice")
 
 
 @dataclass

@@ -13,7 +13,11 @@ op per network, which computes every head at once: it scores each node as a
 target and as a neighbor, takes the softmax over the network's directed
 pairs on the pairs alone, and aggregates with the (K, |V|, |V|) weights,
 zero off the pairs, in one batched matrix product.  One
-``autodiff.fusion`` op blends the two networks' embeddings.  The
+``autodiff.fusion`` op blends the two networks' embeddings;
+``forward_fused`` returns its fused ``Var``, which roots the tree of ops
+below the loss, and the two fusion weights.  Each op's backward returns its
+inputs' gradients, and the backward pass frees an op's saved state, the
+attention weights included, as soon as that backward has run.  The
 trainable tensors are one dict from name to array, the form the tape, Adam
 and the gradients all use.
 """
@@ -139,24 +143,11 @@ def network_embedding(net: HetNet, which: str, pvars: dict[str, Var]) -> Var:
     return ad.gat(pvars[f"w1.{which}"], pvars[f"attn.{which}"], nbhd, LEAKY_SLOPE, ELU_ALPHA)
 
 
-@dataclass
-class ForwardVars:
-    """Differentiable forward state up to the fused per-CAV matrix."""
-
-    inter: Var
-    intra: Var
-    gamma_inter: float
-    gamma_intra: float
-    beta_inter: float
-    beta_intra: float
-    fused: Var
-
-
-def forward_fused(net: HetNet, pvars: dict[str, Var]) -> ForwardVars:
-    e = network_embedding(net, "inter", pvars)
-    a = network_embedding(net, "intra", pvars)
-    fused, gammas, betas = ad.fusion(e, a, pvars["w2"], pvars["b"], pvars["s"])
-    return ForwardVars(e, a, *gammas, *betas, fused)
+def forward_fused(net: HetNet, pvars: dict[str, Var]) -> tuple[Var, tuple[float, float]]:
+    """The fused (|V|, K*d) ``Var`` of both networks, and (beta_inter, beta_intra)."""
+    inter, intra = (network_embedding(net, which, pvars) for which in NETWORKS)
+    fused, _, betas = ad.fusion(inter, intra, pvars["w2"], pvars["b"], pvars["s"])
+    return fused, betas
 
 
 @dataclass
@@ -170,10 +161,10 @@ class EmbeddingTable:
 
 
 def compute_table(net: HetNet, params: dict[str, np.ndarray]) -> EmbeddingTable:
-    fw = forward_fused(net, wrap_params(params))
+    fused, (beta_inter, beta_intra) = forward_fused(net, wrap_params(params))
     return EmbeddingTable(
-        fused=fw.fused.value,
-        beta_inter=fw.beta_inter,
-        beta_intra=fw.beta_intra,
-        objects=assemble_objects(net.node_set, fw.fused.value),
+        fused=fused.value,
+        beta_inter=beta_inter,
+        beta_intra=beta_intra,
+        objects=assemble_objects(net.node_set, fused.value),
     )

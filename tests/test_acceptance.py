@@ -27,7 +27,7 @@ from neca.cli import FetchError, bundled_manifest, fetch_dataset
 from neca.dataset import impute_modes, load_csv, make_cad
 from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import LabeledEmbedding, calinski_harabasz, silhouette
-from neca.model import RunConfig, forward_fused, init_params, wrap_params
+from neca.model import NETWORKS, RunConfig, init_params, network_embedding, wrap_params
 from neca.training import forward_loss, gradients, train
 
 from test_evaluation import brute_ch, brute_silhouette
@@ -132,32 +132,39 @@ def _attention_normalized(seed, spread):
 
 
 def _forward_with_gamma_reaching(seed, reach):
-    """``forward_fused`` on a random CAD, ``s`` scaled so the larger |gamma| is ``reach``."""
+    """The inter and intra embeddings and ``autodiff.fusion``'s (fused, gammas,
+    betas) of them on a random CAD, ``s`` scaled so the larger |gamma| is ``reach``."""
     cad = random_cad(seed)
     net = build_hetnet(cad, seed=seed)
     cfg = RunConfig(heads=2, head_dim=3, fusion_dim=4, seed=seed)
     params = init_params(net.node_set.total, cfg)
-    fw = forward_fused(net, wrap_params(params))
-    top = max(abs(fw.gamma_inter), abs(fw.gamma_intra))
+
+    def forward():
+        pvars = wrap_params(params)
+        inter, intra = (network_embedding(net, which, pvars) for which in NETWORKS)
+        return (inter.value, intra.value,
+                *ad.fusion(inter, intra, pvars["w2"], pvars["b"], pvars["s"]))
+
+    top = max(map(abs, forward()[3]))
     if top > 0.0:   # gamma is linear in s
         params["s"] *= reach / top
-    return forward_fused(net, wrap_params(params))
+    return forward()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.0, 150.0))
 def _fusion_weights_normalized(seed, reach):
-    fw = _forward_with_gamma_reaching(seed, reach)
-    top = max(abs(fw.gamma_inter), abs(fw.gamma_intra))
+    *_, gammas, betas = _forward_with_gamma_reaching(seed, reach)
+    top = max(map(abs, gammas))
     assert top == pytest.approx(reach, rel=1e-9) or top == 0.0
-    assert abs(fw.beta_inter + fw.beta_intra - 1.0) <= 1e-9
+    assert abs(betas[0] + betas[1] - 1.0) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.0, 150.0))
 def _fused_betweenness(seed, reach):
-    fw = _forward_with_gamma_reaching(seed, reach)
-    e, a, f = fw.inter.value, fw.intra.value, fw.fused.value
+    e, a, fused, _, _ = _forward_with_gamma_reaching(seed, reach)
+    f = fused.value
     assert np.all(f >= np.minimum(e, a) - 1e-12)
     assert np.all(f <= np.maximum(e, a) + 1e-12)
 

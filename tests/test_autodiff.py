@@ -36,7 +36,7 @@ def check(build, x0, tol=1e-6):
 def linear(x, w):
     """sum(w * x) as a tape op, whose gradient is ``w``: reduces an op's output to
     the scalar ``check`` differentiates."""
-    return ad.Var((x.value * w).sum(), (x,), lambda g: ad._acc(x, g * w))
+    return ad.Var((x.value * w).sum(), (x,), lambda g: (g * w,))
 
 
 rng = np.random.default_rng(0)
@@ -69,7 +69,7 @@ def attention(attn, nbhd, slope=0.2):
     weights exactly, and its ``attn`` gradient is the scores' gradient.
     """
     k, n = attn.shape[0], attn.shape[1] // 2
-    return ad.gat(np.tile(np.eye(n), (k, 1, 1)), attn, nbhd, slope, 1.0)
+    return ad.gat(ad.Var(np.tile(np.eye(n), (k, 1, 1))), attn, nbhd, slope, 1.0)
 
 
 def check_attention(scores, nbhd, weights):
@@ -78,7 +78,7 @@ def check_attention(scores, nbhd, weights):
     check(lambda v: linear(attention(v, nbhd), columns(weights)), scores.reshape(k, 2 * n))
 
 
-ATTN = rng.standard_normal((2, 6))                  # 2 heads of width 3
+ATTN = ad.Var(rng.standard_normal((2, 6)))          # 2 heads of width 3
 W_COLS = rng.standard_normal((4, 6))                # weights of gat's (4, 2 * 3) output
 W_ATTENTION = rng.standard_normal((3, 6))           # weights of 2 heads' (3, 3) attention
 FULL = pairs(np.ones((3, 3), bool))
@@ -123,9 +123,10 @@ def test_gat_gradient(which, alpha):
     weights = r.standard_normal((40, 6))
 
     def build(v):
-        return linear(ad.gat(**{**inputs, which: v}, nbhd=nbhd, slope=0.2, alpha=alpha), weights)
+        args = {name: ad.Var(x) for name, x in inputs.items()}
+        return linear(ad.gat(**{**args, which: v}, nbhd=nbhd, slope=0.2, alpha=alpha), weights)
 
-    out = ad.gat(inputs["w1"], inputs["attn"], nbhd, 0.2, alpha).value
+    out = ad.gat(ad.Var(inputs["w1"]), ad.Var(inputs["attn"]), nbhd, 0.2, alpha).value
     assert (out < 0).any() and (out > 0).any()
     check(build, inputs[which].copy())
 
@@ -141,7 +142,7 @@ def test_target_scores_get_no_gradient_while_logits_keep_sign(seed, sign):
     mask = r.random((n, n)) < r.random()
     mask[np.arange(n), r.integers(n, size=n)] = True
     # nonnegative projections and attn of one sign give scores of that sign
-    w1 = r.uniform(0.0, 1.0, size=(heads, dim, n))
+    w1 = ad.Var(r.uniform(0.0, 1.0, size=(heads, dim, n)))
     attn = ad.Var(sign * r.uniform(0.1, 2.0, size=(heads, 2 * dim)))
     ad.backward(linear(ad.gat(w1, attn, pairs(mask), 0.2, 1.0), r.standard_normal((n, heads * dim))))
     np.testing.assert_allclose(attn.grad[:, :dim], 0.0, atol=1e-12)
@@ -151,18 +152,18 @@ def test_heads_to_columns():
     # head k of gat is the one-head gat of w1[k] and attn[k], in columns
     # k*d to (k+1)*d
     w1, attn = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 4))
-    out = ad.gat(w1, attn, NBHD, 0.2, 1.0).value
+    out = ad.gat(ad.Var(w1), ad.Var(attn), NBHD, 0.2, 1.0).value
     assert out.shape == (4, 6)
     for k in range(3):
-        np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2],
-                                      ad.gat(w1[k:k + 1], attn[k:k + 1], NBHD, 0.2, 1.0).value)
+        head = ad.gat(ad.Var(w1[k:k + 1]), ad.Var(attn[k:k + 1]), NBHD, 0.2, 1.0)
+        np.testing.assert_array_equal(out[:, 2 * k:2 * k + 2], head.value)
     # with identity projections, the columns are the weights pair_softmax gives
     scores = rng.standard_normal((2, 2, 4))
     w = ad.pair_softmax(scores, NBHD, 0.2)[0]
-    assert np.array_equal(attention(scores.reshape(2, 8), NBHD).value, columns(w))
+    assert np.array_equal(attention(ad.Var(scores.reshape(2, 8)), NBHD).value, columns(w))
 
 
-def fusion_inputs(gammas):
+def fusion_arrays(gammas):
     """(inter, intra, w2, b, s) with ``s`` solved so the two importances are ``gammas``."""
     r = np.random.default_rng(7)
     inter, intra = r.standard_normal((2, 5, 4))
@@ -171,30 +172,37 @@ def fusion_inputs(gammas):
     return [inter, intra, w2, b, np.linalg.lstsq(means, np.array(gammas), rcond=None)[0]]
 
 
+def fusion_inputs(gammas):
+    """``fusion_arrays`` with w2, b and s as leaves."""
+    inter, intra, *params = fusion_arrays(gammas)
+    return [inter, intra, *map(ad.Var, params)]
+
+
 # gammas near 100 as well as near 0: the max shift is part of the forward
 # pass, and the gradient must not depend on it
 @pytest.mark.parametrize("gammas", [(0.3, -0.2), (100.0, 101.0)])
 @pytest.mark.parametrize("which", ["inter", "intra", "w2", "b", "s"])
 def test_fusion_gradient(which, gammas):
-    inputs = fusion_inputs(gammas)
+    inputs = fusion_arrays(gammas)
     k = ["inter", "intra", "w2", "b", "s"].index(which)
     weights = rng.standard_normal((5, 4))
 
     def build(v):
-        return linear(ad.fusion(*inputs[:k], v, *inputs[k + 1:])[0], weights)
+        args = [ad.Var(x) for x in inputs]
+        return linear(ad.fusion(*args[:k], v, *args[k + 1:])[0], weights)
 
     check(build, inputs[k].copy())
 
 
 def test_fusion_weights_are_a_softmax_of_the_importances():
     inter, intra, w2, b, s = fusion_inputs((0.3, -0.2))
-    fused, gammas, betas = ad.fusion(inter, intra, w2, b, s)
+    fused, gammas, betas = ad.fusion(ad.Var(inter), ad.Var(intra), w2, b, s)
     np.testing.assert_allclose(gammas, (0.3, -0.2), atol=1e-12)
     assert sum(betas) == pytest.approx(1.0, abs=1e-15)
     assert betas[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.5)), rel=1e-12)
     np.testing.assert_array_equal(fused.value, inter * betas[0] + intra * betas[1])
     # exp(-800) underflows to 0, so only the shift keeps the weights finite
-    _, gammas, far = ad.fusion(*fusion_inputs((-800.0, -800.5)))
+    _, gammas, far = ad.fusion(*map(ad.Var, fusion_arrays((-800.0, -800.5))))
     assert np.exp(gammas).sum() == 0.0
     assert far == pytest.approx(betas, rel=1e-9) and sum(far) == pytest.approx(1.0, abs=1e-15)
 
@@ -332,3 +340,21 @@ def test_backward_requires_scalar_root():
     v = ad.Var(inter)
     with pytest.raises(ValueError, match="scalar"):
         ad.backward(ad.fusion(v, v, w2, b, s)[0])
+
+
+def test_second_backward_and_shared_op_raise():
+    # each op's backward runs once and is dropped: a second backward of one
+    # root would otherwise add the leaves' gradients again
+    inter, _, w2, b, s = fusion_inputs((0.3, -0.2))
+    v, w = ad.Var(inter), rng.standard_normal((5, 4))
+    loss = linear(ad.fusion(v, ad.Var(inter), w2, b, s)[0], w)
+    ad.backward(loss)
+    first = v.grad.copy()
+    with pytest.raises(ValueError, match="already run"):
+        ad.backward(loss)
+    np.testing.assert_array_equal(v.grad, first)
+    # the tape is a tree: an op's output feeds one op
+    y = ad.gat(*map(ad.Var, (rng.standard_normal((2, 2, 4)), rng.standard_normal((2, 4)))),
+               NBHD, 0.2, 1.0)
+    with pytest.raises(ValueError, match="already run"):
+        ad.backward(linear(ad.fusion(y, y, *fusion_inputs((0.3, -0.2))[2:])[0], w[:4]))

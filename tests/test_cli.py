@@ -263,12 +263,17 @@ class TestEval:
     def test_identical_vectors_degenerate(self, labeled_csv, tmp_path, capsys):
         emb = tmp_path / "flat.csv"
         cli.write_embedding(emb, np.zeros((12, 4)))
+        # every point coincides: the silhouette is 0, and CH is 0/0, an error
+        # rather than an +inf that would rank the embedding first
         code = run(["eval", str(labeled_csv), "--label", "group",
                     "--embedding", str(emb), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "[eval] CH undefined: every point coincides" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        code = run(["eval", str(labeled_csv), "--label", "group", "--indices", "s",
+                    "--embedding", str(emb), "--out", str(tmp_path / "r.json")])
         assert code == 0
-        results = json.loads((tmp_path / "r.json").read_text())
-        assert results["s"] == 0.0
-        assert results["ch"] == float("inf")
+        assert json.loads((tmp_path / "r.json").read_text()) == {"s": 0.0}
 
     def test_onehot_scores_finite(self, labeled_csv, tmp_path):
         emb = tmp_path / "oh.csv"
@@ -300,6 +305,14 @@ class TestEval:
         assert "unknown index 'bogus'" in captured.err and "s =" not in captured.out
         assert not out.exists()
 
+    def test_repeated_index_rejected_before_the_embedding_is_read(self, labeled_csv, tmp_path,
+                                                                  capsys):
+        # a repeated name would run the O(n^2) silhouette twice and print it once
+        missing = tmp_path / "missing.csv"
+        assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(missing),
+                    "--indices", "s, s"]) == 1
+        assert capsys.readouterr().err.strip() == "error: [eval] index 's' is named twice"
+
     def test_unknown_index_rejected_before_the_embedding_is_read(self, labeled_csv, tmp_path,
                                                                  capsys):
         missing = tmp_path / "missing.csv"
@@ -317,7 +330,7 @@ class TestEval:
 
     def test_unwritable_out_is_an_output_error(self, labeled_csv, tmp_path, capsys):
         emb = tmp_path / "e.csv"
-        cli.write_embedding(emb, np.zeros((12, 2)))
+        cli.write_embedding(emb, np.arange(24.0).reshape(12, 2))
         out = tmp_path / "nodir" / "r.json"
         assert run(["eval", str(labeled_csv), "--label", "group", "--embedding", str(emb),
                     "--out", str(out)]) == 1
@@ -394,9 +407,13 @@ class TestCompare:
         assert all(r["runs"] == 1 and r["rank"] == 1 for r in payload["summary"])
 
     def test_deterministic_methods_stable_across_invocations(self, labeled_csv, tmp_path):
+        # every value of labeled_csv is in half the rows, so its frequency
+        # encoding would put every row at one point, where CH is undefined
+        skewed = tmp_path / "skewed.csv"
+        skewed.write_text(labeled_csv.read_text() + "red,square,big,A\n")
         blobs = []
         for name in ("c1.json", "c2.json"):
-            run(["compare", str(labeled_csv), "--label", "group",
+            run(["compare", str(skewed), "--label", "group",
                  "--methods", "onehot,frequency", "--runs", "1",
                  "--json", str(tmp_path / name)])
             blobs.append((tmp_path / name).read_bytes())
@@ -733,7 +750,7 @@ class TestExitCodes:
     def test_unwritable_output_names_stage_and_target(self, labeled_csv, tmp_path, capsys,
                                                       argv):
         emb = tmp_path / "e.csv"
-        cli.write_embedding(emb, np.zeros((12, 2)))
+        cli.write_embedding(emb, np.arange(24.0).reshape(12, 2))
         target = tmp_path / "nodir" / "result"
         extra = ["--embedding", str(emb)] if argv[0] == "eval" else []
         assert run([argv[0], str(labeled_csv), "--label", "group", *extra, *argv[1:],

@@ -117,6 +117,16 @@ class TestCalinskiHarabasz:
                                ("A", "A", "B", "B"))
         assert math.isinf(calinski_harabasz(emb))
 
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_coincident_points_are_undefined(self, width):
+        # between and within scatter are both 0: +inf would rank these points
+        # above any real embedding
+        emb = LabeledEmbedding(np.zeros((6, width)), "AAABBB")
+        with pytest.raises(EvaluationError, match="CH undefined: every point coincides"):
+            calinski_harabasz(emb)
+        with pytest.raises(EvaluationError, match="CH undefined"):
+            evaluate_all({"flat": [emb]})
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         vectors, labels = random_instance(rng)
@@ -484,8 +494,9 @@ class TestEvaluateAll:
             assert ranked[0].rank == 1 and ranked[1].rank == 2
 
     def test_inconsistent_labels_rejected(self):
-        a = LabeledEmbedding(np.zeros((4, 2)), ("A", "A", "B", "B"))
-        b = LabeledEmbedding(np.zeros((4, 2)), ("A", "B", "B", "B"))
+        points = np.arange(8.0).reshape(4, 2)
+        a = LabeledEmbedding(points, ("A", "A", "B", "B"))
+        b = LabeledEmbedding(points, ("A", "B", "B", "B"))
         with pytest.raises(EvaluationError, match="labels"):
             evaluate_all({"a": [a], "b": [b]})
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
+from neca import autodiff as ad
 from neca.cavnet import build_hetnet
 from neca.model import (ELU_ALPHA, LEAKY_SLOPE, RunConfig, assemble_objects, compute_table,
-                        forward_fused, init_params, wrap_params)
+                        init_params, network_embedding, wrap_params)
 from neca.training import CLAMP_EPS, neca_loss
 
 
@@ -82,11 +83,14 @@ def test_pipeline_matches_first_principles_recomputation(toy_cad):
     b_a = 1.0 - b_e
     fused = b_e * e + b_a * a
 
-    fw = forward_fused(net, wrap_params(params))
-    np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
-    np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
-    assert fw.gamma_inter == pytest.approx(g_e, abs=1e-12)
-    assert fw.gamma_intra == pytest.approx(g_a, abs=1e-12)
+    pvars = wrap_params(params)
+    inter, intra = (network_embedding(net, which, pvars) for which in ("inter", "intra"))
+    np.testing.assert_allclose(inter.value, e, atol=1e-12)
+    np.testing.assert_allclose(intra.value, a, atol=1e-12)
+    _, (gamma_inter, gamma_intra), _ = ad.fusion(inter, intra, pvars["w2"], pvars["b"],
+                                                 pvars["s"])
+    assert gamma_inter == pytest.approx(g_e, abs=1e-12)
+    assert gamma_intra == pytest.approx(g_a, abs=1e-12)
     table = compute_table(net, params)
     assert table.beta_inter == pytest.approx(b_e, abs=1e-12)
     np.testing.assert_allclose(table.fused, fused, atol=1e-12)
@@ -103,11 +107,11 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         cfg = RunConfig(heads=heads, head_dim=d, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(net, params)
-        fw = forward_fused(net, wrap_params(params))
+        pvars = wrap_params(params)
         e = reference_network_embedding(net, "inter", params, cfg)
         a = reference_network_embedding(net, "intra", params, cfg)
-        np.testing.assert_allclose(fw.inter.value, e, atol=1e-12)
-        np.testing.assert_allclose(fw.intra.value, a, atol=1e-12)
+        np.testing.assert_allclose(network_embedding(net, "inter", pvars).value, e, atol=1e-12)
+        np.testing.assert_allclose(network_embedding(net, "intra", pvars).value, a, atol=1e-12)
         fused = table.beta_inter * e + table.beta_intra * a
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
         assert neca_loss(net, table.fused, cfg) == pytest.approx(

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 
+from neca import autodiff as ad
 from neca.cavnet import EdgeSet, build_hetnet, build_node_set
 from neca.dataset import make_cad
-from neca.model import (ELU_ALPHA, LEAKY_SLOPE, EmbeddingTable, ModelError, RunConfig,
-                        assemble_objects, compute_table, forward_fused, init_params,
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, NETWORKS, EmbeddingTable, ModelError,
+                        RunConfig, assemble_objects, compute_table, init_params,
                         network_embedding, wrap_params)
 from neca.training import neca_loss
 import oracles
@@ -288,9 +289,9 @@ class TestDenseMatchesEdgeList:
         cfg = RunConfig(heads=heads, head_dim=head_dim, fusion_dim=3, seed=seed)
         params = init_params(net.node_set.total, cfg)
         table = compute_table(net, params)
-        fw = forward_fused(net, wrap_params(params))
-        assert_rel_close(fw.inter.value, oracles.network_embedding(net, "inter", params, cfg))
-        assert_rel_close(fw.intra.value, oracles.network_embedding(net, "intra", params, cfg))
+        for which in NETWORKS:
+            assert_rel_close(embed_network(net, which, params),
+                             oracles.network_embedding(net, which, params, cfg))
         assert_rel_close(table.fused, oracles.fused_embedding(net, params, cfg))
         tcfg = replace(cfg, sigma=float(rng.uniform(0.3, 2.0)))
         loss = neca_loss(net, table.fused, tcfg)
@@ -392,10 +393,10 @@ class TestComputeTable:
         cfg = small_config()
         params = init_params(10, cfg)
         table = compute_table(net, params)
-        fw = forward_fused(net, wrap_params(params))
         assert isinstance(table, EmbeddingTable)
         kd = cfg.cav_dim
-        assert fw.inter.value.shape == fw.intra.value.shape == table.fused.shape == (10, kd)
+        assert embed_network(net, "inter", params).shape == \
+            embed_network(net, "intra", params).shape == table.fused.shape == (10, kd)
         assert table.objects.shape == (6, 3 * kd)
         assert table.beta_inter + table.beta_intra == pytest.approx(1.0, abs=1e-12)
         assert 0 < table.beta_inter < 1
@@ -405,8 +406,8 @@ class TestComputeTable:
         cfg = small_config(seed=2)
         params = init_params(10, cfg)
         table = compute_table(net, params)
-        fw = forward_fused(net, wrap_params(params))
-        expected = table.beta_inter * fw.inter.value + table.beta_intra * fw.intra.value
+        expected = table.beta_inter * embed_network(net, "inter", params) \
+            + table.beta_intra * embed_network(net, "intra", params)
         np.testing.assert_allclose(table.fused, expected, atol=1e-12)
 
     def test_importance_scores_match_standalone_op(self, toy_cad):
@@ -414,11 +415,12 @@ class TestComputeTable:
         cfg = small_config(seed=3)
         params = init_params(10, cfg)
         table = compute_table(net, params)
-        fw = forward_fused(net, wrap_params(params))
-        gammas = fw.gamma_inter, fw.gamma_intra
+        pvars = wrap_params(params)
+        inter, intra = (network_embedding(net, which, pvars) for which in NETWORKS)
+        _, gammas, _ = ad.fusion(inter, intra, pvars["w2"], pvars["b"], pvars["s"])
         assert gammas[0] == pytest.approx(
-            importance_score(fw.inter.value, params["s"], params["w2"], params["b"]), abs=1e-12)
+            importance_score(inter.value, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert gammas[1] == pytest.approx(
-            importance_score(fw.intra.value, params["s"], params["w2"], params["b"]), abs=1e-12)
+            importance_score(intra.value, params["s"], params["w2"], params["b"]), abs=1e-12)
         assert (table.beta_inter, table.beta_intra) == \
             pytest.approx(fusion_weights(*gammas), abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -277,6 +278,28 @@ class TestGradients:
             stack.extend(p for p in node.parents if id(p) not in seen)
         assert len(seen) == 11
         assert {id(v) for v in pvars.values()} <= seen.keys()
+
+    def test_each_backward_frees_its_state_before_the_next_runs(self, toy_cad):
+        # inter's gat backward, and with it its (K, |V|, |V|) attention
+        # weights, is gone by the time intra's starts
+        loss, _, _ = forward_loss(build_hetnet(toy_cad, seed=0), init_params(10, small_model()),
+                                  small_model())
+        fused = loss.parents[0]
+        inter, intra = fused.parents[:2]
+        inter_backward = weakref.ref(inter._backward)
+        intra_backward = intra._backward
+        seen = []
+
+        def spy(g):
+            seen.append((inter._backward, inter_backward()))
+            return intra_backward(g)
+
+        intra._backward = spy
+        ad.backward(loss)
+        assert seen == [(None, None)]
+        assert all(node._backward is None for node in (loss, fused, inter, intra))
+        with pytest.raises(ValueError, match="already run"):
+            ad.backward(loss)
 
 
 def moments(params):
