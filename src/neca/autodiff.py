@@ -82,13 +82,13 @@ class Neighborhoods(NamedTuple):
 def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
     """The ``Neighborhoods`` of directed pairs given in any order.
 
-    Every node must be the target of a pair, and no pair may repeat.
+    No pair may repeat.  Every node must be the target of a pair, as the
+    softmax over a node's pairs is undefined without one; the caller checks
+    this in ``counts``, where it can name the node.
     """
     order = np.lexsort((src, tgt))
     tgt, src = tgt[order], src[order]
     counts = np.bincount(tgt, minlength=num)
-    if not counts.all():
-        raise ValueError(f"node {int(np.argmin(counts))} is the target of no pair")
     flat = tgt * num + src
     if (np.diff(flat) == 0).any():
         raise ValueError("a directed pair repeats")

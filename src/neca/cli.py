@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -566,14 +567,19 @@ def cmd_compare(args) -> int:
     rows = _stage("eval", evaluate_all, {m: embeddings(m) for m in seeds}, tuple(INDICES))
     print(f"{'index':<6}{'method':<12}{'best':>12}{'median':>12}{'runs':>6}  rank")
     for row in rows:
-        print(f"{row.index:<6}{row.method:<12}{row.best:>12.4g}"
-              f"{row.median:>12.4g}{row.runs:>6}  {row.rank}")
+        best, median = (("undefined",) * 2 if row.reason
+                        else (f"{row.best:.4g}", f"{row.median:.4g}"))
+        print(f"{row.index:<6}{row.method:<12}{best:>12}{median:>12}{row.runs:>6}  {row.rank}"
+              + (f"  ({row.reason})" if row.reason else ""))
     if args.json:
+        # an undefined score is null, as JSON has no NaN
+        number = lambda value: None if math.isnan(value) else value
         summary = [{"method": row.method, "dataset": manifest.name, "index": row.index,
-                    "best": row.best, "median": row.median, "runs": row.runs, "rank": row.rank}
+                    "best": number(row.best), "median": number(row.median),
+                    "runs": row.runs, "rank": row.rank, "reason": row.reason}
                    for row in rows]
         records = [{"method": m, "seed": seed,
-                    **{row.index: row.values[i] for row in rows if row.method == m},
+                    **{row.index: number(row.values[i]) for row in rows if row.method == m},
                     "dataset": manifest.name}
                    for m in seeds for i, seed in enumerate(seeds[m])]
         _stage("output", _write_text, args.json,

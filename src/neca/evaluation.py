@@ -23,6 +23,7 @@ O(n * d + workers * (block^2 + n * T)) beside the (n, T) class sums.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import InitVar, dataclass
@@ -303,15 +304,20 @@ def check_indices(indices: Iterable[str]) -> None:
 
 @dataclass
 class ComparisonRow:
-    """One method's scores on one index, over all of the method's runs."""
+    """One method's scores on one index, over all of the method's runs.
+
+    The row is undefined when the index raised ``EvaluationError`` on any of
+    the runs: ``reason`` keeps the first message, and best and median are NaN.
+    """
 
     index: str            # a key of INDICES
     method: str
-    values: list[float]   # one per run, in run order
+    values: list[float]   # one per run, in run order; NaN where the index raised
     best: float
     median: float
     runs: int
-    rank: int = 0         # 1..k within the index by best; ties keep method order
+    rank: int = 0         # 1..k within the index by best, undefined last; ties keep method order
+    reason: str | None = None
 
 
 def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
@@ -321,7 +327,10 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
     Each embedding is scored on each index once, and each method's runs are
     taken one at a time, so a generator of runs holds one embedding at a time,
     and of it only the compacted points (see ``LabeledEmbedding``).
-    Rows come method by method, each method's in ``indices`` order.
+    Rows come method by method, each method's in ``indices`` order.  An index
+    that raises on a run leaves that method's row undefined (see
+    ``ComparisonRow``), ranked after every defined row; an index that no
+    method can score raises the first row's reason.
     """
     if not runs:
         raise EvaluationError("no embeddings to evaluate")
@@ -329,20 +338,34 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
     labels = None
     rows: list[ComparisonRow] = []
     for method, embeddings in runs.items():
-        scores = []
+        scores, reasons = [], {}
+
+        def score(index, emb):
+            try:
+                return INDICES[index](emb)
+            except EvaluationError as exc:
+                reasons.setdefault(index, str(exc))
+                return math.nan
+
         for emb in embeddings:
             if labels is None:
                 labels = emb.labels
             elif emb.labels != labels:
                 raise EvaluationError("all embeddings must share the same labels")
-            scores.append([INDICES[index](emb) for index in indices])
+            scores.append([score(index, emb) for index in indices])
         if not scores:
             raise EvaluationError(f"no embeddings to evaluate for {method!r}")
         for index, values in zip(indices, map(list, zip(*scores))):
-            rows.append(ComparisonRow(index, method, values, max(values),
-                                      float(np.median(values)), len(values)))
+            reason = reasons.get(index)
+            best, median = ((math.nan, math.nan) if reason
+                            else (max(values), float(np.median(values))))
+            rows.append(ComparisonRow(index, method, values, best, median, len(values),
+                                      reason=reason))
     for index in indices:
-        ranked = sorted((row for row in rows if row.index == index), key=lambda row: -row.best)
+        same = [row for row in rows if row.index == index]
+        if all(row.reason for row in same):
+            raise EvaluationError(same[0].reason)
+        ranked = sorted(same, key=lambda row: math.inf if row.reason else -row.best)
         for rank, row in enumerate(ranked, 1):
             row.rank = rank
     return rows

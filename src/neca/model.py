@@ -129,12 +129,11 @@ def _neighborhoods(net: HetNet, which: str) -> ad.Neighborhoods:
     An isolated node has no neighborhood to attend over and is an error.
     """
     tgt, src, _ = net.directed_pairs(which)
-    num = net.node_set.total
-    sizes = np.bincount(tgt, minlength=num)
-    if not sizes.all():
-        isolated = net.node_set.qualified(int(np.argmin(sizes)))
+    nbhd = ad.neighborhoods(tgt, src, net.node_set.total)
+    if not nbhd.counts.all():
+        isolated = net.node_set.qualified(int(np.argmin(nbhd.counts)))
         raise ModelError(f"isolated node {isolated} in {which} network")
-    return ad.neighborhoods(tgt, src, num)
+    return nbhd
 
 
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var]) -> Var:

@@ -91,10 +91,9 @@ def gradients(net: HetNet, params: dict[str, np.ndarray], config: RunConfig):
     parameter tensor.  The backward pass walks the tape's tree from the loss
     and frees each op's saved state once its backward has run, so the
     cross-attribute layer's (K, |V|, |V|) attention weights are gone before
-    the within-attribute layer's backward starts: on a DE-shaped table with
-    |V| = 872 the tracemalloc peak of one call went from 258.4 to 202.4 MiB.
-    Nothing of the tape outlives the call.  A non-finite loss or gradient
-    raises ``TrainingError`` naming it.
+    the within-attribute layer's backward starts, and the two never share
+    the peak.  Nothing of the tape outlives the call.  A non-finite loss or
+    gradient raises ``TrainingError`` naming it.
     """
     loss, betas, pvars = forward_loss(net, params, config)
     if not np.isfinite(loss.value):

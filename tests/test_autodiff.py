@@ -303,8 +303,10 @@ def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
 
 
 def test_neighborhoods_reject_a_target_without_pairs_and_repeated_pairs():
-    with pytest.raises(ValueError, match="node 2"):
-        ad.neighborhoods(np.array([0, 1, 3]), np.array([1, 0, 0]), 4)
+    # a target without pairs is counted, and the model rejects it by name
+    # (test_model.py::TestEmbedNetwork::test_isolated_node_rejected)
+    nbhd = ad.neighborhoods(np.array([0, 1, 3]), np.array([1, 0, 0]), 4)
+    assert nbhd.counts.tolist() == [1, 1, 0, 1]
     with pytest.raises(ValueError, match="repeats"):
         ad.neighborhoods(np.array([0, 1, 0]), np.array([1, 0, 1]), 2)
 

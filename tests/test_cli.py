@@ -157,6 +157,18 @@ class TestConfig:
                     "--config", str(cfgfile)]) == 1
         assert "unknown key 'learning_rate'" in capsys.readouterr().err
 
+    def test_config_file_sets_every_hyperparameter(self, toy_csv, tmp_path):
+        values = dict(heads=2, head_dim=3, fusion_dim=4, seed=5, lr=0.01, epochs=2, tol=0.0,
+                      sigma=1.5, beta_connect=0.02)
+        assert tuple(values) == HYPERPARAMETERS
+        assert all(value != getattr(cli.RunConfig(), key) for key, value in values.items())
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        out = tmp_path / "emb.csv"
+        assert run(["embed", str(toy_csv), "--drop", "Name", "--config", str(cfgfile),
+                    "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "emb.meta.json").read_text())["config"] == values
+
     def test_removed_fork_is_not_a_flag(self, toy_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["embed", str(toy_csv), "--drop", "Name", "--out", str(tmp_path / "e.csv"),
@@ -418,6 +430,25 @@ class TestCompare:
                  "--json", str(tmp_path / name)])
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_method_with_an_undefined_index_ranks_last(self, tmp_path, capsys):
+        # every value is in half the rows, so the frequency encoding is one
+        # point, where CH is undefined; the other methods are still ranked
+        six = tmp_path / "six.csv"
+        six.write_text("color,shape,group\nred,square,A\nred,round,A\nred,square,A\n"
+                       "blue,round,B\nblue,square,B\nblue,round,B\n")
+        out = tmp_path / "c.json"
+        assert run(["compare", str(six), "--label", "group", "--runs", "2", "--epochs", "2",
+                    "--heads", "2", "--head-dim", "2", "--json", str(out)]) == 0
+        reason = "CH undefined: every point coincides"
+        assert re.search(rf"^ch +frequency +undefined +undefined +1  3  \({reason}\)$",
+                         capsys.readouterr().out, re.M)
+        payload = json.loads(out.read_text())
+        ch = {r["method"]: r for r in payload["summary"] if r["index"] == "ch"}
+        assert [ch[m]["rank"] for m in ("neca", "onehot", "frequency")] == [1, 2, 3]
+        assert ch["frequency"]["best"] is None and ch["frequency"]["median"] is None
+        assert [r["reason"] for r in payload["summary"]] == [None] * 4 + [reason, None]
+        assert [r["ch"] for r in payload["runs"]][2:] == [ch["onehot"]["best"], None]
 
     def test_stochastic_method_runs_recorded(self, labeled_csv, tmp_path):
         run(["compare", str(labeled_csv), "--label", "group", "--methods", "neca",

@@ -12,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+import neca
 from neca import evaluation
 from neca.encoders import encode_frequency, encode_onehot
 from neca.evaluation import (_SILHOUETTE_BLOCK, INDICES, ComparisonRow, EvaluationError,
                              LabeledEmbedding, _class_distance_sums, _tile_workers,
                              calinski_harabasz, evaluate_all, factor_columns, silhouette,
                              silhouette_samples)
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def force_workers(monkeypatch, workers):
@@ -478,6 +477,33 @@ class TestEvaluateAll:
         assert events == ["run 0", "ch", "s", "run 1", "ch", "s"]
         assert [r.runs for r in rows] == [2, 2]
 
+    def test_undefined_row_ranks_last_and_keeps_its_reason(self):
+        rng = np.random.default_rng(9)
+        vectors, labels = random_instance(rng)
+        flat = np.zeros_like(vectors)   # every point coincides: CH is undefined
+        rows = evaluate_all({
+            "flat": [LabeledEmbedding(flat, labels)],
+            "mixed": [LabeledEmbedding(vectors, labels), LabeledEmbedding(flat, labels)],
+            "real": [LabeledEmbedding(vectors, labels)],
+        })
+        ch = {r.method: r for r in rows if r.index == "ch"}
+        assert [ch[m].rank for m in ("real", "flat", "mixed")] == [1, 2, 3]
+        assert ch["real"].reason is None and ch["real"].best == calinski_harabasz(
+            LabeledEmbedding(vectors, labels))
+        for method in ("flat", "mixed"):
+            assert ch[method].reason == "CH undefined: every point coincides"
+            assert math.isnan(ch[method].best) and math.isnan(ch[method].median)
+        # the run that scored keeps its value
+        assert ch["mixed"].values[0] == ch["real"].best and math.isnan(ch["mixed"].values[1])
+        # the silhouette is defined for every run
+        assert all(r.reason is None and r.rank for r in rows if r.index == "s")
+
+    def test_index_no_method_can_score_raises(self):
+        labels = ("A", "A", "B", "B")
+        with pytest.raises(EvaluationError, match="CH undefined: every point coincides"):
+            evaluate_all({"a": [LabeledEmbedding(np.zeros((4, 2)), labels)],
+                          "b": [LabeledEmbedding(np.ones((4, 3)), labels)]})
+
     def test_method_without_runs_rejected(self):
         with pytest.raises(EvaluationError, match="no embeddings to evaluate for 'a'"):
             evaluate_all({"a": []})
@@ -532,9 +558,11 @@ class TestTileWorkers:
         assert _tile_workers(4, env, 32) == 2
 
     def test_import_leaves_the_pool_module_unloaded(self):
-        # `import neca` is part of every command's start-up
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        code = "import neca, sys; assert 'concurrent.futures' not in sys.modules"
+        # `import neca` is part of every command's start-up; the subprocess
+        # imports the copy under test, from src/ or an installed package
+        env = dict(os.environ, PYTHONPATH=str(Path(neca.__file__).parent.parent))
+        code = (f"import neca, sys; assert neca.__file__ == {neca.__file__!r}, neca.__file__; "
+                "assert 'concurrent.futures' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -7,15 +7,16 @@ would surface immediately.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from neca import autodiff as ad
-from neca.cavnet import build_hetnet
-from neca.model import (ELU_ALPHA, LEAKY_SLOPE, RunConfig, assemble_objects, compute_table,
-                        init_params, network_embedding, wrap_params)
+from neca import (DatasetManifest, LabeledEmbedding, RunConfig, autodiff as ad, build_hetnet,
+                  impute_modes, load_csv, silhouette, train)
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, assemble_objects, compute_table, init_params,
+                        network_embedding, wrap_params)
 from neca.training import CLAMP_EPS, neca_loss
 
 
@@ -116,3 +117,19 @@ def test_pipeline_oracle_holds_across_seeds_and_widths(toy_cad):
         np.testing.assert_allclose(table.fused, fused, atol=1e-12)
         assert neca_loss(net, table.fused, cfg) == pytest.approx(
             reference_loss(net, fused, cfg.sigma, CLAMP_EPS), abs=1e-12)
+
+
+def test_library_flow_frees_the_assembled_objects_with_the_table(toy_csv):
+    # the README's library flow, through the package's public names; a scored
+    # embedding keeps only its compacted points, so dropping the table frees
+    # the assembled objects
+    cad = impute_modes(load_csv(toy_csv, DatasetManifest(name="toy", drop_columns=("Name",))))
+    config = RunConfig(epochs=2)
+    params, table, report = train(build_hetnet(cad, beta=config.beta_connect, seed=config.seed),
+                                  config)
+    assert table.objects.shape == (6, 192)
+    objects = weakref.ref(table.objects)
+    emb = LabeledEmbedding(table.objects, "AABABB")
+    del table
+    assert objects() is None and emb.points.shape[1] < 192
+    assert -1 <= silhouette(emb) <= 1
