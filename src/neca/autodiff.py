@@ -77,6 +77,7 @@ class Neighborhoods(NamedTuple):
     by_src: np.ndarray       # (E,) the pairs in source-major order
     src_starts: np.ndarray   # first entry of each source in ``by_src``
     sources: np.ndarray      # the sources that have a pair, ascending
+    order: np.ndarray        # (E,) the position of each pair in the input
 
 
 def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
@@ -84,7 +85,8 @@ def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
 
     No pair may repeat.  Every node must be the target of a pair, as the
     softmax over a node's pairs is undefined without one; the caller checks
-    this in ``counts``, where it can name the node.
+    this in ``counts``, where it can name the node.  ``order`` carries
+    per-pair input values, such as edge weights, into pair order.
     """
     order = np.lexsort((src, tgt))
     tgt, src = tgt[order], src[order]
@@ -95,7 +97,7 @@ def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
     by_src = np.argsort(src, kind="stable")
     sources, src_starts = np.unique(src[by_src], return_index=True)
     return Neighborhoods(src, counts, np.cumsum(counts) - counts, flat, by_src, src_starts,
-                         sources)
+                         sources, order)
 
 
 def _per_target(seg: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
@@ -106,6 +108,17 @@ def _per_target(seg: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
 def _gather(x: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     # the indices are in range; in its default mode take would buffer out
     return np.take(x, index, axis=1, out=out, mode="clip")
+
+
+def segment_softmax(z: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
+    """The softmax of (K, E) values in pair order over each target's pairs, in place.
+
+    Each target's maximum is subtracted first, so no value overflows.
+    """
+    z -= _per_target(np.maximum.reduceat(z, nbhd.starts, axis=1), nbhd)
+    w = np.exp(z, out=z)
+    w /= _per_target(np.add.reduceat(w, nbhd.starts, axis=1), nbhd)
+    return w
 
 
 def pair_softmax(scores: np.ndarray, nbhd: Neighborhoods,
@@ -125,9 +138,7 @@ def pair_softmax(scores: np.ndarray, nbhd: Neighborhoods,
     z += scores[:, 1, nbhd.src]
     np.maximum(z, slope * z, out=z)
     pos = z >= 0
-    z -= _per_target(np.maximum.reduceat(z, nbhd.starts, axis=1), nbhd)
-    w = np.exp(z, out=z)
-    w /= _per_target(np.add.reduceat(w, nbhd.starts, axis=1), nbhd)
+    w = segment_softmax(z, nbhd)
     dense = np.zeros((k, n * n))
     dense[:, nbhd.flat] = w
     return dense.reshape(k, n, n), w, pos

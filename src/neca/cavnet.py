@@ -12,9 +12,12 @@ edge sets are built over the node universe:
 
 The softmax runs over every edge of a network, so raw scores are retained on
 each edge and neighborhoods are defined structurally (by edge existence),
-never by floating-point weight positivity.  Per-neighborhood renormalization
-downstream works from the raw scores, which equals renormalizing the
-log-weights without the underflow.
+never by floating-point weight positivity.  A ``HetNet`` expands each
+network's edges into directed pairs sorted by target once, when it is made:
+the neighborhoods attention runs over.  Beside them it keeps the impacting
+strengths p(v|u) the loss reads, the cross-attribute weights renormalized
+over each neighborhood.  It takes them from the raw scores, which equals
+renormalizing the weights without the underflow.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .dataset import CAD
 
 
@@ -75,6 +79,8 @@ WITHIN = 0
 CONNECTIVITY = 1
 
 _KIND_NAMES = {None: "inter", WITHIN: "within", CONNECTIVITY: "connectivity"}
+
+NETWORKS = ("inter", "intra")
 
 
 @dataclass
@@ -151,25 +157,35 @@ def build_intra_network(cad: CAD, nodes: CavNodeSet, beta: float = 0.01,
 
 @dataclass
 class HetNet:
-    """The two weighted networks over one CAV node set."""
+    """The two weighted networks over one CAV node set, with their directed pairs.
+
+    ``pairs`` holds each network's edges expanded both ways and sorted by
+    (target, source), the neighborhoods its attention runs over; ``impact``
+    holds p(v|u) of each cross-attribute pair in ``pairs["inter"]`` order.
+    Both are built from the edges when the graph is made, and an isolated
+    node, which has no neighborhood, is an error.
+    """
 
     node_set: CavNodeSet
     inter: EdgeSet
     intra: EdgeSet
     rng_seed: int
-    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    pairs: dict[str, ad.Neighborhoods] = field(init=False, repr=False, compare=False)
+    impact: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def derived(self, fn, *args):
-        """``fn(self, *args)``, computed on the first call and kept with the graph.
-
-        For structures that depend only on the graph, such as the attention
-        neighborhoods and the loss targets; the graph must not change after
-        the first call.
-        """
-        key = (fn, args)
-        if key not in self._derived:
-            self._derived[key] = fn(self, *args)
-        return self._derived[key]
+    def __post_init__(self):
+        self.pairs = {}
+        for which in NETWORKS:
+            e = self.edges(which)
+            nbhd = ad.neighborhoods(np.concatenate([e.u, e.v]), np.concatenate([e.v, e.u]),
+                                    self.node_set.total)
+            if not nbhd.counts.all():
+                isolated = self.node_set.qualified(int(np.argmin(nbhd.counts)))
+                raise GraphError(f"isolated node {isolated} in {which} network")
+            self.pairs[which] = nbhd
+        inter = self.pairs["inter"]
+        raw = np.concatenate([self.inter.raw, self.inter.raw])[None, inter.order]
+        self.impact = ad.segment_softmax(raw, inter)[0]
 
     def edges(self, which: str) -> EdgeSet:
         if which == "inter":
@@ -177,14 +193,6 @@ class HetNet:
         if which == "intra":
             return self.intra
         raise GraphError(f"unknown network {which!r}")
-
-    def directed_pairs(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each undirected edge expanded both ways: (target, source, edge index)."""
-        e = self.edges(which)
-        tgt = np.concatenate([e.u, e.v])
-        src = np.concatenate([e.v, e.u])
-        idx = np.concatenate([np.arange(len(e)), np.arange(len(e))])
-        return tgt, src, idx
 
 
 def build_hetnet(cad: CAD, beta: float = 0.01, seed: int = 0) -> HetNet:

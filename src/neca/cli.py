@@ -551,6 +551,9 @@ def cmd_compare(args) -> int:
     unknown = [m for m in methods if m != "neca" and m not in ENCODERS]
     if unknown:
         raise StageError("compare", f"unknown method {unknown[0]!r}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise StageError("compare", f"method {repeated[0]!r} is named twice")
     cad, manifest, _ = _stage("dataset", resolve_dataset, args)
     if cad.labels is None:
         raise StageError("compare", "dataset has no label column; comparison needs labels")

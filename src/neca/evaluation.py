@@ -143,6 +143,18 @@ class LabeledEmbedding:
         return len(self.classes)
 
 
+def _ch_classes(emb: LabeledEmbedding) -> None:
+    """Raise unless the labels alone leave CH defined: 2 <= T < n."""
+    if emb.t < 2 or emb.n <= emb.t:
+        raise EvaluationError("CH undefined: requires 2 <= T < n")
+
+
+def _silhouette_classes(emb: LabeledEmbedding) -> None:
+    """Raise unless the labels alone leave the silhouette defined: T >= 2."""
+    if emb.t < 2:
+        raise EvaluationError("silhouette undefined for a single class")
+
+
 def calinski_harabasz(emb: LabeledEmbedding) -> float:
     """Between-class over within-class scatter ratio; larger is better.
 
@@ -151,8 +163,7 @@ def calinski_harabasz(emb: LabeledEmbedding) -> float:
     are zero every point coincides and the ratio is 0/0, an
     ``EvaluationError``: +inf would rank such an embedding above every other.
     """
-    if emb.t < 2 or emb.n <= emb.t:
-        raise EvaluationError("CH undefined: requires 2 <= T < n")
+    _ch_classes(emb)
     center = emb.points.mean(axis=0)
     between = 0.0
     within = 0.0
@@ -263,8 +274,7 @@ def _class_distance_sums(emb: LabeledEmbedding) -> np.ndarray:
 
 def silhouette_samples(emb: LabeledEmbedding) -> np.ndarray:
     """Per-object s(x) = (b - a) / max(a, b), with the singleton rule s = 0."""
-    if emb.t < 2:
-        raise EvaluationError("silhouette undefined for a single class")
+    _silhouette_classes(emb)
     sums = _class_distance_sums(emb)
     sizes = np.bincount(emb.label_idx, minlength=emb.t).astype(np.float64)
     rows = np.arange(emb.n)
@@ -289,6 +299,7 @@ def silhouette(emb: LabeledEmbedding) -> float:
 
 
 INDICES = {"ch": calinski_harabasz, "s": silhouette}
+CLASS_CHECKS = {"ch": _ch_classes, "s": _silhouette_classes}
 
 
 def check_indices(indices: Iterable[str]) -> None:
@@ -330,7 +341,9 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
     Rows come method by method, each method's in ``indices`` order.  An index
     that raises on a run leaves that method's row undefined (see
     ``ComparisonRow``), ranked after every defined row; an index that no
-    method can score raises the first row's reason.
+    method can score raises the first row's reason.  An index that the
+    labels alone leave undefined raises on the first embedding, before the
+    next is made.
     """
     if not runs:
         raise EvaluationError("no embeddings to evaluate")
@@ -350,6 +363,8 @@ def evaluate_all(runs: Mapping[str, Iterable[LabeledEmbedding]],
         for emb in embeddings:
             if labels is None:
                 labels = emb.labels
+                for index in indices:
+                    CLASS_CHECKS[index](emb)
             elif emb.labels != labels:
                 raise EvaluationError("all embeddings must share the same labels")
             scores.append([score(index, emb) for index in indices])

@@ -12,7 +12,8 @@ The differentiable forward pass (see ``autodiff``) is one ``autodiff.gat``
 op per network, which computes every head at once: it scores each node as a
 target and as a neighbor, takes the softmax over the network's directed
 pairs on the pairs alone, and aggregates with the (K, |V|, |V|) weights,
-zero off the pairs, in one batched matrix product.  One
+zero off the pairs, in one batched matrix product.  The pairs are the
+graph's (``HetNet.pairs``), sorted by target when the graph is made.  One
 ``autodiff.fusion`` op blends the two networks' embeddings;
 ``forward_fused`` returns its fused ``Var``, which roots the tree of ops
 below the loss, and the two fusion weights.  Each op's backward returns its
@@ -30,14 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .cavnet import CavNodeSet, HetNet
+from .cavnet import NETWORKS, CavNodeSet, HetNet
 
-
-class ModelError(Exception):
-    """Shape mismatch or structural contract violation."""
-
-
-NETWORKS = ("inter", "intra")
 LEAKY_SLOPE = 0.2   # negative slope of the attention-logit LeakyReLU, as in GAT
 ELU_ALPHA = 1.0     # ELU alpha of the aggregated neighborhood
 
@@ -47,9 +42,9 @@ class RunConfig:
     """Every hyperparameter of a run: the model's, the training's and the graph's.
 
     ``seed`` drives parameter initialization; ``cli.run_pipeline`` also
-    draws the graph's connectivity edges with it.  A field's name is also its flag (``--name-with-dashes``),
-    its config-file key and its key in the metadata JSON; its ``help``
-    metadata is the flag's help text.
+    draws the graph's connectivity edges with it.  A field's name is also
+    its flag (``--name-with-dashes``), its config-file key and its key in
+    the metadata JSON; its ``help`` metadata is the flag's help text.
     """
 
     heads: int = field(default=8, metadata={"help": "attention heads K"})
@@ -123,23 +118,10 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Var]:
     return {name: Var(tensor) for name, tensor in params.items()}
 
 
-def _neighborhoods(net: HetNet, which: str) -> ad.Neighborhoods:
-    """The directed pairs of one network, the neighborhoods its attention runs over.
-
-    An isolated node has no neighborhood to attend over and is an error.
-    """
-    tgt, src, _ = net.directed_pairs(which)
-    nbhd = ad.neighborhoods(tgt, src, net.node_set.total)
-    if not nbhd.counts.all():
-        isolated = net.node_set.qualified(int(np.argmin(nbhd.counts)))
-        raise ModelError(f"isolated node {isolated} in {which} network")
-    return nbhd
-
-
 def network_embedding(net: HetNet, which: str, pvars: dict[str, Var]) -> Var:
-    """Multi-head attention embedding of one network; returns (|V|, K*d)."""
-    nbhd = net.derived(_neighborhoods, which)
-    return ad.gat(pvars[f"w1.{which}"], pvars[f"attn.{which}"], nbhd, LEAKY_SLOPE, ELU_ALPHA)
+    """Multi-head attention embedding of one network over its directed pairs; (|V|, K*d)."""
+    return ad.gat(pvars[f"w1.{which}"], pvars[f"attn.{which}"], net.pairs[which],
+                  LEAKY_SLOPE, ELU_ALPHA)
 
 
 def forward_fused(net: HetNet, pvars: dict[str, Var]) -> tuple[Var, tuple[float, float]]:

@@ -3,12 +3,10 @@
 The loss compares, for every directed cross-attribute neighbor pair (u, v),
 the Gaussian-kernel similarity of the fused embeddings against the impacting
 strength p(v|u), the target node's edge weight renormalized over its
-neighborhood, under a binary cross-entropy.  Because the network weights
-are a global softmax of the raw co-occurrence counts, the per-neighborhood
-renormalization reduces to a neighborhood softmax of the raw counts, which
-is how it is computed (no underflow from tiny global weights).  The loss is
-one tape op, ``autodiff.kernel_bce``, evaluated at the E directed pairs
-only; the targets are kept as one value per pair.
+neighborhood, under a binary cross-entropy.  The graph holds both: the pairs
+in ``HetNet.pairs["inter"]`` and p, one value per pair, in ``HetNet.impact``.
+The loss is one tape op, ``autodiff.kernel_bce``, evaluated at the E
+directed pairs only.
 
 Gradients for every parameter tensor come from the reverse-mode tape in
 ``autodiff``, a tree of four ops over the seven parameters: ``backward``
@@ -45,31 +43,12 @@ class TrainReport:
     stop_reason: str            # "max_epochs" or "converged"
 
 
-def loss_targets(net: HetNet) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, p) over the directed cross-attribute pairs (target u, neighbor v).
-
-    ``pairs`` holds the flat index u * |V| + v of each pair and ``p`` its
-    impacting strength p(v|u), the softmax of the raw counts over u's
-    neighborhood.
-    """
-    tgt, src, eidx = net.directed_pairs("inter")
-    if len(tgt) == 0:
-        raise TrainingError("empty cross-attribute edge set")
-    num = net.node_set.total
-    raw = net.inter.raw[eidx]
-    top = np.full(num, -np.inf)
-    np.maximum.at(top, tgt, raw)
-    e = np.exp(raw - top[tgt])
-    return tgt * num + src, e / np.bincount(tgt, weights=e, minlength=num)[tgt]
-
-
 def _loss_var(net: HetNet, fused: ad.Var, config: RunConfig) -> ad.Var:
-    pairs, p = net.derived(loss_targets)
     num = net.node_set.total
     if fused.value.ndim != 2 or fused.shape[0] != num:
         raise TrainingError(f"fused embedding has shape {fused.shape}, "
                             f"expected ({num}, d) for the {num} nodes of the graph")
-    return ad.kernel_bce(fused, pairs, p, config.sigma, CLAMP_EPS)
+    return ad.kernel_bce(fused, net.pairs["inter"].flat, net.impact, config.sigma, CLAMP_EPS)
 
 
 def neca_loss(net: HetNet, fused: np.ndarray, config: RunConfig) -> float:

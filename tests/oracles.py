@@ -11,8 +11,9 @@ scattering with ``np.add.at``) and the per-pair loss that the dense,
 head-batched tape path replaced.  Their sums run in another order, so tests
 compare against them to a relative tolerance.
 
-Graph I/O: the sorted neighbor lists of each node, a parser for the
-exported edge list and a CSV writer for a CAD.
+Graph I/O: each edge expanded both ways from the edge set alone, the
+sorted neighbor lists of each node, a parser for the exported edge list and
+a CSV writer for a CAD.
 
 The embedding file: a reader that calls ``float`` on every token of every
 line, in file order, that the run-matching reader is compared against.
@@ -35,8 +36,12 @@ from neca.cavnet import CONNECTIVITY, WITHIN, GraphError, stable_softmax
 from neca.cli import StageError
 from neca.dataset import DatasetError
 from neca.evaluation import _SILHOUETTE_BLOCK
-from neca.model import ELU_ALPHA, LEAKY_SLOPE, ModelError
+from neca.model import ELU_ALPHA, LEAKY_SLOPE
 from neca.training import CLAMP_EPS, TrainingError
+
+
+class ModelError(Exception):
+    """Shape mismatch or structural contract violation in a model oracle."""
 
 
 def records(cad) -> tuple[tuple[str, ...], ...]:
@@ -200,9 +205,16 @@ def save_csv(cad, path, label_name: str = "label") -> None:
 # ---------------------------------------------------------------------------
 # Graph structure and the exported edge list
 
+def directed_pairs(net, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each undirected edge of one network both ways: (target, source, edge index)."""
+    e = net.edges(which)
+    both = np.arange(2 * len(e)) % len(e)
+    return np.concatenate([e.u, e.v]), np.concatenate([e.v, e.u]), both
+
+
 def adjacency(net, which: str) -> list[np.ndarray]:
     """Sorted neighbor ids of every node of one network."""
-    tgt, src, _ = net.directed_pairs(which)
+    tgt, src, _ = directed_pairs(net, which)
     order = np.lexsort((src, tgt))
     bounds = np.cumsum(np.bincount(tgt, minlength=net.node_set.total))[:-1]
     return np.split(src[order], bounds)
@@ -348,7 +360,7 @@ def network_embedding(net, which: str, params, config) -> np.ndarray:
     for node_id, neigh in enumerate(adjacency(net, which)):
         if len(neigh) == 0:
             raise ModelError(f"isolated node {net.node_set.qualified(node_id)} in {which} network")
-    tgt, src, _ = net.directed_pairs(which)
+    tgt, src, _ = directed_pairs(net, which)
     d = config.head_dim
     heads = []
     for k in range(config.heads):
@@ -374,9 +386,7 @@ def fused_embedding(net, params, config) -> np.ndarray:
 
 def neca_loss(net, fused: np.ndarray, config) -> float:
     """Mean BCE over the gathered directed cross-attribute pairs."""
-    tgt, src, eidx = net.directed_pairs("inter")
-    if len(tgt) == 0:
-        raise TrainingError("empty cross-attribute edge set")
+    tgt, src, eidx = directed_pairs(net, "inter")
     p = _segment_softmax(net.inter.raw[eidx], tgt, net.node_set.total)
     diff = fused[tgt] - fused[src]
     kernel = np.exp(-(diff * diff).sum(axis=1) / (2.0 * config.sigma ** 2))

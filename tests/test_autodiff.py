@@ -303,12 +303,25 @@ def test_attention_weighs_outside_pairs_zero_and_single_pairs_one():
 
 
 def test_neighborhoods_reject_a_target_without_pairs_and_repeated_pairs():
-    # a target without pairs is counted, and the model rejects it by name
+    # a target without pairs is counted, and the graph rejects it by name
     # (test_model.py::TestEmbedNetwork::test_isolated_node_rejected)
     nbhd = ad.neighborhoods(np.array([0, 1, 3]), np.array([1, 0, 0]), 4)
     assert nbhd.counts.tolist() == [1, 1, 0, 1]
     with pytest.raises(ValueError, match="repeats"):
         ad.neighborhoods(np.array([0, 1, 0]), np.array([1, 0, 1]), 2)
+
+
+def test_segment_softmax_over_targets_in_input_order():
+    # ``order`` carries values given with the input pairs into pair order
+    tgt, src = np.array([2, 0, 2, 1, 0]), np.array([0, 2, 1, 2, 1])
+    nbhd = ad.neighborhoods(tgt, src, 3)
+    np.testing.assert_array_equal(nbhd.flat, (tgt * 3 + src)[nbhd.order])
+    raw = np.array([1.0, 3.0, 800.0, -2.0, 0.5])
+    p = ad.segment_softmax(raw[None, nbhd.order], nbhd)[0]
+    for t in range(3):
+        mine = tgt[nbhd.order] == t
+        e = np.exp(raw[nbhd.order][mine] - raw[nbhd.order][mine].max())
+        np.testing.assert_allclose(p[mine], e / e.sum(), rtol=1e-15)
 
 
 @pytest.mark.parametrize("rows", [31, 32, 33, 65])

@@ -500,6 +500,27 @@ class TestCompare:
         assert "unknown method 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_rejected_before_loading(self, labeled_csv, monkeypatch, capsys):
+        loaded = []
+        monkeypatch.setattr(cli, "resolve_dataset", lambda args: loaded.append(args))
+        assert run(["compare", str(labeled_csv), "--label", "group",
+                    "--methods", "onehot,onehot"]) == 1
+        assert "[compare] method 'onehot' is named twice" in capsys.readouterr().err
+        assert loaded == []
+
+    def test_labels_that_leave_an_index_undefined_stop_after_one_training(
+            self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("a,b,cls\nx,u,A\ny,v,A\nx,v,A\ny,u,A\n")
+        calls = []
+        real = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *a, **k: calls.append(k["seed"]) or real(*a, **k))
+        assert run(["compare", str(data), "--label", "cls", "--runs", "3", "--epochs", "2",
+                    "--heads", "2", "--head-dim", "2"]) == 1
+        assert "error: [eval] CH undefined: requires 2 <= T < n" in capsys.readouterr().err
+        assert calls == [0]
+
     def test_interrupted_json_write_keeps_the_old_file(self, labeled_csv, tmp_path,
                                                         monkeypatch):
         out = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -503,6 +504,24 @@ class TestEvaluateAll:
         with pytest.raises(EvaluationError, match="CH undefined: every point coincides"):
             evaluate_all({"a": [LabeledEmbedding(np.zeros((4, 2)), labels)],
                           "b": [LabeledEmbedding(np.ones((4, 3)), labels)]})
+
+    @pytest.mark.parametrize("labels, indices, message", [
+        (("A",) * 4, ("ch", "s"), "CH undefined: requires 2 <= T < n"),
+        (("A",) * 4, ("s", "ch"), "silhouette undefined for a single class"),
+        (("A", "B"), ("s", "ch"), "CH undefined: requires 2 <= T < n"),
+    ])
+    def test_labels_that_leave_an_index_undefined_raise_at_the_first_run(
+            self, labels, indices, message):
+        drawn = []
+
+        def runs():
+            for k in range(3):
+                drawn.append(k)
+                yield LabeledEmbedding(np.arange(2.0 * len(labels)).reshape(-1, 2) + k, labels)
+
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            evaluate_all({"a": runs(), "b": runs()}, indices)
+        assert drawn == [0]
 
     def test_method_without_runs_rejected(self):
         with pytest.raises(EvaluationError, match="no embeddings to evaluate for 'a'"):

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from dataclasses import replace
 
 from neca import autodiff as ad
-from neca.cavnet import EdgeSet, build_hetnet, build_node_set
+from neca.cavnet import EdgeSet, GraphError, build_hetnet, build_node_set
 from neca.dataset import make_cad
-from neca.model import (ELU_ALPHA, LEAKY_SLOPE, NETWORKS, EmbeddingTable, ModelError,
-                        RunConfig, assemble_objects, compute_table, init_params,
-                        network_embedding, wrap_params)
+from neca.model import (ELU_ALPHA, LEAKY_SLOPE, NETWORKS, EmbeddingTable, RunConfig,
+                        assemble_objects, compute_table, init_params, network_embedding,
+                        wrap_params)
 from neca.training import neca_loss
 import oracles
-from oracles import (aggregate, attention_logit, fuse, fusion_weights, importance_score,
-                     init_node_features, neighbor_weights, project)
+from oracles import (ModelError, aggregate, attention_logit, fuse, fusion_weights,
+                     importance_score, init_node_features, neighbor_weights, project)
 
 
 def small_config(**kw):
@@ -261,11 +261,10 @@ class TestEmbedNetwork:
     def test_isolated_node_rejected(self):
         cad, net = self.path_net()
         keep = (net.inter.u != 0) & (net.inter.v != 0)
-        net = replace(net, inter=EdgeSet(net.inter.u[keep], net.inter.v[keep],
-                                         net.inter.raw[keep], net.inter.weight[keep]))
-        cfg = small_config()
-        with pytest.raises(ModelError, match="isolated"):
-            embed_network(net, "inter", init_params(3, cfg))
+        isolated = net.node_set.qualified(0)
+        with pytest.raises(GraphError, match=f"isolated node {isolated} in inter network"):
+            replace(net, inter=EdgeSet(net.inter.u[keep], net.inter.v[keep],
+                                       net.inter.raw[keep], net.inter.weight[keep]))
 
 
 def assert_rel_close(actual, expected, rel=1e-12):

@@ -1,17 +1,18 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from neca import autodiff as ad
-from neca.cavnet import EdgeSet, HetNet, build_hetnet
+from neca.cavnet import EdgeSet, GraphError, HetNet, build_hetnet
 from neca.dataset import make_cad
 from neca.model import RunConfig, init_params
 from neca.training import (CLAMP_EPS, TrainingError, TrainReport, adam_step, forward_loss,
-                           gradients, loss_targets, neca_loss, train)
-from oracles import adjacency, gaussian_similarity, id_for, impacting_strength
+                           gradients, neca_loss, train)
+from oracles import adjacency, directed_pairs, gaussian_similarity, id_for, impacting_strength
 
 
 def small_model(**kw):
@@ -68,10 +69,13 @@ class TestImpactingStrength:
 
     def test_vectorized_targets_match_scalar_op(self, toy_cad):
         net = build_hetnet(toy_cad, seed=0)
-        pairs, p = loss_targets(net)
-        tgt, src, _ = net.directed_pairs("inter")
-        np.testing.assert_array_equal(pairs, tgt * net.node_set.total + src)
-        assert len(np.unique(pairs)) == len(pairs)
+        num = net.node_set.total
+        pairs, p = net.pairs["inter"].flat, net.impact
+        tgt, src, _ = directed_pairs(net, "inter")
+        # every directed pair once, sorted by (target, source)
+        np.testing.assert_array_equal(pairs, np.sort(tgt * num + src))
+        assert len(np.unique(pairs)) == len(pairs) == len(p)
+        tgt, src = np.divmod(pairs, num)
         for t, s, strength in zip(tgt, src, p):
             assert strength == pytest.approx(impacting_strength(net, int(t), int(s)), abs=1e-12)
 
@@ -131,8 +135,7 @@ class TestLoss:
 
     def test_cross_entropy_lower_bound(self):
         _, net = four_node_net()
-        _, p = loss_targets(net)
-        pc = np.clip(p, 1e-12, 1 - 1e-12)
+        pc = np.clip(net.impact, 1e-12, 1 - 1e-12)
         entropy = float(-np.mean(pc * np.log(pc) + (1 - pc) * np.log(1 - pc)))
         rng = np.random.default_rng(1)
         cfg = RunConfig()
@@ -151,12 +154,28 @@ class TestLoss:
         assert math.isfinite(neca_loss(net, fused, RunConfig()))
 
     def test_empty_edge_set_rejected(self, toy_cad):
+        # with two or more attributes, no cross-attribute edges leave every node isolated
         net = build_hetnet(toy_cad, seed=0)
         empty = EdgeSet(u=np.array([], dtype=np.int64), v=np.array([], dtype=np.int64),
                         raw=np.array([]), weight=np.array([]))
-        broken = HetNet(net.node_set, empty, net.intra, 0)
-        with pytest.raises(TrainingError, match="empty"):
-            neca_loss(broken, np.zeros((10, 3)), RunConfig())
+        with pytest.raises(GraphError, match="isolated node .* in inter network"):
+            HetNet(net.node_set, empty, net.intra, 0)
+
+    def test_pairs_and_impact_are_built_once_per_graph(self):
+        _, net = four_node_net()
+        pairs, impact = net.pairs, net.impact
+        params, cfg = init_params(4, small_model()), small_model()
+        gradients(net, params, cfg)
+        gradients(net, params, cfg)
+        assert net.pairs is pairs and net.impact is impact
+        assert net.pairs["inter"] is pairs["inter"] and net.pairs["intra"] is pairs["intra"]
+        # a graph with other edge counts builds its own
+        e = net.inter
+        other = replace(net, inter=EdgeSet(e.u, e.v, np.arange(len(e), 0, -1.0), e.weight))
+        assert other.pairs is not pairs and other.impact is not impact
+        np.testing.assert_array_equal(other.pairs["inter"].flat, pairs["inter"].flat)
+        assert not np.array_equal(other.impact, impact)
+        assert net.pairs is pairs and net.impact is impact
 
     def test_row_count_must_match_the_graph(self):
         # the flat pair indices would read the wrong entries of a larger matrix
@@ -168,7 +187,7 @@ class TestLoss:
 def kernel_bce_var(net, fused, config):
     """The loss op on ``fused`` as a leaf, after its backward."""
     v = ad.Var(fused)
-    loss = ad.kernel_bce(v, *loss_targets(net), config.sigma, CLAMP_EPS)
+    loss = ad.kernel_bce(v, net.pairs["inter"].flat, net.impact, config.sigma, CLAMP_EPS)
     ad.backward(loss)
     return loss, v
 
