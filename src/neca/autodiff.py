@@ -68,46 +68,42 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Neighborhoods(NamedTuple):
-    """The directed (target, source) pairs of a graph, sorted by (target, source)."""
+    """The directed (target, source) pairs of a graph, sorted by (target, source).
+
+    Every per-pair array is in this order, so each target's pairs are one slice.
+    """
 
     src: np.ndarray          # (E,) source of each pair
     counts: np.ndarray       # (|V|,) pairs of each target, all at least 1
     starts: np.ndarray       # (|V|,) first pair of each target
     flat: np.ndarray         # (E,) target * |V| + source, the pair in a (|V|, |V|) array
-    by_src: np.ndarray       # (E,) the pairs in source-major order
-    src_starts: np.ndarray   # first entry of each source in ``by_src``
-    sources: np.ndarray      # the sources that have a pair, ascending
     order: np.ndarray        # (E,) the position of each pair in the input
 
 
 def neighborhoods(tgt: np.ndarray, src: np.ndarray, num: int) -> Neighborhoods:
     """The ``Neighborhoods`` of directed pairs given in any order.
 
-    No pair may repeat.  Every node must be the target of a pair, as the
-    softmax over a node's pairs is undefined without one; the caller checks
-    this in ``counts``, where it can name the node.  ``order`` carries
+    No pair may repeat or name a node outside [0, num).  Every node must be
+    the target of a pair, as its softmax is undefined without one; the caller
+    checks this in ``counts``, where it can name the node.  ``order`` carries
     per-pair input values, such as edge weights, into pair order.
     """
+    for ids in (tgt, src):
+        bad = ids[(ids < 0) | (ids >= num)]
+        if len(bad):
+            raise ValueError(f"node id {int(bad[0])} is outside [0, {num})")
     order = np.lexsort((src, tgt))
     tgt, src = tgt[order], src[order]
     counts = np.bincount(tgt, minlength=num)
     flat = tgt * num + src
     if (np.diff(flat) == 0).any():
         raise ValueError("a directed pair repeats")
-    by_src = np.argsort(src, kind="stable")
-    sources, src_starts = np.unique(src[by_src], return_index=True)
-    return Neighborhoods(src, counts, np.cumsum(counts) - counts, flat, by_src, src_starts,
-                         sources, order)
+    return Neighborhoods(src, counts, np.cumsum(counts) - counts, flat, order)
 
 
 def _per_target(seg: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
     """A (K, |V|) value of each target, repeated over its pairs."""
     return np.repeat(seg, nbhd.counts, axis=1)
-
-
-def _gather(x: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # the indices are in range; in its default mode take would buffer out
-    return np.take(x, index, axis=1, out=out, mode="clip")
 
 
 def segment_softmax(z: np.ndarray, nbhd: Neighborhoods) -> np.ndarray:
@@ -173,9 +169,13 @@ def gat(w1: Var, attn: Var, nbhd: Neighborhoods, slope: float, alpha: float) -> 
         g_w1 = np.swapaxes(_product(np.swapaxes(weights, -1, -2), g_agg), -1, -2)
         # softmax backward, then the LeakyReLU derivative: slope below 0 and
         # 1 elsewhere (slope + (1 - slope) rounds to exactly 1 for any slope
-        # in (0, 1)).  Segment sums over each target's pairs and over each
-        # source's pairs give the two score rows.
-        gz = _gather(g_weights.reshape(k, n * n), nbhd.flat, np.empty_like(w))
+        # in (0, 1)).  Segment sums over each target's pairs and a bincount
+        # over each source's pairs per head (one over head-offset bins builds
+        # a (K, E) index per call, and measured slower) give the two score
+        # rows; a node that is no pair's source gets 0.  The indices are in
+        # range; in its default mode take would buffer out.
+        gz = np.take(g_weights.reshape(k, n * n), nbhd.flat, axis=1, out=np.empty_like(w),
+                     mode="clip")
         gz *= w
         buf = _per_target(np.add.reduceat(gz, nbhd.starts, axis=1), nbhd)
         gz -= np.multiply(buf, w, out=buf)
@@ -184,8 +184,8 @@ def gat(w1: Var, attn: Var, nbhd: Neighborhoods, slope: float, alpha: float) -> 
         gz *= buf
         g_scores = np.zeros((k, 2, n))
         g_scores[:, 0] = np.add.reduceat(gz, nbhd.starts, axis=1)
-        g_scores[:, 1, nbhd.sources] = np.add.reduceat(_gather(gz, nbhd.by_src, buf),
-                                                       nbhd.src_starts, axis=1)
+        for h in range(k):
+            g_scores[h, 1] = np.bincount(nbhd.src, gz[h], minlength=n)
         return (g_w1 + _product(np.swapaxes(a, -1, -2), g_scores),
                 _product(g_scores, w1t).reshape(k, 2 * d))
 
@@ -230,34 +230,33 @@ def fusion(inter: Var, intra: Var, w2: Var, b: Var,
     return fused, (float(gammas[0]), float(gammas[1])), (float(betas[0]), float(betas[1]))
 
 
-def kernel_bce(fused: Var, pairs: np.ndarray, p: np.ndarray, sigma: float, eps: float) -> Var:
+def kernel_bce(fused: Var, nbhd: Neighborhoods, p: np.ndarray, sigma: float, eps: float) -> Var:
     """Mean binary cross-entropy of Gaussian-kernel similarities against ``p``.
 
-    ``pairs`` holds the flat index ``u * n + v`` of each pair of rows of the
-    (n, d) ``fused``.  The kernel exp(-|f_u - f_v|^2 / (2 sigma^2)) of a pair,
-    clamped to [eps, 1 - eps], is scored against its target probability:
+    ``nbhd`` holds the directed pairs of rows of the (|V|, d) ``fused`` and
+    ``p`` one probability per pair.  The kernel exp(-|f_u - f_v|^2 / (2 sigma^2))
+    of a pair, clamped to [eps, 1 - eps], is scored against its probability:
     the value is -mean(p log k + (1 - p) log(1 - k)) over the pairs.  No
     gradient passes through a clamped kernel.
     """
-    n = fused.value.shape[0]
+    n, e = fused.value.shape[0], len(nbhd.flat)
     # squared distances |f_u|^2 + |f_v|^2 - 2 f_u.f_v, centered first so the
     # cancellation error scales with the spread of the rows, not with their
     # offset from the origin
     f = fused.value - fused.value.mean(axis=0)
     norms = (f * f).sum(axis=1)
-    tgt, src = np.divmod(pairs, n)
-    sq = norms[tgt] + norms[src] - 2.0 * _product(f, f.T).take(pairs)
+    sq = np.repeat(norms, nbhd.counts) + norms[nbhd.src] - 2.0 * _product(f, f.T).take(nbhd.flat)
     k = np.exp(sq * (-1.0 / (2.0 * sigma ** 2)))
     inside = (k >= eps) & (k <= 1.0 - eps)
     np.clip(k, eps, 1.0 - eps, out=k)
     # np.sum, not a dot product: BLAS may split a long dot across threads
-    loss = -np.sum(p * np.log(k) + (1.0 - p) * np.log(1.0 - k)) / len(pairs)
+    loss = -np.sum(p * np.log(k) + (1.0 - p) * np.log(1.0 - k)) / e
 
     def back(g):
         # dL/dsq = (p - k) / ((1 - k) 2 sigma^2 E) inside the clamp; each pair
         # moves both of its rows, so the scattered weights are symmetrized
         half = np.zeros(n * n)
-        half[pairs] = g * inside * (p - k) / ((1.0 - k) * (2.0 * sigma ** 2 * len(pairs)))
+        half[nbhd.flat] = g * inside * (p - k) / ((1.0 - k) * (2.0 * sigma ** 2 * e))
         half = half.reshape(n, n)
         w = half + half.T
         grad = 2.0 * (w.sum(axis=1)[:, None] * f - _product(w, f))

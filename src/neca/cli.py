@@ -193,14 +193,14 @@ def _write_text(path, text: str) -> None:
 
 
 def _format_segments(rows: np.ndarray) -> list[bytes]:
-    """Comma-joined tokens of each row as bytes, formatting each distinct float64 bit pattern once.
+    """Each row's tokens as bytes, each after a comma, formatting each distinct bit pattern once.
 
     The key is the bit pattern, not the value: 0.0 == -0.0 but the two print
     differently, and nan != nan.
     """
     bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
     tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return [",".join(row).encode() for row in tokens[inverse].reshape(rows.shape).tolist()]
+    return [("," + ",".join(row)).encode() for row in tokens[inverse].reshape(rows.shape).tolist()]
 
 
 def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> bytes:
@@ -223,7 +223,7 @@ def _format_rows(matrix: np.ndarray, runs, first_id: int, cache: list[dict]) -> 
         if missing:
             segments.update(zip(missing, _format_segments(matrix[first[missing], lo:hi])))
         columns.append([segments[c] for c in chunk])
-    return b"".join(b"%d,%b\n" % (i, b",".join(row))
+    return b"".join(b"%d%b\n" % (i, b"".join(row))
                     for i, *row in zip(range(first_id, first_id + count), *columns))
 
 
@@ -239,7 +239,7 @@ def write_embedding(path, matrix: np.ndarray) -> None:
     runs = factor_columns(matrix)
     cache = [{} for _ in runs]
     with _replacing(path, binary=True) as fh:
-        fh.write(("object_id," + ",".join(f"dim_{k}" for k in range(matrix.shape[1]))
+        fh.write(("object_id" + "".join(f",dim_{k}" for k in range(matrix.shape[1]))
                   + "\n").encode())
         for lo in range(0, matrix.shape[0], _CHUNK_ROWS):
             fh.write(_format_rows(matrix, runs, lo, cache))

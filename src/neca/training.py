@@ -48,7 +48,7 @@ def _loss_var(net: HetNet, fused: ad.Var, config: RunConfig) -> ad.Var:
     if fused.value.ndim != 2 or fused.shape[0] != num:
         raise TrainingError(f"fused embedding has shape {fused.shape}, "
                             f"expected ({num}, d) for the {num} nodes of the graph")
-    return ad.kernel_bce(fused, net.pairs["inter"].flat, net.impact, config.sigma, CLAMP_EPS)
+    return ad.kernel_bce(fused, net.pairs["inter"], net.impact, config.sigma, CLAMP_EPS)
 
 
 def neca_loss(net: HetNet, fused: np.ndarray, config: RunConfig) -> float:

@@ -102,23 +102,40 @@ def test_elementwise_ops(case):
 
 
 def ring_with_chords(n, seed):
-    """The pairs of an n-node graph: a ring, random chords and no self pairs,
-    where node 0 has one neighbor."""
+    """The pair mask of an n-node graph: a ring, random chords and no self
+    pairs, where node 0 has one neighbor."""
     r = np.random.default_rng(seed)
     mask = r.random((n, n)) < 0.3
     mask[np.arange(n), (np.arange(n) + 1) % n] = True
     np.fill_diagonal(mask, False)
     mask[0] = False
     mask[0, 5] = True
-    return pairs(mask)
+    return mask
 
 
+def without_source(mask, node):
+    """``mask`` where ``node`` is no pair's source; a target this leaves
+    without pairs gets the node two past it."""
+    mask = mask.copy()
+    mask[:, node] = False
+    empty = np.flatnonzero(~mask.any(axis=1))
+    mask[empty, (empty + 2) % len(mask)] = True
+    return mask
+
+
+# 40 nodes: the products' 32-row tiles split the nodes in two.  Node 5, node
+# 0's one neighbor, feeds no pair in the second graph, so its neighbor score
+# gets no gradient and its projection reaches no aggregate; node 0 gets node 2.
+RING = ring_with_chords(40, 3)
+
+
+@pytest.mark.parametrize("mask", [RING, without_source(RING, 5)], ids=["ring", "no-source"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("which", ["w1", "attn"])
-def test_gat_gradient(which, alpha):
-    # 40 nodes: the products' 32-row tiles split the nodes in two
+def test_gat_gradient(which, alpha, mask):
     r = np.random.default_rng(3)
-    nbhd = ring_with_chords(40, 3)
+    nbhd = pairs(mask)
+    assert nbhd.counts.all()
     inputs = {"w1": r.uniform(-1.0, 1.0, size=(2, 3, 40)), "attn": r.standard_normal((2, 6))}
     weights = r.standard_normal((40, 6))
 
@@ -307,8 +324,16 @@ def test_neighborhoods_reject_a_target_without_pairs_and_repeated_pairs():
     # (test_model.py::TestEmbedNetwork::test_isolated_node_rejected)
     nbhd = ad.neighborhoods(np.array([0, 1, 3]), np.array([1, 0, 0]), 4)
     assert nbhd.counts.tolist() == [1, 1, 0, 1]
+    none = np.array([], dtype=np.int64)
+    assert ad.neighborhoods(none, none, 3).counts.tolist() == [0, 0, 0]
     with pytest.raises(ValueError, match="repeats"):
         ad.neighborhoods(np.array([0, 1, 0]), np.array([1, 0, 1]), 2)
+    # an id outside [0, num) would read and write another pair's entry
+    # (source -1 of target 1 is pair (0, 2)), or another head's source sum
+    for tgt, src, bad in [([0, 1, 2], [1, -1, 0], -1), ([0, 1, 3], [1, 0, 0], 3),
+                          ([0, 1, 2], [1, 3, 0], 3), ([-1, 1, 2], [1, 0, 0], -1)]:
+        with pytest.raises(ValueError, match=rf"node id {bad} is outside \[0, 3\)"):
+            ad.neighborhoods(np.array(tgt), np.array(src), 3)
 
 
 def test_segment_softmax_over_targets_in_input_order():

@@ -187,7 +187,7 @@ class TestLoss:
 def kernel_bce_var(net, fused, config):
     """The loss op on ``fused`` as a leaf, after its backward."""
     v = ad.Var(fused)
-    loss = ad.kernel_bce(v, net.pairs["inter"].flat, net.impact, config.sigma, CLAMP_EPS)
+    loss = ad.kernel_bce(v, net.pairs["inter"], net.impact, config.sigma, CLAMP_EPS)
     ad.backward(loss)
     return loss, v
 
